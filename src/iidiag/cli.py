@@ -266,10 +266,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
+    canonical = serialize_diagram(load_diagram(args.file))  # rejects non-UTF-8
     text = args.file.read_text(encoding="utf-8")
-    canonical = serialize_diagram(
-        load_diagram(args.file)
-    )
     if canonical != text:
         args.file.write_text(canonical, encoding="utf-8")
         print(f"formatted {args.file}")

@@ -42,6 +42,8 @@ def parse_diagram(text: str) -> InfluenceDiagram:
         raise DiagramSyntaxError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DiagramSyntaxError("JSON nested too deeply") from None
     return build_diagram(data)
 
 
@@ -70,7 +72,13 @@ def serialize_diagram(diagram: InfluenceDiagram) -> str:
 
 
 def load_diagram(path: str | Path) -> InfluenceDiagram:
-    return parse_diagram(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DiagramSyntaxError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    return parse_diagram(text)
 
 
 def save_diagram(diagram: InfluenceDiagram, path: str | Path) -> None:

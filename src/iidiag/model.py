@@ -11,9 +11,12 @@ returns an immutable diagram; it never returns a partially valid one.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Any
 
 from .errors import (
     CycleDetected,
@@ -92,6 +95,43 @@ def config_assignment(index: int, cards: Sequence[int]) -> tuple[int, ...]:
         out.append(index % card)
         index //= card
     return tuple(reversed(out))
+
+
+def _strides(cards: Sequence[int]) -> tuple[int, ...]:
+    """Row-index step of each parent: the product of the cards after it."""
+    out = [0] * len(cards)
+    step = 1
+    for i in range(len(cards) - 1, -1, -1):
+        out[i] = step
+        step *= cards[i]
+    return tuple(out)
+
+
+def stride_of(parents: Sequence[str], cards: Sequence[int], name: str) -> int:
+    """Row-index step of parent ``name`` in a table over ``parents``; the
+    rows for its outcomes 0, 1, ... sit that far apart."""
+    return _strides(cards)[parents.index(name)]
+
+
+def row_map(
+    parents: Sequence[str],
+    cards: Sequence[int],
+    src_parents: Sequence[str],
+    src_cards: Sequence[int],
+) -> list[int]:
+    """For every row of a table over ``parents``, in mixed-radix order, the
+    index of the matching row of a table over ``src_parents``.
+
+    A parent the source lacks has stride 0 there; a source parent missing
+    from ``parents`` is held at outcome 0, so adding ``k * stride_of(...)``
+    to an entry selects its outcome ``k``.
+    """
+    src_stride = dict(zip(src_parents, _strides(src_cards)))
+    rows = [0]
+    for parent, card in zip(parents, cards):
+        step = src_stride.get(parent, 0)
+        rows = [base + v * step for base in rows for v in range(card)]
+    return rows
 
 
 def implied_upper(row: Sequence[float], outcome: int) -> float:
@@ -197,10 +237,18 @@ class InfluenceDiagram:
     def cards_of(self, names: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.card(n) for n in names)
 
+    @cached_property
+    def _successor_map(self) -> dict[str, tuple[str, ...]]:
+        # Built on first use and kept: a diagram's nodes never change.
+        succs: dict[str, list[str]] = {}
+        for n, node in self.nodes.items():
+            for p in node.parents:
+                succs.setdefault(p, []).append(n)
+        return {p: tuple(children) for p, children in succs.items()}
+
     def successors(self, name: str) -> tuple[str, ...]:
-        return tuple(
-            n for n, node in self.nodes.items() if name in node.parents
-        )
+        """Children of ``name`` in declaration order."""
+        return self._successor_map.get(name, ())
 
     def arcs(self) -> tuple[tuple[str, str], ...]:
         return tuple(
@@ -225,18 +273,23 @@ class InfluenceDiagram:
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's algorithm with declaration order breaking ties."""
-        remaining = dict.fromkeys(self.nodes)
-        indeg = {n: len(self.nodes[n].parents) for n in self.nodes}
+        # Each round places the earliest-declared node whose parents are all
+        # placed; a parent outside the diagram is never placed, so a node
+        # naming one counts as part of a cycle.
+        names = list(self.nodes)
+        position = {n: i for i, n in enumerate(names)}
+        indeg = {n: len(node.parents) for n, node in self.nodes.items()}
+        ready = [position[n] for n, d in indeg.items() if d == 0]
         order: list[str] = []
-        while remaining:
-            ready = [n for n in remaining if indeg[n] == 0]
-            if not ready:
-                raise CycleDetected("arcs contain a directed cycle")
-            head = ready[0]
-            del remaining[head]
+        while ready:
+            head = names[heapq.heappop(ready)]
             order.append(head)
             for succ in self.successors(head):
                 indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    heapq.heappush(ready, position[succ])
+        if len(order) != len(names):
+            raise CycleDetected("arcs contain a directed cycle")
         return tuple(order)
 
     # -- derived structure ---------------------------------------------------
@@ -418,16 +471,9 @@ def _parse_chance_rows(raw: Any, n_rows: int, k: int, where: str) -> tuple[tuple
         at = f"{where}.table[{r}]"
         if not isinstance(raw_row, Sequence) or isinstance(raw_row, (str, bytes)):
             raise MalformedSpec(f"{at}: expected a list of bounds")
-        if len(raw_row) != k:
-            raise ParentMismatch(f"{at}: expected {k} bounds, got {len(raw_row)}")
-        row = tuple(_check_number(x, at) for x in raw_row)
-        for b in row:
-            if b < -TOL:
-                raise NegativeBound(f"{at}: lower bound {b} < 0")
-        if sum(row) > 1.0 + TOL:
-            raise RowSumExceedsOne(f"{at}: bounds sum to {sum(row)} > 1")
-        rows.append(tuple(max(b, 0.0) for b in row))
-    return tuple(rows)
+        rows.append(tuple(_check_number(x, at) for x in raw_row))
+    check_rows(rows, k, f"{where}.table")
+    return tuple(tuple(max(b, 0.0) for b in row) for row in rows)
 
 
 def _parse_value_rows(raw: Any, n_rows: int, where: str) -> tuple[tuple[float, float], ...]:
@@ -440,11 +486,8 @@ def _parse_value_rows(raw: Any, n_rows: int, where: str) -> tuple[tuple[float, f
         at = f"{where}.table[{r}]"
         if not isinstance(raw_row, Sequence) or len(raw_row) != 2:
             raise MalformedSpec(f"{at}: expected a [low, high] pair")
-        lo = _check_number(raw_row[0], at)
-        hi = _check_number(raw_row[1], at)
-        if lo > hi + TOL:
-            raise IntervalInverted(f"{at}: low {lo} > high {hi}")
-        rows.append((lo, hi))
+        rows.append((_check_number(raw_row[0], at), _check_number(raw_row[1], at)))
+    check_rows(rows, None, f"{where}.table")
     return tuple(rows)
 
 
@@ -487,8 +530,32 @@ def _add_no_forgetting(
     return diagram.replace_nodes(updates), tuple(added)
 
 
-def check_structure(diagram: InfluenceDiagram) -> None:
-    """Invariant sweep used after construction and after every transformation."""
+def check_rows(rows: Sequence[Sequence[float]], k: int | None, where: str) -> None:
+    """Row invariants of one table, naming the first bad row as ``where[r]``.
+
+    Chance rows (``k`` outcomes) hold ``k`` lower bounds, none below 0, that
+    sum to at most 1. Value rows (``k`` is None) are [low, high] pairs with
+    low <= high. Everything within :data:`TOL`.
+    """
+    if k is None:
+        for r, (lo, hi) in enumerate(rows):
+            if lo > hi + TOL:
+                raise IntervalInverted(f"{where}[{r}]: low {lo} > high {hi}")
+        return
+    for r, row in enumerate(rows):
+        if len(row) != k:
+            raise ParentMismatch(f"{where}[{r}]: expected {k} bounds, got {len(row)}")
+        for b in row:
+            if b < -TOL:
+                raise NegativeBound(f"{where}[{r}]: lower bound {b} < 0")
+        if sum(row) > 1.0 + TOL:
+            raise RowSumExceedsOne(f"{where}[{r}]: bounds sum to {sum(row)} > 1")
+
+
+def check_graph(diagram: InfluenceDiagram) -> None:
+    """Whole-diagram invariants that involve no table: one value node and
+    no successors of it, acyclic arcs, known parents, and a decision order
+    covering exactly the decision nodes."""
     value = diagram.value_node  # NoValueNode if missing
     if len(diagram.names(NodeKind.VALUE)) > 1:
         raise MultipleValueNodes("more than one value node")
@@ -503,31 +570,27 @@ def check_structure(diagram: InfluenceDiagram) -> None:
         for p in node.parents:
             if p not in diagram.nodes:
                 raise MalformedSpec(f"{node.name}: unknown parent {p!r}")
-        if node.kind is NodeKind.CHANCE:
-            table = node.chance_table
-            if table is None or table.parents != node.parents:
-                raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
-            if table.cards != diagram.cards_of(node.parents):
-                raise ParentMismatch(f"{node.name}: table cards disagree with parents")
-            k = node.cardinality
-            if len(table.rows) != config_count(table.cards):
-                raise ParentMismatch(f"{node.name}: wrong row count")
-            for r, row in enumerate(table.rows):
-                if len(row) != k:
-                    raise ParentMismatch(f"{node.name}: row {r} has wrong length")
-                for b in row:
-                    if b < -TOL:
-                        raise NegativeBound(f"{node.name}: row {r} bound {b} < 0")
-                if sum(row) > 1.0 + TOL:
-                    raise RowSumExceedsOne(f"{node.name}: row {r} sums to {sum(row)}")
-        elif node.kind is NodeKind.VALUE:
-            table = node.value_table
-            if table is None or table.parents != node.parents:
-                raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
-            if table.cards != diagram.cards_of(node.parents):
-                raise ParentMismatch(f"{node.name}: table cards disagree with parents")
-            if len(table.rows) != config_count(table.cards):
-                raise ParentMismatch(f"{node.name}: wrong row count")
-            for r, (lo, hi) in enumerate(table.rows):
-                if lo > hi + TOL:
-                    raise IntervalInverted(f"{node.name}: row {r} has low {lo} > high {hi}")
+
+
+def check_table(diagram: InfluenceDiagram, node: Node) -> None:
+    """The table of a chance or value node matches its arcs and its parents'
+    cardinalities, and every row holds (:func:`check_rows`)."""
+    if node.kind is NodeKind.DECISION:
+        return
+    table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
+    if table is None or table.parents != node.parents:
+        raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
+    if table.cards != diagram.cards_of(node.parents):
+        raise ParentMismatch(f"{node.name}: table cards disagree with parents")
+    if len(table.rows) != config_count(table.cards):
+        raise ParentMismatch(f"{node.name}: wrong row count")
+    k = node.cardinality if node.kind is NodeKind.CHANCE else None
+    check_rows(table.rows, k, f"{node.name}.table")
+
+
+def check_structure(diagram: InfluenceDiagram) -> None:
+    """Full invariant sweep: :func:`check_graph` plus :func:`check_table` on
+    every node. Run on every diagram a solve starts from."""
+    check_graph(diagram)
+    for node in diagram.nodes.values():
+        check_table(diagram, node)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Unsolvable
-from .model import InfluenceDiagram, NodeKind
+from .model import InfluenceDiagram, NodeKind, check_structure
 from .transforms import (
     AdmissibleSet,
     StepKind,
@@ -124,7 +124,12 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     ``policies``; a decision dropped as barren never influences value, so it
     is reported with every alternative admissible at the empty information
     state.
+
+    The input is validated in full first, so a hand-built diagram or one
+    derived without :func:`~iidiag.model.build_diagram` is held to the same
+    invariants; each step then re-checks only what it produced.
     """
+    check_structure(diagram)
     original_decisions = diagram.names(NodeKind.DECISION)
     steps: list[TransformStep] = []
     policies: dict[str, AdmissibleSet] = {}

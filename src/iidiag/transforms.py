@@ -1,10 +1,11 @@
 """Value-preserving diagram transformations.
 
-Each operation returns a fresh, revalidated diagram together with a
-:class:`TransformStep` describing what ran. Steps carry machine-readable
-notes about rows where conditioning on a (possibly) zero-probability event
-forced a convention: a stored zero lower bound that is either a sound
-"convention zero" or a genuinely indeterminate row.
+Each operation returns a fresh diagram, with its graph and the tables the
+operation produced re-checked, together with a :class:`TransformStep`
+describing what ran. Steps carry machine-readable notes about rows where
+conditioning on a (possibly) zero-probability event forced a convention: a
+stored zero lower bound that is either a sound "convention zero" or a
+genuinely indeterminate row.
 
 Tie-breaking everywhere is by lowest outcome index; the computed bounds are
 invariant under the choice among tied candidates.
@@ -24,10 +25,10 @@ from .model import (
     Node,
     NodeKind,
     TOL,
-    check_structure,
-    config_assignment,
-    config_count,
-    config_index,
+    check_graph,
+    check_table,
+    row_map,
+    stride_of,
 )
 
 
@@ -211,22 +212,25 @@ def posterior_lower_bound(
 
 
 # ---------------------------------------------------------------------------
-# Assignment plumbing
+# Table plumbing. Tables are flat row lists in mixed-radix order (last parent
+# fastest). A step walks the rows of the table it produces and finds each
+# source row through a precomputed row map; the rows for the outcomes of a
+# summed-out variable sit one stride apart from the mapped base row.
 # ---------------------------------------------------------------------------
-
-def _assignments(parents: Sequence[str], cards: Sequence[int]):
-    for idx in range(config_count(cards)):
-        values = config_assignment(idx, cards)
-        yield idx, dict(zip(parents, values))
-
 
 def _merge_parents(primary: Sequence[str], drop: str, extra: Sequence[str]) -> tuple[str, ...]:
     kept = [p for p in primary if p != drop]
     return tuple(kept + [p for p in extra if p not in kept])
 
 
-def _row_index(table: LowerCPT | IntervalValueTable, assignment: Mapping[str, int]) -> int:
-    return config_index([assignment[p] for p in table.parents], table.cards)
+def _checked(diagram: InfluenceDiagram, *produced: str) -> InfluenceDiagram:
+    """Check ``diagram`` after a step and return it: the whole-diagram
+    invariants plus the tables the step produced. Every other node is the
+    very object the step's input held, and that input was already checked."""
+    check_graph(diagram)
+    for name in produced:
+        check_table(diagram, diagram.nodes[name])
+    return diagram
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +260,17 @@ def remove_chance_into_value(
     new_parents = _merge_parents(vt.parents, name, cpt.parents)
     new_cards = diagram.cards_of(new_parents)
 
+    stride = stride_of(vt.parents, vt.cards, name)
+    span = node.cardinality * stride
     rows = []
-    k = node.cardinality
-    for _, assignment in _assignments(new_parents, new_cards):
-        b_row = cpt.rows[_row_index(cpt, assignment)]
-        lows, highs = [], []
-        for i in range(k):
-            lo, hi = vt.rows[_row_index(vt, {**assignment, name: i})]
-            lows.append(lo)
-            highs.append(hi)
-        rows.append(contraction_bounds(b_row, lows, highs))
+    for b_idx, base in zip(
+        row_map(new_parents, new_cards, cpt.parents, cpt.cards),
+        row_map(new_parents, new_cards, vt.parents, vt.cards),
+    ):
+        cell = vt.rows[base : base + span : stride]
+        rows.append(contraction_bounds(
+            cpt.rows[b_idx], [lo for lo, _ in cell], [hi for _, hi in cell]
+        ))
 
     new_value = Node(
         value.name,
@@ -274,10 +279,14 @@ def remove_chance_into_value(
         new_parents,
         value_table=IntervalValueTable(new_parents, new_cards, tuple(rows)),
     )
-    out = diagram.replace_nodes({value.name: new_value}, remove=[name])
-    check_structure(out)
+    out = _checked(diagram.replace_nodes({value.name: new_value}, remove=[name]), value.name)
     step = TransformStep(StepKind.REMOVE_CHANCE_INTO_VALUE, node=name, into=value.name)
     return out, step
+
+
+def _admissible(intervals: Sequence[tuple[float, float]]) -> tuple[int, ...]:
+    floor = max(lo for lo, _ in intervals)
+    return tuple(d for d, (_, hi) in enumerate(intervals) if hi >= floor)
 
 
 def admissible_set(
@@ -292,12 +301,9 @@ def admissible_set(
     if decision not in table.parents:
         raise NotRemovable(f"{decision!r} is not a parent of the value table")
     card = table.cards[table.parents.index(decision)]
-    intervals = [
-        table.rows[_row_index(table, {**info_assignment, decision: d})]
-        for d in range(card)
-    ]
-    floor = max(lo for lo, _ in intervals)
-    return tuple(d for d, (_, hi) in enumerate(intervals) if hi >= floor)
+    return _admissible([
+        table.interval_for({**info_assignment, decision: d}) for d in range(card)
+    ])
 
 
 def remove_decision(
@@ -327,15 +333,14 @@ def remove_decision(
 
     info_parents = tuple(p for p in vt.parents if p != name)
     info_cards = diagram.cards_of(info_parents)
-    k = node.cardinality
+    stride = stride_of(vt.parents, vt.cards, name)
+    span = node.cardinality * stride
 
     rows, sets = [], []
     worst_gap = 0.0
-    for _, assignment in _assignments(info_parents, info_cards):
-        intervals = [
-            vt.rows[_row_index(vt, {**assignment, name: d})] for d in range(k)
-        ]
-        admitted = admissible_set(vt, name, assignment)
+    for base in row_map(info_parents, info_cards, vt.parents, vt.cards):
+        intervals = vt.rows[base : base + span : stride]
+        admitted = _admissible(intervals)
         lo = min(intervals[d][0] for d in admitted)
         hi = max(intervals[d][1] for d in admitted)
         rows.append((lo, hi))
@@ -358,8 +363,7 @@ def remove_decision(
         info_parents,
         value_table=IntervalValueTable(info_parents, info_cards, tuple(rows)),
     )
-    out = diagram.replace_nodes({value.name: new_value}, remove=[name])
-    check_structure(out)
+    out = _checked(diagram.replace_nodes({value.name: new_value}, remove=[name]), value.name)
     step = TransformStep(
         StepKind.REMOVE_DECISION,
         node=name,
@@ -371,7 +375,6 @@ def remove_decision(
 
 
 def _marginal_rows(
-    diagram: InfluenceDiagram,
     y_node: Node,
     x_node: Node,
     new_parents: tuple[str, ...],
@@ -381,20 +384,19 @@ def _marginal_rows(
     of a fixed-coefficient mixture over the prior's admitted distributions."""
     y_cpt, x_cpt = y_node.chance_table, x_node.chance_table
     assert y_cpt is not None and x_cpt is not None
-    k_y, k_x = y_node.cardinality, x_node.cardinality
+    stride = stride_of(x_cpt.parents, x_cpt.cards, y_node.name)
+    span = y_node.cardinality * stride
+    outcomes = range(x_node.cardinality)
     rows = []
-    for _, assignment in _assignments(new_parents, new_cards):
-        b_y = y_cpt.rows[_row_index(y_cpt, assignment)]
-        x_rows = [
-            x_cpt.rows[_row_index(x_cpt, {**assignment, y_node.name: i})]
-            for i in range(k_y)
-        ]
-        row = tuple(
-            mixture_lower_bound([x_rows[i][x] for i in range(k_y)], b_y)
-            for x in range(k_x)
-        )
-        assert sum(row) <= 1.0 + TOL
-        rows.append(row)
+    for b_idx, base in zip(
+        row_map(new_parents, new_cards, y_cpt.parents, y_cpt.cards),
+        row_map(new_parents, new_cards, x_cpt.parents, x_cpt.cards),
+    ):
+        b_y = y_cpt.rows[b_idx]
+        x_rows = x_cpt.rows[base : base + span : stride]
+        rows.append(tuple(
+            mixture_lower_bound([x_row[x] for x_row in x_rows], b_y) for x in outcomes
+        ))
     return tuple(rows)
 
 
@@ -417,7 +419,7 @@ def marginalize_chance(
 
     new_parents = _merge_parents(x_cpt.parents, name, node.chance_table.parents)
     new_cards = diagram.cards_of(new_parents)
-    rows = _marginal_rows(diagram, node, x_node, new_parents, new_cards)
+    rows = _marginal_rows(node, x_node, new_parents, new_cards)
 
     new_x = Node(
         x_node.name,
@@ -426,8 +428,7 @@ def marginalize_chance(
         new_parents,
         chance_table=LowerCPT(new_parents, new_cards, rows),
     )
-    out = diagram.replace_nodes({x_node.name: new_x}, remove=[name])
-    check_structure(out)
+    out = _checked(diagram.replace_nodes({x_node.name: new_x}, remove=[name]), x_node.name)
     step = TransformStep(StepKind.MARGINALIZE_CHANCE, node=name, into=x_node.name)
     return out, step
 
@@ -459,26 +460,33 @@ def reverse_arc(
     new_y_parents = (x,) + _merge_parents(y_cpt.parents, y, [p for p in x_cpt.parents if p != y])
     new_y_cards = diagram.cards_of(new_y_parents)
 
+    # x is the first parent of y's new table, so its rows come in k_x blocks
+    # of one row per assignment of the other parents.
+    rest, rest_cards = new_y_parents[1:], new_y_cards[1:]
+    y_map = row_map(rest, rest_cards, y_cpt.parents, y_cpt.cards)
+    x_map = row_map(rest, rest_cards, x_cpt.parents, x_cpt.cards)
+    stride = stride_of(x_cpt.parents, x_cpt.cards, y)
+    span = k_y * stride
+    free_x = [_free_mass(row) for row in x_cpt.rows]
+
     notes: list[BoundNote] = []
     y_rows = []
-    for row_idx, assignment in _assignments(new_y_parents, new_y_cards):
-        x_val = assignment[x]
-        b_y = y_cpt.rows[_row_index(y_cpt, assignment)]
-        full_rows = [
-            x_cpt.rows[_row_index(x_cpt, {**assignment, y: i})] for i in range(k_y)
-        ]
-        b_x = [full_rows[i][x_val] for i in range(k_y)]
-        u_x = [b_x[i] + _free_mass(full_rows[i]) for i in range(k_y)]
-        row = []
-        for y_out in range(k_y):
-            bound, flag = posterior_lower_bound(b_x, u_x, b_y, y_out)
-            if flag != "ok":
-                notes.append(BoundNote(flag, y, row_idx, y_out))
-            row.append(bound)
-        assert sum(row) <= 1.0 + TOL
-        y_rows.append(tuple(row))
+    row_idx = 0
+    for x_val in range(k_x):
+        for b_idx, base in zip(y_map, x_map):
+            b_y = y_cpt.rows[b_idx]
+            b_x = [row[x_val] for row in x_cpt.rows[base : base + span : stride]]
+            u_x = [b + free for b, free in zip(b_x, free_x[base : base + span : stride])]
+            row = []
+            for y_out in range(k_y):
+                bound, flag = posterior_lower_bound(b_x, u_x, b_y, y_out)
+                if flag != "ok":
+                    notes.append(BoundNote(flag, y, row_idx, y_out))
+                row.append(bound)
+            y_rows.append(tuple(row))
+            row_idx += 1
 
-    x_rows = _marginal_rows(diagram, y_node, x_node, new_x_parents, new_x_cards)
+    x_rows = _marginal_rows(y_node, x_node, new_x_parents, new_x_cards)
 
     new_x = Node(
         x, NodeKind.CHANCE, x_node.variable, new_x_parents,
@@ -488,8 +496,7 @@ def reverse_arc(
         y, NodeKind.CHANCE, y_node.variable, new_y_parents,
         chance_table=LowerCPT(new_y_parents, new_y_cards, tuple(y_rows)),
     )
-    out = diagram.replace_nodes({x: new_x, y: new_y})
-    check_structure(out)
+    out = _checked(diagram.replace_nodes({x: new_x, y: new_y}), x, y)
     step = TransformStep(StepKind.REVERSE_ARC, node=y, into=x, notes=tuple(notes))
     return out, step
 
@@ -504,6 +511,5 @@ def remove_barren(
         raise NotBarren("the value node is never barren")
     if diagram.successors(name):
         raise NotBarren(f"{name!r} has successors")
-    out = diagram.replace_nodes(remove=[name])
-    check_structure(out)
+    out = _checked(diagram.replace_nodes(remove=[name]))
     return out, TransformStep(StepKind.REMOVE_BARREN, node=name)

@@ -181,6 +181,27 @@ class TestCli:
         assert main(["solve", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_a_syntax_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.iid.json"
+        bad.write_bytes('{"variables": [], "nodes": [], "x": "café"}'.encode("latin-1"))
+        with pytest.raises(errors.DiagramSyntaxError, match="UTF-8"):
+            load_diagram(bad)
+        for command in ("solve", "fmt"):
+            assert main([command, str(bad)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_json_is_a_syntax_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.iid.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(errors.DiagramSyntaxError, match="nested"):
+            load_diagram(deep)
+        assert main(["solve", str(deep)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_fmt_idempotent(self, tmp_path, capsys):
         scratch = tmp_path / "scratch.iid.json"
         data = json.loads(fixture_path("minimal").read_text())

@@ -7,12 +7,18 @@ from hypothesis import given, strategies as st
 
 from iidiag import errors
 from iidiag.model import (
+    IntervalValueTable,
+    LowerCPT,
+    Node,
     NodeKind,
     build_diagram,
+    check_structure,
     config_assignment,
     config_count,
     config_index,
     implied_upper,
+    row_map,
+    stride_of,
 )
 
 
@@ -230,6 +236,65 @@ class TestConfigIndexing:
         b = config_assignment(1, cards)
         assert b[-1] == a[-1] + 1
         assert a[:-1] == b[:-1]
+
+
+@st.composite
+def row_map_case(draw):
+    """Parents of an output table and of a source table, each a random
+    subset of the same names in random order: some output parents are
+    missing from the source and some source parents from the output."""
+    names = [f"P{i}" for i in range(draw(st.integers(0, 5)))]
+    card = {n: draw(st.integers(2, 4)) for n in names}
+    out_parents = draw(st.permutations([n for n in names if draw(st.booleans())]))
+    src_parents = draw(st.permutations([n for n in names if draw(st.booleans())]))
+    return out_parents, src_parents, card
+
+
+class TestRowMap:
+    def test_examples(self):
+        # output (A, B) over source (B, A): the source runs A fastest
+        assert row_map(("A", "B"), (2, 3), ("B", "A"), (3, 2)) == [0, 2, 4, 1, 3, 5]
+        # a parent the source lacks repeats each source row
+        assert row_map(("A", "B"), (2, 3), ("A",), (2,)) == [0, 0, 0, 1, 1, 1]
+        assert row_map((), (), (), ()) == [0]
+        assert row_map(("A",), (3,), (), ()) == [0, 0, 0]
+        assert stride_of(("A", "B", "C"), (2, 3, 4), "A") == 12
+        assert stride_of(("A", "B", "C"), (2, 3, 4), "C") == 1
+
+    @given(row_map_case())
+    def test_matches_config_index_definition(self, case):
+        out_parents, src_parents, card = case
+        out_cards = [card[p] for p in out_parents]
+        src_cards = [card[p] for p in src_parents]
+        mapped = row_map(out_parents, out_cards, src_parents, src_cards)
+        assert len(mapped) == config_count(out_cards)
+        for idx, src_idx in enumerate(mapped):
+            assignment = dict(zip(out_parents, config_assignment(idx, out_cards)))
+            # source parents absent from the output are held at outcome 0
+            values = [assignment.get(p, 0) for p in src_parents]
+            assert src_idx == config_index(values, src_cards)
+            for p in src_parents:
+                if p in assignment:
+                    continue
+                step = stride_of(src_parents, src_cards, p)
+                for k in range(card[p]):
+                    shifted = [k if q == p else v for q, v in zip(src_parents, values)]
+                    assert src_idx + k * step == config_index(shifted, src_cards)
+
+
+class TestCheckStructure:
+    def test_hand_built_bad_rows_are_caught(self, minimal):
+        c, v = minimal.node("C"), minimal.node("V")
+        bad_c = Node("C", NodeKind.CHANCE, c.variable, (),
+                     chance_table=LowerCPT((), (), ((0.7, 0.6),)))
+        with pytest.raises(errors.RowSumExceedsOne, match=r"C\.table\[0\]"):
+            check_structure(minimal.replace_nodes({"C": bad_c}))
+        rows = list(v.value_table.rows)
+        rows[3] = (5.0, 4.0)
+        bad_v = Node("V", NodeKind.VALUE, None, v.parents,
+                     value_table=IntervalValueTable(v.parents, v.value_table.cards, tuple(rows)))
+        with pytest.raises(errors.IntervalInverted, match=r"V\.table\[3\]"):
+            check_structure(minimal.replace_nodes({"V": bad_v}))
 
 
 class TestDiagramHelpers:

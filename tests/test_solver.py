@@ -4,12 +4,38 @@ from random import Random
 
 import pytest
 
-from iidiag import errors
+from iidiag import errors, solver
 from iidiag.exact import point_solve
 from iidiag.generate import random_chain_diagram, random_diagram
-from iidiag.model import NodeKind, build_diagram, config_assignment, config_index
+from iidiag.model import (
+    InfluenceDiagram,
+    LowerCPT,
+    Node,
+    NodeKind,
+    build_diagram,
+    config_assignment,
+    config_index,
+)
 from iidiag.solver import apply_step, next_step, solve
 from iidiag.transforms import StepKind
+
+
+class TestSolveValidatesItsInput:
+    """solve() checks its whole input once; later steps check only the
+    tables they produce, so an invalid table no step reads must still be
+    caught up front."""
+
+    def test_invalid_untouched_table_raises(self, minimal, monkeypatch):
+        # B has no successors: solving drops it without reading its table
+        barren = Node("B", NodeKind.CHANCE, minimal.node("C").variable, (),
+                      chance_table=LowerCPT((), (), ((-0.5, 0.2),)))
+        hand_built = InfluenceDiagram(
+            nodes={"B": barren, **minimal.nodes}, decision_order=minimal.decision_order
+        )
+        with pytest.raises(errors.NegativeBound, match=r"B\.table\[0\]"):
+            solve(hand_built)
+        monkeypatch.setattr(solver, "check_structure", lambda diagram: None)
+        assert solve(hand_built).final_interval == solve(minimal).final_interval
 
 
 class TestSolveExamples:

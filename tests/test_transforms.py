@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iidiag import errors
+from iidiag import errors, transforms
 from iidiag.exact import sample_member
 from iidiag.generate import (
     chance_removal_instance,
@@ -506,6 +506,28 @@ def exact_chance_removal(diagram, y, member, out_parents, out_cards):
             p[i] * v_look({**assign, y: i}) for i in range(y_node.cardinality)
         )
     return out
+
+
+class TestProducedTablesAreChecked:
+    """A step validates every table it produces, so broken row arithmetic
+    surfaces as a typed error rather than a silently invalid diagram."""
+
+    def test_inverted_fold_interval(self, minimal, monkeypatch):
+        monkeypatch.setattr(transforms, "contraction_bounds", lambda *a, **k: (1.0, 0.0))
+        with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
+            remove_chance_into_value(minimal, "C")
+
+    def test_marginal_row_above_one(self, monkeypatch):
+        diagram, _, y = marginalize_instance(Random(5))
+        monkeypatch.setattr(transforms, "mixture_lower_bound", lambda *a, **k: 0.9)
+        with pytest.raises(errors.RowSumExceedsOne):
+            marginalize_chance(diagram, y)
+
+    def test_negative_posterior_bound(self, monkeypatch):
+        d = reversal_pair((0.5, 0.3), [(0.6, 0.3), (0.2, 0.5)])
+        monkeypatch.setattr(transforms, "posterior_lower_bound", lambda *a, **k: (-0.5, "ok"))
+        with pytest.raises(errors.NegativeBound, match=r"Y\.table\[0\]"):
+            reverse_arc(d, "X", "Y")
 
 
 class TestSoundnessSampling:
