@@ -5,6 +5,13 @@ golden diagram (the three shipped fixtures plus the generated ones) the
 stdout of ``iidiag solve FILE --json`` and ``iidiag solve FILE --trace`` to
 tests/golden/<name>.json.out and tests/golden/<name>.trace.out.
 
+The reference layer is pinned the same way: ``iidiag check`` (text and
+``--json``) on every golden diagram, ``iidiag exact`` (text and ``--json``)
+on the fixtures and on the widened generated diagrams, and one exhaustive
+``iidiag sweep --subsets --exact --json`` on the wildcatter fixture. These
+commands are listed in tests/golden/commands.json, one entry per output
+file, which the test replays.
+
 The outputs are a regression reference: record them once, at a commit whose
 outputs are trusted, and never re-record to make a failing golden test pass.
 
@@ -15,11 +22,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 from pathlib import Path
 from random import Random
 
 from iidiag import cli
-from iidiag.diagram_io import fixture_path, save_diagram
+from iidiag.diagram_io import fixture_path, load_diagram, save_diagram
 from iidiag.generate import (
     chance_removal_instance,
     decision_removal_instance,
@@ -28,7 +36,8 @@ from iidiag.generate import (
     random_diagram,
     reversal_instance,
 )
-from iidiag.model import InfluenceDiagram, build_diagram
+from iidiag.model import InfluenceDiagram, NodeKind, build_diagram
+from iidiag.sensitivity import inject_range
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 FIXTURES = ("minimal", "survey", "wildcatter")
@@ -70,28 +79,96 @@ def generated() -> dict[str, InfluenceDiagram]:
         out[f"random_{seed}"] = random_diagram(Random(seed), max_nodes=7, n_decisions=2)
     for seed in range(2):
         out[f"wide_{seed}"] = random_diagram(Random(seed), max_nodes=8, n_decisions=1)
+    out.update(widened())
     return out
 
 
-def solve_stdout(path: Path, flag: str) -> str:
+def widened() -> dict[str, InfluenceDiagram]:
+    """Point diagrams with one to three chance nodes widened, as in
+    acceptance criterion 5; the widened names are recorded in each
+    diagram's ``exact --nodes`` command."""
+    out = {}
+    seed = 0
+    while len(out) < 5:
+        rng = Random(seed)
+        seed += 1
+        base = (
+            random_chain_diagram(rng, point=True)
+            if len(out) % 2 == 0
+            else random_diagram(rng, max_nodes=6, n_decisions=2, point=True)
+        )
+        chance = list(base.names(NodeKind.CHANCE))
+        if len(chance) < 2:
+            continue
+        rng.shuffle(chance)
+        subset = tuple(sorted(chance[: rng.randint(2, min(3, len(chance)))]))
+        out[f"widened_{len(out)}"] = inject_range(base, subset, rng.choice([0.05, 0.1, 0.25]))
+    return out
+
+
+def varied_nodes(diagram: InfluenceDiagram) -> str:
+    """The chance nodes with a non-point row, comma-separated."""
+    return ",".join(
+        name
+        for name in diagram.names(NodeKind.CHANCE)
+        if any(sum(row) < 1.0 - 1e-9 for row in diagram.node(name).chance_table.rows)
+    )
+
+
+def commands(diagrams: dict[str, InfluenceDiagram]) -> list[dict]:
+    """One entry per reference-layer output file: the subcommand, the golden
+    diagram it reads and the arguments after the file name."""
+    out = []
+
+    def add(suffix, diagram, command, *args):
+        out.append({"out": f"{diagram}.{suffix}.out", "diagram": diagram,
+                    "command": command, "args": list(args)})
+
+    for name in diagrams:
+        add("check", name, "check", "--samples", "200", "--seed", "7")
+        add("check.json", name, "check", "--samples", "200", "--seed", "7", "--json")
+    exact = {
+        "minimal": ("--nodes", "C"),
+        "survey": ("--nodes", "STATE,SIGNAL", "--include-value-box"),
+    }
+    for name, diagram in diagrams.items():
+        if name.startswith("widened_"):
+            exact[name] = ("--nodes", varied_nodes(diagram))
+    for name, args in exact.items():
+        add("exact", name, "exact", *args)
+        add("exact.json", name, "exact", *args, "--json")
+    add("sweep.json", "wildcatter", "sweep", "--nodes", "OIL,SEISMIC,COST",
+        "--ranges", "0,0.01,0.05,0.10", "--subsets", "--exact", "--json")
+    return out
+
+
+def stdout_of(argv: list[str]) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(["solve", str(path), flag])
+        code = cli.main(argv)
     if code != 0:
-        raise SystemExit(f"solve {path} {flag} exited {code}")
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
     return buf.getvalue()
 
 
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
+    diagrams = {name: load_diagram(fixture_path(name)) for name in FIXTURES}
     paths = {name: fixture_path(name) for name in FIXTURES}
     for name, diagram in generated().items():
+        diagrams[name] = diagram
         paths[name] = GOLDEN / f"{name}.iid.json"
         save_diagram(diagram, paths[name])
     for name, path in paths.items():
-        (GOLDEN / f"{name}.json.out").write_text(solve_stdout(path, "--json"))
-        (GOLDEN / f"{name}.trace.out").write_text(solve_stdout(path, "--trace"))
-    print(f"recorded {len(paths)} diagrams in {GOLDEN}")
+        (GOLDEN / f"{name}.json.out").write_text(stdout_of(["solve", str(path), "--json"]))
+        (GOLDEN / f"{name}.trace.out").write_text(stdout_of(["solve", str(path), "--trace"]))
+    cases = commands(diagrams)
+    for case in cases:
+        argv = [case["command"], str(paths[case["diagram"]]), *case["args"]]
+        (GOLDEN / case["out"]).write_text(stdout_of(argv))
+    listing = ",\n".join(f"  {json.dumps(case)}" for case in cases)
+    (GOLDEN / "commands.json").write_text(f"[\n{listing}\n]\n")
+    print(f"recorded {len(paths)} diagrams and {len(cases)} reference-layer outputs in {GOLDEN}")
     return 0
 
 

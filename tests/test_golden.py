@@ -7,10 +7,17 @@ marginalization instances, multi-decision random diagrams), recorded by
 ``scripts/record_golden.py`` before the stride-indexed transform kernel
 replaced the per-row assignment dictionaries. Any change to the transforms'
 arithmetic, tie-breaking or rendering shows up here as a diff.
+
+The reference layer is pinned the same way, recorded before the point solver
+was compiled into flat offset tables: ``check`` on every golden diagram,
+``exact`` on the fixtures and on widened generated diagrams, and the
+exhaustive wildcatter ``sweep --subsets --exact``. ``tests/golden/commands.json``
+lists each of these commands with the file its stdout is compared with.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +28,7 @@ from iidiag.diagram_io import fixture_path
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = ("minimal", "survey", "wildcatter")
 GENERATED = tuple(sorted(p.name[: -len(".iid.json")] for p in GOLDEN.glob("*.iid.json")))
+COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
 def _input(name: str) -> Path:
@@ -32,6 +40,14 @@ def test_golden_set_is_complete():
     for name in FIXTURES + GENERATED:
         assert (GOLDEN / f"{name}.json.out").is_file(), name
         assert (GOLDEN / f"{name}.trace.out").is_file(), name
+        assert (GOLDEN / f"{name}.check.out").is_file(), name
+        assert (GOLDEN / f"{name}.check.json.out").is_file(), name
+    exact = {case["diagram"] for case in COMMANDS if case["command"] == "exact"}
+    assert {"minimal", "survey"} <= exact
+    assert len([name for name in exact if name.startswith("widened_")]) >= 4
+    assert any(case["command"] == "sweep" for case in COMMANDS)
+    for case in COMMANDS:
+        assert (GOLDEN / case["out"]).is_file(), case["out"]
 
 
 @pytest.mark.parametrize("flag,suffix", [("--json", "json"), ("--trace", "trace")])
@@ -39,4 +55,12 @@ def test_golden_set_is_complete():
 def test_solve_stdout_is_byte_identical(name, flag, suffix, capsys):
     assert cli.main(["solve", str(_input(name)), flag]) == 0
     expected = (GOLDEN / f"{name}.{suffix}.out").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("case", COMMANDS, ids=[case["out"] for case in COMMANDS])
+def test_reference_layer_stdout_is_byte_identical(case, capsys):
+    argv = [case["command"], str(_input(case["diagram"])), *case["args"]]
+    assert cli.main(argv) == 0
+    expected = (GOLDEN / case["out"]).read_text()
     assert capsys.readouterr().out == expected
