@@ -10,7 +10,9 @@ exact envelope to compare the computed interval with.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
+from operator import add, mul
 from random import Random
 from typing import Iterable, Sequence
 
@@ -115,26 +117,51 @@ class SoundnessReport:
 # Classical evaluation
 # ---------------------------------------------------------------------------
 
-def _check_shape(diagram: InfluenceDiagram, realization: PointRealization) -> None:
-    chance_names = set(diagram.names(NodeKind.CHANCE))
-    if set(realization.chance) != chance_names:
-        raise ShapeMismatch(
-            f"realization covers {sorted(realization.chance)}, "
-            f"diagram has {sorted(chance_names)}"
-        )
-    for name in diagram.names(NodeKind.CHANCE):
-        node = diagram.node(name)
-        rows = realization.chance[name]
-        if len(rows) != len(node.chance_table.rows):
-            raise ShapeMismatch(f"{name}: wrong row count")
-        for r, row in enumerate(rows):
-            if len(row) != node.cardinality:
-                raise ShapeMismatch(f"{name}: row {r} has wrong length")
-            if abs(sum(row) - 1.0) > 1e-9 or any(p < -1e-9 for p in row):
-                raise ShapeMismatch(f"{name}: row {r} is not a distribution")
-    v_table = diagram.value_node.value_table
-    if len(realization.values) != len(v_table.rows):
-        raise ShapeMismatch("value row count mismatch")
+# The plan tabulates offsets for the innermost levels of the sum/max order
+# whose joint has at most this many leaves; the levels above them are walked
+# one configuration at a time. A plan and an evaluation's working lists are
+# therefore bounded by this constant, not by the size of the joint.
+_BLOCK_LEAVES = 1024
+
+_ZERO = 0.0  # every sum starts here, so -0.0 terms add up to 0.0
+_NEGATIVE = -1e-9  # a realization's probability below this is rejected
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One variable of the sum/max order. ``steps[j]`` is how far outcome 1
+    of this variable moves target ``j``'s index (see :class:`_Plan`);
+    ``target`` is the decision's own target, -1 for a chance level."""
+
+    name: str
+    card: int
+    target: int
+    steps: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Everything about a diagram that ``point_solve`` needs besides the
+    numbers of a realization.
+
+    A *target* is an index that a joint assignment selects: for each chance
+    node (``names(CHANCE)`` order) the offset ``row * k + outcome`` into its
+    flattened rows, then the value row, then for each decision its
+    information state. Each is a sum of per-variable steps, so the outer
+    walk carries one base per target and the inner block adds its own
+    tabulated part: ``leaf_offsets[j]`` per leaf for the chance and value
+    targets, ``group_offsets[q]`` per group for a decision at inner level
+    ``q`` (``None`` at a chance level). Leaves and groups are in walk order,
+    last level fastest.
+    """
+
+    chance: tuple[tuple[str, int, int], ...]  # (name, rows, outcomes)
+    value_rows: int
+    outer: tuple[_Level, ...]
+    inner: tuple[_Level, ...]
+    leaf_offsets: tuple[tuple[int, ...], ...]
+    group_offsets: tuple[tuple[int, ...] | None, ...]
+    ones: tuple[float, ...]
 
 
 def _sum_max_order(diagram: InfluenceDiagram) -> tuple[str, ...]:
@@ -151,73 +178,203 @@ def _sum_max_order(diagram: InfluenceDiagram) -> tuple[str, ...]:
     return tuple(order)
 
 
+def _steps(parents: Sequence[str], cards: Sequence[int], scale: int = 1) -> dict[str, int]:
+    """Row-index step of each parent (last parent fastest), times ``scale``."""
+    out = {}
+    step = scale
+    for parent, card in zip(reversed(parents), reversed(cards)):
+        out[parent] = step
+        step *= card
+    return out
+
+
+def _compile(diagram: InfluenceDiagram) -> _Plan:
+    chance, targets = [], []
+    for name in diagram.names(NodeKind.CHANCE):
+        node = diagram.node(name)
+        table = node.chance_table
+        chance.append((name, len(table.rows), node.cardinality))
+        steps = _steps(table.parents, table.cards, node.cardinality)
+        steps[name] = 1
+        targets.append(steps)
+    value = diagram.value_node
+    targets.append(_steps(value.parents, value.value_table.cards))
+    first_decision = len(targets)
+    for d in diagram.decision_order:
+        parents = diagram.node(d).parents
+        targets.append(_steps(parents, diagram.cards_of(parents)))
+
+    levels = []
+    for name in _sum_max_order(diagram):
+        node = diagram.node(name)
+        target = (
+            first_decision + diagram.decision_order.index(name)
+            if node.kind is NodeKind.DECISION
+            else -1
+        )
+        steps = tuple(t.get(name, 0) for t in targets)
+        levels.append(_Level(name, node.cardinality, target, steps))
+
+    split, leaves = len(levels), 1
+    while split and leaves * levels[split - 1].card <= _BLOCK_LEAVES:
+        split -= 1
+        leaves *= levels[split].card
+    inner = levels[split:]
+
+    offsets = [[0] for _ in targets]
+    group_offsets = []
+    for level in inner:
+        group_offsets.append(
+            tuple(offsets[level.target]) if level.target >= 0 else None
+        )
+        offsets = [
+            [base + i * step for base in column for i in range(level.card)]
+            for column, step in zip(offsets, level.steps)
+        ]
+    leaf_offsets = tuple(tuple(column) for column in offsets[:first_decision])
+    return _Plan(
+        chance=tuple(chance),
+        value_rows=len(value.value_table.rows),
+        outer=tuple(levels[:split]),
+        inner=tuple(inner),
+        leaf_offsets=leaf_offsets,
+        group_offsets=tuple(group_offsets),
+        ones=(1.0,) * leaves,
+    )
+
+
+_PLANS: dict[int, _Plan] = {}
+
+
+def _plan_of(diagram: InfluenceDiagram) -> _Plan:
+    """The diagram's plan, compiled on first use and dropped with the diagram
+    (diagrams are immutable, so a plan never goes stale)."""
+    key = id(diagram)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _compile(diagram)
+        weakref.finalize(diagram, _PLANS.pop, key, None)
+    return plan
+
+
+def _check_shape(plan: _Plan, realization: PointRealization) -> None:
+    names = [name for name, _, _ in plan.chance]
+    if realization.chance.keys() != set(names):
+        raise ShapeMismatch(
+            f"realization covers {sorted(realization.chance)}, "
+            f"diagram has {sorted(names)}"
+        )
+    for name, n_rows, k in plan.chance:
+        rows = realization.chance[name]
+        if len(rows) != n_rows:
+            raise ShapeMismatch(f"{name}: wrong row count")
+        for r, row in enumerate(rows):
+            if len(row) != k:
+                raise ShapeMismatch(f"{name}: row {r} has wrong length")
+            if abs(sum(row) - 1.0) > 1e-9 or any(map(_NEGATIVE.__gt__, row)):
+                raise ShapeMismatch(f"{name}: row {r} is not a distribution")
+    if len(realization.values) != plan.value_rows:
+        raise ShapeMismatch("value row count mismatch")
+
+
+def _decide(
+    entries: dict[int, PolicyEntry],
+    info_idx: int,
+    reaches: Sequence[float],
+    totals: Sequence[float],
+) -> tuple[float, float]:
+    """Maximize over one decision's alternatives at one information state.
+    Ties are detected with a tiny relative slack so alternatives that are
+    mathematically interchangeable (identical rows, value-irrelevant
+    decisions) stay tied despite float summation noise."""
+    best = max(totals)
+    slack = 1e-12 * max(1.0, abs(best))
+    tied = tuple(d for d, t in enumerate(totals) if best - t <= slack)
+    reach = reaches[tied[0]]
+    entries[info_idx] = PolicyEntry(tied[0], tied, reached=reach > 0.0)
+    return reach, best
+
+
+def _evaluate_block(plan: _Plan, tables, policy, bases) -> tuple[float, float]:
+    """Reach and expected value of the inner block below one outer
+    configuration, reduced level by level from the bottom."""
+    columns = [
+        map(table.__getitem__, map(base.__add__, offsets) if base else offsets)
+        for table, base, offsets in zip(tables, bases, plan.leaf_offsets)
+    ]
+    # leaf weight: 1.0 times each chance node's probability in names(CHANCE)
+    # order, then times the leaf's value
+    reach = plan.ones
+    for column in columns[:-1]:
+        reach = list(map(mul, reach, column))
+    total = list(map(mul, reach, columns[-1]))
+
+    for level, groups in zip(reversed(plan.inner), reversed(plan.group_offsets)):
+        k = level.card
+        if groups is None:
+            # left to right from 0.0, as a running sum would (not ``sum``,
+            # which is compensated from Python 3.12 on)
+            r = list(map(_ZERO.__add__, reach[::k]))
+            t = list(map(_ZERO.__add__, total[::k]))
+            for i in range(1, k):
+                r = list(map(add, r, reach[i::k]))
+                t = list(map(add, t, total[i::k]))
+            reach, total = r, t
+        else:
+            entries, base = policy[level.name], bases[level.target]
+            reduced = [
+                _decide(entries, base + off, reach[g:g + k], total[g:g + k])
+                for g, off in zip(range(0, len(total), k), groups)
+            ]
+            reach = [r for r, _ in reduced]
+            total = [t for _, t in reduced]
+    return reach[0], total[0]
+
+
+def _walk(plan: _Plan, tables, policy, pos: int, bases) -> tuple[float, float]:
+    """Depth-first over the outer levels, carrying each target's base."""
+    if pos == len(plan.outer):
+        return _evaluate_block(plan, tables, policy, bases)
+    level = plan.outer[pos]
+    results = [
+        _walk(plan, tables, policy, pos + 1,
+              [b + i * s for b, s in zip(bases, level.steps)])
+        for i in range(level.card)
+    ]
+    if level.target >= 0:
+        return _decide(
+            policy[level.name], bases[level.target],
+            [r for r, _ in results], [t for _, t in results],
+        )
+    reach = total = 0.0
+    for r, t in results:
+        reach += r
+        total += t
+    return reach, total
+
+
 def point_solve(
     diagram: InfluenceDiagram, realization: PointRealization
 ) -> PointSolution:
     """Classical optimal expected value and argmax policy for one admitted
     point model. Ties break to the lowest alternative index and every tied
-    optimum is recorded."""
-    _check_shape(diagram, realization)
-    order = _sum_max_order(diagram)
-    value = diagram.value_node
-    v_parents, v_cards = value.parents, value.value_table.cards
-    chance_info = [
-        (
-            name,
-            diagram.node(name).chance_table.parents,
-            diagram.node(name).chance_table.cards,
-            realization.chance[name],
-        )
-        for name in diagram.names(NodeKind.CHANCE)
+    optimum is recorded.
+
+    The diagram's structure is compiled once into a :class:`_Plan`; a call
+    flattens the realization's rows, multiplies each leaf's weight column by
+    column in ``names(CHANCE)`` order, and sums (chance) or maximizes
+    (decision) level by level in the sum/max order. Sums run left to right
+    from 0.0, so the result is the same float a depth-first walk gives."""
+    plan = _plan_of(diagram)
+    _check_shape(plan, realization)
+    tables = [
+        list(itertools.chain.from_iterable(realization.chance[name]))
+        for name, _, _ in plan.chance
     ]
-    decision_info = {
-        d: (diagram.node(d).parents, diagram.cards_of(diagram.node(d).parents))
-        for d in diagram.decision_order
-    }
+    tables.append(realization.values)
     policy: dict[str, dict[int, PolicyEntry]] = {d: {} for d in diagram.decision_order}
-    assign: dict[str, int] = {}
-
-    def leaf() -> tuple[float, float]:
-        weight = 1.0
-        for name, parents, cards, rows in chance_info:
-            idx = config_index([assign[p] for p in parents], cards)
-            weight *= rows[idx][assign[name]]
-        v_idx = config_index([assign[p] for p in v_parents], v_cards)
-        return weight, weight * realization.values[v_idx]
-
-    def walk(pos: int) -> tuple[float, float]:
-        if pos == len(order):
-            return leaf()
-        name = order[pos]
-        node = diagram.node(name)
-        if node.kind is NodeKind.CHANCE:
-            reach = total = 0.0
-            for i in range(node.cardinality):
-                assign[name] = i
-                r, t = walk(pos + 1)
-                reach += r
-                total += t
-            del assign[name]
-            return reach, total
-        # decision: maximize. Ties are detected with a tiny relative slack so
-        # alternatives that are mathematically interchangeable (identical
-        # rows, value-irrelevant decisions) stay tied despite float
-        # summation noise.
-        parents, cards = decision_info[name]
-        info_idx = config_index([assign[p] for p in parents], cards)
-        results = []
-        for d in range(node.cardinality):
-            assign[name] = d
-            results.append(walk(pos + 1))
-        del assign[name]
-        best = max(t for _, t in results)
-        slack = 1e-12 * max(1.0, abs(best))
-        tied = tuple(d for d, (_, t) in enumerate(results) if best - t <= slack)
-        reach = results[tied[0]][0]
-        policy[name][info_idx] = PolicyEntry(tied[0], tied, reached=reach > 0.0)
-        return reach, best
-
-    _, total = walk(0)
+    bases = [0] * (len(tables) + len(diagram.decision_order))
+    _, total = _walk(plan, tables, policy, 0, bases)
     return PointSolution(expected_value=total, policy=policy)
 
 
@@ -254,13 +411,12 @@ def exact_envelope(
             raise NonPointResidual(f"{name!r} is not a chance node")
 
     axes: list[tuple[tuple[float, ...], ...]] = []
-    layout: list[tuple[str, int]] = []  # (node, row index) per axis
+    layout: list[tuple[str, int, int]] = []  # (node, first axis, end axis)
     for name in chance_names:
         rows = diagram.node(name).chance_table.rows
         if name in varied:
-            for r, row in enumerate(rows):
-                axes.append(vertex_realizations(row))
-                layout.append((name, r))
+            layout.append((name, len(axes), len(axes) + len(rows)))
+            axes.extend(vertex_realizations(row) for row in rows)
         else:
             for r, row in enumerate(rows):
                 if not is_point_row(row):
@@ -284,21 +440,16 @@ def exact_envelope(
     if total > cap:
         raise CombinatorialLimitExceeded(f"{total} configurations exceed cap {cap}")
 
-    base_rows = {
-        name: list(diagram.node(name).chance_table.rows) for name in chance_names
-    }
+    base_rows = {name: diagram.node(name).chance_table.rows for name in chance_names}
     ev_min = ev_max = None
     union: dict[str, dict[int, set[int]]] = {
         d: {} for d in diagram.decision_order
     }
     for combo in itertools.product(*axes, *value_axes):
-        rows = {name: list(base_rows[name]) for name in chance_names}
-        for (name, r), row in zip(layout, combo):
-            rows[name][r] = row
-        values = tuple(combo[len(axes):])
-        realization = PointRealization(
-            chance={n: tuple(rs) for n, rs in rows.items()}, values=values
-        )
+        chance = dict(base_rows)
+        for name, first, end in layout:
+            chance[name] = combo[first:end]
+        realization = PointRealization(chance=chance, values=combo[len(axes):])
         solution = point_solve(diagram, realization)
         ev = solution.expected_value
         ev_min = ev if ev_min is None else min(ev_min, ev)

@@ -14,6 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from iidiag.exact import PointRealization, PointSolution, PolicyEntry
+from iidiag.model import InfluenceDiagram, NodeKind, config_index
+
 
 def table_lookup(rows: Sequence, parent_names: Sequence[str], cards: Sequence[int]):
     """Map full assignment dicts to rows; last declared parent varies fastest."""
@@ -228,3 +231,92 @@ def posterior_oracle(diagram, x_name: str, y_name: str, out_parents, out_cards):
             for y in range(y_node.cardinality)
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Point solver: recursive walk over the full joint
+# ---------------------------------------------------------------------------
+
+def _sum_max_order(diagram: InfluenceDiagram) -> tuple[str, ...]:
+    """Observation blocks interleaved with decisions, unobserved chance last."""
+    chance = diagram.names(NodeKind.CHANCE)
+    order: list[str] = []
+    seen: set[str] = set()
+    for d in diagram.decision_order:
+        observed = set(diagram.node(d).parents)
+        order += [c for c in chance if c in observed and c not in seen]
+        order.append(d)
+        seen.update(order)
+    order += [c for c in chance if c not in seen]
+    return tuple(order)
+
+
+def recursive_point_solve(
+    diagram: InfluenceDiagram, realization: PointRealization
+) -> PointSolution:
+    """The package's original point solver, kept as the reference for its
+    compiled replacement: a depth-first walk over every joint assignment,
+    with the leaf weight and value looked up through per-leaf assignment
+    dictionaries. It must agree with ``exact.point_solve`` exactly, floats
+    and policy dictionary order included."""
+    order = _sum_max_order(diagram)
+    value = diagram.value_node
+    v_parents, v_cards = value.parents, value.value_table.cards
+    chance_info = [
+        (
+            name,
+            diagram.node(name).chance_table.parents,
+            diagram.node(name).chance_table.cards,
+            realization.chance[name],
+        )
+        for name in diagram.names(NodeKind.CHANCE)
+    ]
+    decision_info = {
+        d: (diagram.node(d).parents, diagram.cards_of(diagram.node(d).parents))
+        for d in diagram.decision_order
+    }
+    policy: dict[str, dict[int, PolicyEntry]] = {d: {} for d in diagram.decision_order}
+    assign: dict[str, int] = {}
+
+    def leaf() -> tuple[float, float]:
+        weight = 1.0
+        for name, parents, cards, rows in chance_info:
+            idx = config_index([assign[p] for p in parents], cards)
+            weight *= rows[idx][assign[name]]
+        v_idx = config_index([assign[p] for p in v_parents], v_cards)
+        return weight, weight * realization.values[v_idx]
+
+    def walk(pos: int) -> tuple[float, float]:
+        if pos == len(order):
+            return leaf()
+        name = order[pos]
+        node = diagram.node(name)
+        if node.kind is NodeKind.CHANCE:
+            reach = total = 0.0
+            for i in range(node.cardinality):
+                assign[name] = i
+                r, t = walk(pos + 1)
+                reach += r
+                total += t
+            del assign[name]
+            return reach, total
+        # decision: maximize. Ties are detected with a tiny relative slack so
+        # alternatives that are mathematically interchangeable (identical
+        # rows, value-irrelevant decisions) stay tied despite float
+        # summation noise.
+        parents, cards = decision_info[name]
+        info_idx = config_index([assign[p] for p in parents], cards)
+        results = []
+        for d in range(node.cardinality):
+            assign[name] = d
+            results.append(walk(pos + 1))
+        del assign[name]
+        best = max(t for _, t in results)
+        slack = 1e-12 * max(1.0, abs(best))
+        tied = tuple(d for d, (_, t) in enumerate(results) if best - t <= slack)
+        reach = results[tied[0]][0]
+        policy[name][info_idx] = PolicyEntry(tied[0], tied, reached=reach > 0.0)
+        return reach, best
+
+    _, total = walk(0)
+    return PointSolution(expected_value=total, policy=policy)

@@ -1,11 +1,12 @@
 """Classical evaluation, vertex enumeration, envelopes, and the sampling
 soundness harness."""
 
+import math
 from random import Random
 
 import pytest
 
-from iidiag import errors
+from iidiag import errors, exact
 from iidiag.exact import (
     PointRealization,
     exact_envelope,
@@ -16,7 +17,7 @@ from iidiag.exact import (
 )
 from iidiag.generate import random_chain_diagram, random_diagram
 from iidiag.model import NodeKind, build_diagram
-from oracles import halfspace_vertices, table_lookup
+from oracles import halfspace_vertices, recursive_point_solve, table_lookup
 
 
 def point_member(diagram) -> PointRealization:
@@ -90,6 +91,114 @@ class TestPointSolve:
         solution = point_solve(d, point_member(d))
         assert solution.policy["D"][0].reached
         assert not solution.policy["D"][1].reached
+
+
+def _one_hot_rows(member: PointRealization, rng: Random) -> PointRealization:
+    """``member`` with one random row of every other chance node replaced by
+    a one-hot distribution, so some states become unreachable."""
+    chance = dict(member.chance)
+    for name in list(chance)[::2]:
+        rows = list(chance[name])
+        r = rng.randrange(len(rows))
+        hot = rng.randrange(len(rows[r]))
+        rows[r] = tuple(1.0 if i == hot else 0.0 for i in range(len(rows[r])))
+        chance[name] = tuple(rows)
+    return PointRealization(chance=chance, values=member.values)
+
+
+def _large_diagram(rng: Random):
+    """Two observed decisions over seven three-outcome chance nodes: a joint
+    of 8748 leaves, more than one inner block of the compiled plan."""
+    def rows(n_rows):
+        out = []
+        for _ in range(n_rows):
+            draws = [rng.random() + 0.05 for _ in range(3)]
+            out.append([0.9 * d / sum(draws) for d in draws])
+        return out
+
+    parents = {
+        "C1": [], "C2": ["C1", "D1"], "C3": ["C2"], "C4": ["C3", "D2"],
+        "C5": ["C1"], "C6": ["C4"], "C7": [],
+    }
+    cards = {**{c: 3 for c in parents}, "D1": 2, "D2": 2}
+    nodes = [
+        {"name": "C1", "kind": "chance", "parents": [], "table": rows(1)},
+        {"name": "D1", "kind": "decision", "parents": ["C1"], "alternatives": ["a", "b"]},
+        {"name": "C2", "kind": "chance", "parents": ["C1", "D1"], "table": rows(6)},
+        {"name": "D2", "kind": "decision", "parents": ["C2"], "alternatives": ["a", "b"]},
+    ]
+    for c in ("C3", "C4", "C5", "C6", "C7"):
+        nodes.append({"name": c, "kind": "chance", "parents": parents[c],
+                      "table": rows(math.prod(cards[p] for p in parents[c]))})
+    v_parents = ["D2", "C3", "C6", "C7", "D1"]
+    nodes.append({"name": "V", "kind": "value", "parents": v_parents,
+                  "table": [[x, x] for x in (rng.uniform(-5, 5) for _ in
+                                            range(math.prod(cards[p] for p in v_parents)))]})
+    variables = [{"name": c, "outcomes": ["x", "y", "z"]} for c in parents]
+    return build_diagram({"variables": variables, "nodes": nodes})
+
+
+class TestPointSolveMatchesRecursiveWalk:
+    """The compiled point solver against the recursive walk it replaced:
+    the same floats and the same policy dictionaries, in the same order."""
+
+    @staticmethod
+    def _assert_same(diagram, member):
+        got = point_solve(diagram, member)
+        want = recursive_point_solve(diagram, member)
+        assert got == want
+        assert repr(got) == repr(want)  # float bits and dictionary order
+        return got
+
+    def test_random_members(self):
+        rng = Random(3001)
+        solved = 0
+        seen = {"root decision": 0, "unreached": 0, "tie": 0, "ignored chance": 0}
+        for i in range(120):
+            diagram = (
+                random_chain_diagram(rng)
+                if i % 4 == 0
+                else random_diagram(
+                    rng, max_nodes=7, n_decisions=rng.choice([1, 2, 3]),
+                    duplicate_alternative=i % 3 == 0,
+                )
+            )
+            chance = set(diagram.names(NodeKind.CHANCE))
+            if chance - set(diagram.value_node.parents):
+                seen["ignored chance"] += 1
+            if any(not diagram.node(d).parents for d in diagram.decision_order):
+                seen["root decision"] += 1
+            for k in range(2):
+                member = sample_member(diagram, 100 * i + k)
+                if k == 1:
+                    member = _one_hot_rows(member, rng)
+                elif i % 5 == 0:
+                    # all-zero payoffs of negative sign: each sum starts
+                    # from 0.0, so the expected value is 0.0, never -0.0
+                    member = PointRealization(
+                        chance=member.chance, values=(-0.0,) * len(member.values)
+                    )
+                solution = self._assert_same(diagram, member)
+                solved += 1
+                entries = [e for per in solution.policy.values() for e in per.values()]
+                seen["unreached"] += any(not e.reached for e in entries)
+                seen["tie"] += any(len(e.tied) > 1 for e in entries)
+        assert solved >= 200
+        assert all(count > 0 for count in seen.values()), seen
+
+    def test_joint_larger_than_one_block(self):
+        rng = Random(3002)
+        diagram = _large_diagram(rng)
+        joint = math.prod(
+            diagram.card(n) for n in diagram.names() if diagram.node(n).variable is not None
+        )
+        assert joint > exact._BLOCK_LEAVES
+        plan = exact._plan_of(diagram)
+        assert plan.outer and any(level.target >= 0 for level in plan.outer)
+        assert any(level.target >= 0 for level in plan.inner)
+        for k in range(4):
+            member = sample_member(diagram, k)
+            self._assert_same(diagram, _one_hot_rows(member, rng) if k % 2 else member)
 
 
 class TestWildcatterRollout:
