@@ -69,9 +69,13 @@ class EnvelopeReport:
     """Envelope of exact solutions over every enumerated vertex combination.
 
     The enumeration covers only the vertices of each varied row's polytope
-    (plus value-box corners when requested); an extremum of the optimal
-    expected value may in principle sit strictly inside a row polytope, so
-    the envelope is a sampling of the exact range, not a certified hull.
+    (plus value-box corners when requested). For a fixed policy the expected
+    value is linear in each chance row and in the values; the optimum is a
+    maximum over policies, so it is convex in each row and in the values,
+    and its maximum over the product of polytopes (and box) is reached at a
+    vertex combination: ``ev_max`` is exact. A minimum, and an alternative
+    that is optimal only strictly inside a row polytope, can be missed, so
+    ``ev_min`` and ``admissible_union`` are samples of the exact range.
     """
 
     ev_min: float
@@ -79,7 +83,8 @@ class EnvelopeReport:
     admissible_union: dict[str, dict[int, tuple[int, ...]]]
     configurations_evaluated: int
     note: str = (
-        "vertex enumeration; extrema interior to a row polytope are not visited"
+        "vertex enumeration; ev_max is exact (the optimum is convex in each row),"
+        " ev_min and the optimal-alternative union are samples"
     )
 
 

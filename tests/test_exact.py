@@ -17,6 +17,7 @@ from iidiag.exact import (
 )
 from iidiag.generate import random_chain_diagram, random_diagram
 from iidiag.model import NodeKind, build_diagram
+from iidiag.sensitivity import inject_range
 from oracles import halfspace_vertices, recursive_point_solve, table_lookup
 
 
@@ -316,6 +317,22 @@ class TestExactEnvelope:
     def test_cap_exceeded(self, survey):
         with pytest.raises(errors.CombinatorialLimitExceeded):
             exact_envelope(survey, ["STATE", "SIGNAL"], include_value_box=True, cap=10)
+
+    @pytest.mark.parametrize("case", ["survey", "widened wildcatter"])
+    def test_no_member_exceeds_ev_max(self, case, survey, wildcatter):
+        # ev_max is exact: the optimum is convex in each row and in the
+        # values, so no admitted model beats the best vertex combination
+        if case == "survey":
+            diagram, varied = survey, ("STATE", "SIGNAL")
+        else:
+            varied = ("OIL", "SEISMIC", "COST")
+            diagram = inject_range(wildcatter, varied, 0.1)
+        envelope = exact_envelope(diagram, varied, include_value_box=True)
+        sampled = [
+            point_solve(diagram, sample_member(diagram, seed)).expected_value
+            for seed in range(500)
+        ]
+        assert max(sampled) <= envelope.ev_max + 1e-9
 
     def test_count_is_product_of_vertex_counts(self):
         rng = Random(22)
