@@ -31,7 +31,20 @@ def _node_list(raw: str) -> tuple[str, ...]:
     names = tuple(n.strip() for n in raw.split(",") if n.strip())
     if not names:
         raise argparse.ArgumentTypeError(f"no node names in {raw!r}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"node named twice: {', '.join(repeated)}")
     return names
+
+
+def _sample_count(raw: str) -> int:
+    try:
+        n = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad sample count {raw!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"sample count {n} is negative")
+    return n
 
 
 def _range_list(raw: str) -> tuple[float, ...]:
@@ -86,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="sampling soundness check; exit 1 on violation")
     p.add_argument("file", type=Path)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 

@@ -166,6 +166,29 @@ class TestCli:
         assert rc == 2
         assert "--ranges" in capsys.readouterr().err
 
+    def test_negative_samples_usage_error(self, capsys):
+        path = str(fixture_path("minimal"))
+        assert main(["check", path, "--samples", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert captured.out == ""
+        assert main(["check", path, "--samples", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "minimal", "--nodes", "C,C"],
+            ["sweep", "wildcatter", "--nodes", "OIL,OIL", "--ranges", "0.1", "--subsets"],
+            ["sweep", "wildcatter", "--nodes", "OIL, COST,OIL", "--ranges", "0.1"],
+        ],
+    )
+    def test_duplicate_nodes_usage_error(self, argv, capsys):
+        argv = [argv[0], str(fixture_path(argv[1])), *argv[2:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "node named twice: " in captured.err
+        assert captured.out == ""
+
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2
 
