@@ -25,8 +25,6 @@ from .model import (
     InfluenceDiagram,
     NodeKind,
     TOL,
-    config_assignment,
-    config_index,
     is_point_row,
 )
 from .solver import SolveReport, solve
@@ -300,9 +298,20 @@ def _decide(
     return reach, best
 
 
+def _sum_groups(values: Sequence[float], k: int) -> list[float]:
+    """Sum of each run of ``k`` consecutive values, left to right from 0.0
+    as a running sum would add them (not ``sum``, which is compensated from
+    Python 3.12 on)."""
+    acc = map(_ZERO.__add__, values[::k])
+    for i in range(1, k):
+        acc = map(add, acc, values[i::k])
+    return list(acc)
+
+
 def _evaluate_block(plan: _Plan, tables, policy, bases) -> tuple[float, float]:
     """Reach and expected value of the inner block below one outer
-    configuration, reduced level by level from the bottom."""
+    configuration, reduced level by level from the bottom. Reach is only
+    reduced in a diagram with decisions; without one nothing reads it."""
     columns = [
         map(table.__getitem__, map(base.__add__, offsets) if base else offsets)
         for table, base, offsets in zip(tables, bases, plan.leaf_offsets)
@@ -314,17 +323,13 @@ def _evaluate_block(plan: _Plan, tables, policy, bases) -> tuple[float, float]:
         reach = list(map(mul, reach, column))
     total = list(map(mul, reach, columns[-1]))
 
+    track_reach = bool(policy)
     for level, groups in zip(reversed(plan.inner), reversed(plan.group_offsets)):
         k = level.card
         if groups is None:
-            # left to right from 0.0, as a running sum would (not ``sum``,
-            # which is compensated from Python 3.12 on)
-            r = list(map(_ZERO.__add__, reach[::k]))
-            t = list(map(_ZERO.__add__, total[::k]))
-            for i in range(1, k):
-                r = list(map(add, r, reach[i::k]))
-                t = list(map(add, t, total[i::k]))
-            reach, total = r, t
+            total = _sum_groups(total, k)
+            if track_reach:
+                reach = _sum_groups(reach, k)
         else:
             entries, base = policy[level.name], bases[level.target]
             reduced = [
@@ -534,8 +539,8 @@ def soundness_check(
     ev_violations = policy_violations = 0
     worst = 0.0
     sampled_min = sampled_max = None
-    projections = {
-        name: _policy_projection(diagram, name, report.policies[name])
+    admitted_at = {
+        name: _admitted_by_state(diagram, name, report.policies[name])
         for name in diagram.names(NodeKind.DECISION)
     }
     for _ in range(samples):
@@ -549,12 +554,11 @@ def soundness_check(
         if margin > _EV_TOL:
             ev_violations += 1
         for name, entries in solution.policy.items():
-            admitted = report.policies[name]
-            project = projections[name]
+            admitted = admitted_at[name]
             for info_idx, entry in entries.items():
                 if not entry.reached:
                     continue
-                allowed = admitted.sets[project(info_idx)]
+                allowed = admitted[info_idx]
                 if any(d not in allowed for d in entry.tied):
                     policy_violations += 1
 
@@ -569,15 +573,13 @@ def soundness_check(
     )
 
 
-def _policy_projection(diagram, name: str, admitted):
-    """Map configurations over a decision's full parent set onto the
-    (sub)set of parents its admissible table is keyed by."""
-    parents = diagram.node(name).parents
-    cards = diagram.cards_of(parents)
-    positions = [parents.index(p) for p in admitted.info_parents]
-
-    def project(info_idx: int) -> int:
-        values = config_assignment(info_idx, cards)
-        return config_index([values[p] for p in positions], admitted.info_cards)
-
-    return project
+def _admitted_by_state(diagram, name: str, admitted) -> list[tuple[int, ...]]:
+    """The admissible set for every configuration of a decision's full
+    parent set (the index ``point_solve`` keys its policy by), read through
+    the (sub)set of parents the admissible table is keyed by."""
+    steps = _steps(admitted.info_parents, admitted.info_cards)
+    index = [0]
+    for parent in diagram.node(name).parents:
+        step = steps.get(parent, 0)
+        index = [base + v * step for base in index for v in range(diagram.card(parent))]
+    return [admitted.sets[i] for i in index]

@@ -1,6 +1,8 @@
 """Classical evaluation, vertex enumeration, envelopes, and the sampling
 soundness harness."""
 
+import dataclasses
+import itertools
 import math
 from random import Random
 
@@ -18,6 +20,7 @@ from iidiag.exact import (
 from iidiag.generate import random_chain_diagram, random_diagram
 from iidiag.model import NodeKind, build_diagram
 from iidiag.sensitivity import inject_range
+from iidiag.solver import solve
 from oracles import halfspace_vertices, recursive_point_solve, table_lookup
 
 
@@ -154,19 +157,22 @@ class TestPointSolveMatchesRecursiveWalk:
     def test_random_members(self):
         rng = Random(3001)
         solved = 0
-        seen = {"root decision": 0, "unreached": 0, "tie": 0, "ignored chance": 0}
+        seen = {"no decision": 0, "root decision": 0, "unreached": 0, "tie": 0,
+                "ignored chance": 0}
         for i in range(120):
             diagram = (
                 random_chain_diagram(rng)
                 if i % 4 == 0
                 else random_diagram(
-                    rng, max_nodes=7, n_decisions=rng.choice([1, 2, 3]),
+                    rng, max_nodes=7, n_decisions=rng.choice([0, 1, 2, 3]),
                     duplicate_alternative=i % 3 == 0,
                 )
             )
             chance = set(diagram.names(NodeKind.CHANCE))
             if chance - set(diagram.value_node.parents):
                 seen["ignored chance"] += 1
+            if not diagram.decision_order:
+                seen["no decision"] += 1
             if any(not diagram.node(d).parents for d in diagram.decision_order):
                 seen["root decision"] += 1
             for k in range(2):
@@ -374,6 +380,43 @@ class TestSampleMember:
 
 
 class TestSoundnessCheck:
+    def test_policy_violations_counted_at_the_projected_state(self):
+        # D2's admissible table is keyed by (D1, C3), a reordered subset of
+        # its parents (C1, C3, D1, C2): each state is projected by name
+        diagram = random_diagram(Random(6), max_nodes=6, n_decisions=2)
+        report = solve(diagram)
+        adm = report.policies["D2"]
+        assert adm.info_parents == ("D1", "C3")
+        parents = diagram.node("D2").parents
+        full_keys = list(itertools.product(*(range(diagram.card(p)) for p in parents)))
+        info_keys = list(itertools.product(*(range(c) for c in adm.info_cards)))
+        rng = Random(5)
+        solutions = [
+            recursive_point_solve(diagram, exact._sample_with_rng(diagram, rng))
+            for _ in range(30)
+        ]
+        counted = 0
+        for j in range(len(info_keys)):
+            sets = list(adm.sets)
+            sets[j] = (0,)
+            narrowed = dataclasses.replace(
+                report,
+                policies={**report.policies, "D2": dataclasses.replace(adm, sets=tuple(sets))},
+            )
+            expected = sum(
+                any(d != 0 for d in entry.tied)
+                for solution in solutions
+                for info_idx, entry in solution.policy["D2"].items()
+                if entry.reached
+                and info_keys.index(
+                    tuple(full_keys[info_idx][parents.index(p)] for p in adm.info_parents)
+                ) == j
+            )
+            got = soundness_check(diagram, samples=30, seed=5, report=narrowed)
+            assert got.policy_violations == expected, j
+            counted += expected
+        assert counted > 0
+
     def test_zero_samples_vacuous(self, survey):
         report = soundness_check(survey, samples=0)
         assert report.passed
