@@ -27,7 +27,7 @@ from pathlib import Path
 from random import Random
 
 from iidiag import cli
-from iidiag.diagram_io import fixture_path, load_diagram, save_diagram
+from iidiag.diagram_io import fixture_path, save_diagram
 from iidiag.generate import (
     chance_removal_instance,
     decision_removal_instance,
@@ -115,7 +115,7 @@ def varied_nodes(diagram: InfluenceDiagram) -> str:
     )
 
 
-def commands(diagrams: dict[str, InfluenceDiagram]) -> list[dict]:
+def commands(names: list[str], generated: dict[str, InfluenceDiagram]) -> list[dict]:
     """One entry per reference-layer output file: the subcommand, the golden
     diagram it reads and the arguments after the file name."""
     out = []
@@ -124,14 +124,14 @@ def commands(diagrams: dict[str, InfluenceDiagram]) -> list[dict]:
         out.append({"out": f"{diagram}.{suffix}.out", "diagram": diagram,
                     "command": command, "args": list(args)})
 
-    for name in diagrams:
+    for name in names:
         add("check", name, "check", "--samples", "200", "--seed", "7")
         add("check.json", name, "check", "--samples", "200", "--seed", "7", "--json")
     exact = {
         "minimal": ("--nodes", "C"),
         "survey": ("--nodes", "STATE,SIGNAL", "--include-value-box"),
     }
-    for name, diagram in diagrams.items():
+    for name, diagram in generated.items():
         if name.startswith("widened_"):
             exact[name] = ("--nodes", varied_nodes(diagram))
     for name, args in exact.items():
@@ -153,16 +153,15 @@ def stdout_of(argv: list[str]) -> str:
 
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    diagrams = {name: load_diagram(fixture_path(name)) for name in FIXTURES}
     paths = {name: fixture_path(name) for name in FIXTURES}
-    for name, diagram in generated().items():
-        diagrams[name] = diagram
+    diagrams = generated()
+    for name, diagram in diagrams.items():
         paths[name] = GOLDEN / f"{name}.iid.json"
         save_diagram(diagram, paths[name])
     for name, path in paths.items():
         (GOLDEN / f"{name}.json.out").write_text(stdout_of(["solve", str(path), "--json"]))
         (GOLDEN / f"{name}.trace.out").write_text(stdout_of(["solve", str(path), "--trace"]))
-    cases = commands(diagrams)
+    cases = commands(list(paths), diagrams)
     for case in cases:
         argv = [case["command"], str(paths[case["diagram"]]), *case["args"]]
         (GOLDEN / case["out"]).write_text(stdout_of(argv))
