@@ -14,7 +14,7 @@ import weakref
 from dataclasses import dataclass
 from operator import add, mul
 from random import Random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CombinatorialLimitExceeded,
@@ -491,30 +491,42 @@ def _simplex_point(rng: Random, k: int) -> list[float]:
     return [d / s for d in draws]
 
 
-def _sample_with_rng(diagram: InfluenceDiagram, rng: Random) -> PointRealization:
-    chance: dict[str, tuple[tuple[float, ...], ...]] = {}
+def _member_sampler(diagram: InfluenceDiagram) -> Callable[[Random], PointRealization]:
+    """A function of a ``Random`` drawing one admitted member of ``diagram``.
+
+    Each chance row's free mass 1 - sum(row), and whether it is a point row,
+    is worked out here once; a draw only spends the random stream: per free
+    row (chance nodes in ``names(CHANCE)`` order), one exponential per
+    outcome, then one uniform per interval value row."""
+    chance = []
     for name in diagram.names(NodeKind.CHANCE):
         rows = []
         for row in diagram.node(name).chance_table.rows:
             free = 1.0 - sum(row)
-            if free <= TOL:
-                rows.append(tuple(row))
-            else:
-                extra = _simplex_point(rng, len(row))
-                rows.append(tuple(b + free * e for b, e in zip(row, extra)))
-        chance[name] = tuple(rows)
-    values = tuple(
-        rng.uniform(lo, hi) if hi > lo else lo
-        for lo, hi in diagram.value_node.value_table.rows
-    )
-    return PointRealization(chance=chance, values=values)
+            rows.append((tuple(row), None if free <= TOL else free))
+        chance.append((name, rows))
+    value_rows = diagram.value_node.value_table.rows
+
+    def draw(rng: Random) -> PointRealization:
+        members = {}
+        for name, rows in chance:
+            members[name] = tuple([
+                row if free is None else tuple([
+                    b + free * e for b, e in zip(row, _simplex_point(rng, len(row)))
+                ])
+                for row, free in rows
+            ])
+        values = tuple([rng.uniform(lo, hi) if hi > lo else lo for lo, hi in value_rows])
+        return PointRealization(chance=members, values=values)
+
+    return draw
 
 
 def sample_member(diagram: InfluenceDiagram, seed: int) -> PointRealization:
     """A random admitted point model: per row, the free mass is spread over
     the outcomes uniformly on the allocation simplex; values are uniform in
     their intervals. Deterministic given the seed."""
-    return _sample_with_rng(diagram, Random(seed))
+    return _member_sampler(diagram)(Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +547,7 @@ def soundness_check(
         report = solve(diagram)
     lo, hi = report.final_interval
     rng = Random(seed)
+    draw = _member_sampler(diagram)
 
     ev_violations = policy_violations = 0
     worst = 0.0
@@ -544,7 +557,7 @@ def soundness_check(
         for name in diagram.names(NodeKind.DECISION)
     }
     for _ in range(samples):
-        member = _sample_with_rng(diagram, rng)
+        member = draw(rng)
         solution = point_solve(diagram, member)
         ev = solution.expected_value
         sampled_min = ev if sampled_min is None else min(sampled_min, ev)

@@ -391,10 +391,8 @@ class TestSoundnessCheck:
         full_keys = list(itertools.product(*(range(diagram.card(p)) for p in parents)))
         info_keys = list(itertools.product(*(range(c) for c in adm.info_cards)))
         rng = Random(5)
-        solutions = [
-            recursive_point_solve(diagram, exact._sample_with_rng(diagram, rng))
-            for _ in range(30)
-        ]
+        draw = exact._member_sampler(diagram)
+        solutions = [recursive_point_solve(diagram, draw(rng)) for _ in range(30)]
         counted = 0
         for j in range(len(info_keys)):
             sets = list(adm.sets)
