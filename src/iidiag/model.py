@@ -582,10 +582,18 @@ def check_table(diagram: InfluenceDiagram, node: Node) -> None:
         raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
     if table.cards != diagram.cards_of(node.parents):
         raise ParentMismatch(f"{node.name}: table cards disagree with parents")
-    if len(table.rows) != config_count(table.cards):
-        raise ParentMismatch(f"{node.name}: wrong row count")
     k = node.cardinality if node.kind is NodeKind.CHANCE else None
-    check_rows(table.rows, k, f"{node.name}.table")
+    check_table_rows(node.name, table.rows, table.cards, k)
+
+
+def check_table_rows(
+    name: str, rows: Sequence[Sequence[float]], cards: Sequence[int], k: int | None
+) -> None:
+    """The checks of :func:`check_table` that read the numbers: one row per
+    parent configuration, and every row holds (:func:`check_rows`)."""
+    if len(rows) != config_count(cards):
+        raise ParentMismatch(f"{name}: wrong row count")
+    check_rows(rows, k, f"{name}.table")
 
 
 def check_structure(diagram: InfluenceDiagram) -> None:

@@ -19,16 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Unsolvable
-from .model import InfluenceDiagram, NodeKind, check_structure
+from .model import (
+    InfluenceDiagram,
+    NodeKind,
+    check_graph,
+    check_structure,
+    check_table_rows,
+)
 from .transforms import (
     AdmissibleSet,
     StepKind,
+    StepShape,
     TransformStep,
-    marginalize_chance,
-    remove_barren,
-    remove_chance_into_value,
-    remove_decision,
-    reverse_arc,
+    apply_shape,
+    step_shape,
+    table_rows,
 )
 
 
@@ -106,15 +111,67 @@ def apply_step(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Run one step descriptor, returning the new diagram and the completed
     step (with admissible sets / notes filled in)."""
-    if step.kind is StepKind.REMOVE_BARREN:
-        return remove_barren(diagram, step.node)
-    if step.kind is StepKind.REMOVE_DECISION:
-        return remove_decision(diagram, step.node)
-    if step.kind is StepKind.REMOVE_CHANCE_INTO_VALUE:
-        return remove_chance_into_value(diagram, step.node)
-    if step.kind is StepKind.MARGINALIZE_CHANCE:
-        return marginalize_chance(diagram, step.node)
-    return reverse_arc(diagram, step.into, step.node)
+    return apply_shape(diagram, step_shape(diagram, step))
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The whole reduction of one diagram structure: the shape of every
+    step, in order. It holds no table entries and no outcome labels, so it
+    serves every diagram with the same :func:`structure_key`."""
+
+    steps: tuple[StepShape, ...]
+
+
+def structure_key(diagram: InfluenceDiagram) -> tuple:
+    """Everything a :class:`Plan` depends on: per node in declaration order
+    its name, kind, parents and cardinality, plus the decision order."""
+    nodes = tuple(
+        (name, node.kind, node.parents,
+         None if node.variable is None else len(node.variable.outcomes))
+        for name, node in diagram.nodes.items()
+    )
+    return nodes, diagram.decision_order
+
+
+def compile_plan(diagram: InfluenceDiagram) -> Plan:
+    """Replay :func:`next_step` on ``diagram``'s structure alone, checking
+    the graph of every intermediate structure as the transforms do. No
+    table is read: a produced node is rebuilt without one, and the nodes a
+    step leaves in place are never looked at past their arcs."""
+    shapes: list[StepShape] = []
+    budget = 2 * (len(diagram.nodes) + len(diagram.arcs())) ** 2 + 10
+    while len(diagram.nodes) > 1:
+        if len(shapes) > budget:
+            raise Unsolvable("step budget exceeded; reduction is not converging")
+        shape = step_shape(diagram, next_step(diagram))
+        diagram = shape.successor(diagram)
+        check_graph(diagram)
+        shapes.append(shape)
+    return Plan(tuple(shapes))
+
+
+# The plan of the most recently solved structure, as one (key, plan) tuple
+# so that threads read and replace it whole. Failed compiles are not kept.
+_cached_plan: tuple[tuple, Plan] | None = None
+
+
+def clear_plan_cache() -> None:
+    """Forget the cached plan, so the next :func:`solve` compiles afresh."""
+    global _cached_plan
+    _cached_plan = None
+
+
+def _plan_of(diagram: InfluenceDiagram) -> Plan:
+    global _cached_plan
+    key = structure_key(diagram)
+    entry = _cached_plan
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _cached_plan = None  # never hold two plans at once
+    plan = compile_plan(diagram)
+    _cached_plan = (key, plan)
+    return plan
 
 
 def solve(diagram: InfluenceDiagram) -> SolveReport:
@@ -127,21 +184,23 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
 
     The input is validated in full first, so a hand-built diagram or one
     derived without :func:`~iidiag.model.build_diagram` is held to the same
-    invariants; each step then re-checks only what it produced.
+    invariants. The step sequence depends on structure only: it is compiled
+    into a :class:`Plan` (kept for the most recent structure, so a run of
+    solves over one structure compiles once) and replayed over the input's
+    tables, checking every table a step produces.
     """
     check_structure(diagram)
-    original_decisions = diagram.names(NodeKind.DECISION)
+    plan = _plan_of(diagram)
+    tables = table_rows(diagram)
     steps: list[TransformStep] = []
     policies: dict[str, AdmissibleSet] = {}
     notes: list[str] = []
 
-    budget = 2 * (len(diagram.nodes) + len(diagram.arcs())) ** 2 + 10
-    while len(diagram.nodes) > 1:
-        if len(steps) > budget:
-            raise Unsolvable("step budget exceeded; reduction is not converging")
-        step = next_step(diagram)
-        removed = diagram.node(step.node)
-        diagram, step = apply_step(diagram, step)
+    for shape in plan.steps:
+        produced, step = shape.run(tables, diagram)
+        for table, rows in zip(shape.produced, produced):
+            check_table_rows(table.name, rows, table.cards, table.outcomes)
+            tables[table.name] = rows
         steps.append(step)
 
         if step.admissible is not None:
@@ -151,8 +210,8 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
                     f"{step.node}: admissible-set hull lower bound sits "
                     f"{step.lower_gap:.4g} below the best attainable floor"
                 )
-        elif step.kind is StepKind.REMOVE_BARREN and removed.kind is NodeKind.DECISION:
-            alternatives = removed.variable.outcomes
+        elif step.kind is StepKind.REMOVE_BARREN and shape.decision:
+            alternatives = diagram.node(step.node).variable.outcomes
             policies[step.node] = AdmissibleSet(
                 decision=step.node,
                 alternatives=alternatives,
@@ -169,14 +228,14 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
                 f"{ind} indeterminate posterior bounds stored as 0"
             )
 
-    table = diagram.value_node.value_table
-    assert table is not None and len(table.rows) == 1
+    final = tables[diagram.value_node.name]
+    assert len(final) == 1
     report = SolveReport(
-        final_interval=table.rows[0],
+        final_interval=final[0],
         policies=policies,
         steps=tuple(steps),
         notes=tuple(notes),
     )
-    missing = [d for d in original_decisions if d not in report.policies]
+    missing = [d for d in diagram.names(NodeKind.DECISION) if d not in report.policies]
     assert not missing, f"decisions without a policy: {missing}"
     return report

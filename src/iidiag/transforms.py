@@ -76,6 +76,14 @@ class AdmissibleSet:
         """Alternatives admissible in at least one information state."""
         return tuple(sorted({i for s in self.sets for i in s}))
 
+    def to_dict(self) -> dict:
+        """The JSON form ``solve --json`` and ``sweep --json`` print."""
+        return {
+            "alternatives": list(self.alternatives),
+            "info_parents": list(self.info_parents),
+            "sets": [list(s) for s in self.sets],
+        }
+
 
 @dataclass(frozen=True)
 class TransformStep:
@@ -218,6 +226,9 @@ def posterior_lower_bound(
 # summed-out variable sit one stride apart from the mapped base row.
 # ---------------------------------------------------------------------------
 
+Rows = tuple[tuple[float, ...], ...]
+
+
 def _merge_parents(primary: Sequence[str], drop: str, extra: Sequence[str]) -> tuple[str, ...]:
     kept = [p for p in primary if p != drop]
     return tuple(kept + [p for p in extra if p not in kept])
@@ -231,6 +242,351 @@ def _checked(diagram: InfluenceDiagram, *produced: str) -> InfluenceDiagram:
     for name in produced:
         check_table(diagram, diagram.nodes[name])
     return diagram
+
+
+def table_rows(diagram: InfluenceDiagram) -> dict[str, Rows]:
+    """The rows of every chance and value table, by node name."""
+    out = {}
+    for name, node in diagram.nodes.items():
+        table = node.chance_table or node.value_table
+        if table is not None:
+            out[name] = table.rows
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Step shapes. Which step runs, and every index it reads, depends on the
+# graph and the cardinalities alone; the numbers only enter in ``run``. The
+# public transformations below and ``solver.solve``'s compiled plans share
+# these shapes, so each transformation's row arithmetic exists once.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ProducedTable:
+    """A table a step produces: its node, its parents and their
+    cardinalities, and the node's outcome count (None for the value node)."""
+
+    name: str
+    parents: tuple[str, ...]
+    cards: tuple[int, ...]
+    outcomes: int | None
+
+
+@dataclass(frozen=True)
+class StepShape:
+    """One step as far as structure fixes it: kind, nodes, the nodes it
+    removes and the tables it produces. Subclasses add the row maps their
+    arithmetic walks and implement :meth:`run`."""
+
+    kind: StepKind
+    node: str
+    into: str | None
+    removed: tuple[str, ...]
+    produced: tuple[ProducedTable, ...]
+
+    def run(
+        self, tables: Mapping[str, Rows], diagram: InfluenceDiagram
+    ) -> tuple[tuple[Rows, ...], TransformStep]:
+        """Rows of each produced table, computed from ``tables`` (the
+        current rows by node name), and the completed step. ``diagram`` is
+        read for decision alternatives only. The base computes nothing,
+        which is all a barren drop needs."""
+        return (), TransformStep(self.kind, node=self.node, into=self.into)
+
+    def successor(
+        self, diagram: InfluenceDiagram, produced: Sequence[Rows] | None = None
+    ) -> InfluenceDiagram:
+        """``diagram`` after this step: removed nodes dropped, produced nodes
+        given their new parents and, when ``produced`` holds their rows,
+        their new tables (without, the result has structure only)."""
+        updates = {}
+        for i, table in enumerate(self.produced):
+            old = diagram.nodes[table.name]
+            if produced is None:
+                new = Node(table.name, old.kind, old.variable, table.parents)
+            elif table.outcomes is None:
+                new = Node(table.name, old.kind, old.variable, table.parents,
+                           value_table=IntervalValueTable(table.parents, table.cards, produced[i]))
+            else:
+                new = Node(table.name, old.kind, old.variable, table.parents,
+                           chance_table=LowerCPT(table.parents, table.cards, produced[i]))
+            updates[table.name] = new
+        return diagram.replace_nodes(updates, remove=self.removed)
+
+
+@dataclass(frozen=True)
+class _Barren(StepShape):
+    decision: bool  # a dropped decision is reported with every alternative
+
+
+@dataclass(frozen=True)
+class _Fold(StepShape):
+    b_map: tuple[int, ...]  # per new value row: the chance row
+    v_map: tuple[int, ...]  # per new value row: old value row at outcome 0
+    stride: int
+    span: int
+
+    def run(self, tables, diagram):
+        b_rows, v_rows = tables[self.node], tables[self.into]
+        stride, span = self.stride, self.span
+        rows = []
+        for b_idx, base in zip(self.b_map, self.v_map):
+            cell = v_rows[base : base + span : stride]
+            rows.append(contraction_bounds(
+                b_rows[b_idx], [lo for lo, _ in cell], [hi for _, hi in cell]
+            ))
+        return (tuple(rows),), TransformStep(self.kind, node=self.node, into=self.into)
+
+
+@dataclass(frozen=True)
+class _Decision(StepShape):
+    v_map: tuple[int, ...]  # per information state: value row at alternative 0
+    stride: int
+    span: int
+
+    def run(self, tables, diagram):
+        v_rows = tables[self.into]
+        stride, span = self.stride, self.span
+        rows, sets = [], []
+        worst_gap = 0.0
+        for base in self.v_map:
+            intervals = v_rows[base : base + span : stride]
+            admitted = _admissible(intervals)
+            lo = min(intervals[d][0] for d in admitted)
+            hi = max(intervals[d][1] for d in admitted)
+            rows.append((lo, hi))
+            sets.append(admitted)
+            # The reported hull minimum can sit below the best attainable
+            # floor (max over all alternatives of the lower endpoint).
+            worst_gap = max(worst_gap, max(iv[0] for iv in intervals) - lo)
+        info = self.produced[0]
+        admissible = AdmissibleSet(
+            decision=self.node,
+            alternatives=diagram.node(self.node).variable.outcomes,
+            info_parents=info.parents,
+            info_cards=info.cards,
+            sets=tuple(sets),
+        )
+        step = TransformStep(
+            self.kind, node=self.node, into=self.into,
+            admissible=admissible, lower_gap=worst_gap,
+        )
+        return (tuple(rows),), step
+
+
+def _marginal_rows(
+    y_rows: Rows, x_rows: Rows, b_map: Sequence[int], x_map: Sequence[int],
+    stride: int, span: int, k_x: int,
+) -> Rows:
+    """Lower bounds for x with y summed out: per target outcome, the minimum
+    of a fixed-coefficient mixture over the prior's admitted distributions."""
+    outcomes = range(k_x)
+    rows = []
+    for b_idx, base in zip(b_map, x_map):
+        b_y = y_rows[b_idx]
+        block = x_rows[base : base + span : stride]
+        rows.append(tuple(
+            mixture_lower_bound([x_row[x] for x_row in block], b_y) for x in outcomes
+        ))
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
+class _Marginal(StepShape):
+    b_map: tuple[int, ...]  # per new x row: the row of the summed-out node
+    x_map: tuple[int, ...]  # per new x row: old x row at its outcome 0
+    stride: int
+    span: int
+
+    def run(self, tables, diagram):
+        rows = _marginal_rows(
+            tables[self.node], tables[self.into], self.b_map, self.x_map,
+            self.stride, self.span, self.produced[0].outcomes,
+        )
+        return (rows,), TransformStep(self.kind, node=self.node, into=self.into)
+
+
+@dataclass(frozen=True)
+class _Reversal(StepShape):
+    b_map: tuple[int, ...]  # x's new table, as in _Marginal
+    x_map: tuple[int, ...]
+    rest_y_map: tuple[int, ...]  # per assignment of y's new parents but x
+    rest_x_map: tuple[int, ...]
+    stride: int  # of y in x's old table
+    span: int
+
+    def run(self, tables, diagram):
+        x, y = self.into, self.node
+        x_rows, y_rows = tables[x], tables[y]
+        k_x, k_y = self.produced[0].outcomes, self.produced[1].outcomes
+        stride, span = self.stride, self.span
+        free_x = [_free_mass(row) for row in x_rows]
+
+        # x is the first parent of y's new table, so its rows come in k_x
+        # blocks of one row per assignment of the other parents.
+        notes: list[BoundNote] = []
+        posterior = []
+        row_idx = 0
+        for x_val in range(k_x):
+            for b_idx, base in zip(self.rest_y_map, self.rest_x_map):
+                b_y = y_rows[b_idx]
+                b_x = [row[x_val] for row in x_rows[base : base + span : stride]]
+                u_x = [b + free for b, free in zip(b_x, free_x[base : base + span : stride])]
+                row = []
+                for y_out in range(k_y):
+                    bound, flag = posterior_lower_bound(b_x, u_x, b_y, y_out)
+                    if flag != "ok":
+                        notes.append(BoundNote(flag, y, row_idx, y_out))
+                    row.append(bound)
+                posterior.append(tuple(row))
+                row_idx += 1
+
+        marginal = _marginal_rows(
+            y_rows, x_rows, self.b_map, self.x_map, stride, span, k_x
+        )
+        step = TransformStep(self.kind, node=y, into=x, notes=tuple(notes))
+        return (marginal, tuple(posterior)), step
+
+
+def _fold_shape(diagram: InfluenceDiagram, name: str) -> _Fold:
+    node = diagram.node(name)
+    value = diagram.value_node
+    if node.kind is not NodeKind.CHANCE:
+        raise NotRemovable(f"{name!r} is not a chance node")
+    if diagram.successors(name) != (value.name,):
+        raise NotRemovable(f"{name!r} has successors besides the value node")
+
+    v_cards = diagram.cards_of(value.parents)
+    new_parents = _merge_parents(value.parents, name, node.parents)
+    new_cards = diagram.cards_of(new_parents)
+    stride = stride_of(value.parents, v_cards, name)
+    return _Fold(
+        StepKind.REMOVE_CHANCE_INTO_VALUE, name, value.name, (name,),
+        (ProducedTable(value.name, new_parents, new_cards, None),),
+        b_map=tuple(row_map(new_parents, new_cards, node.parents, diagram.cards_of(node.parents))),
+        v_map=tuple(row_map(new_parents, new_cards, value.parents, v_cards)),
+        stride=stride,
+        span=node.cardinality * stride,
+    )
+
+
+def _decision_shape(diagram: InfluenceDiagram, name: str) -> _Decision:
+    node = diagram.node(name)
+    value = diagram.value_node
+    if node.kind is not NodeKind.DECISION:
+        raise NotRemovable(f"{name!r} is not a decision node")
+    if diagram.successors(name) != (value.name,):
+        raise NotRemovable(f"{name!r} has successors besides the value node")
+    unobserved = [p for p in value.parents if p != name and p not in node.parents]
+    if unobserved:
+        raise NotRemovable(
+            f"value parents not observed at {name!r}: {', '.join(unobserved)}"
+        )
+
+    v_cards = diagram.cards_of(value.parents)
+    info_parents = tuple(p for p in value.parents if p != name)
+    info_cards = diagram.cards_of(info_parents)
+    stride = stride_of(value.parents, v_cards, name)
+    return _Decision(
+        StepKind.REMOVE_DECISION, name, value.name, (name,),
+        (ProducedTable(value.name, info_parents, info_cards, None),),
+        v_map=tuple(row_map(info_parents, info_cards, value.parents, v_cards)),
+        stride=stride,
+        span=node.cardinality * stride,
+    )
+
+
+def _marginal_shape(diagram: InfluenceDiagram, name: str) -> _Marginal:
+    node = diagram.node(name)
+    if node.kind is not NodeKind.CHANCE:
+        raise NotRemovable(f"{name!r} is not a chance node")
+    succs = diagram.successors(name)
+    if len(succs) != 1 or diagram.node(succs[0]).kind is not NodeKind.CHANCE:
+        raise NotRemovable(
+            f"{name!r} needs exactly one successor, a chance node; has {list(succs)}"
+        )
+    x_node = diagram.node(succs[0])
+
+    x_cards = diagram.cards_of(x_node.parents)
+    new_parents = _merge_parents(x_node.parents, name, node.parents)
+    new_cards = diagram.cards_of(new_parents)
+    stride = stride_of(x_node.parents, x_cards, name)
+    return _Marginal(
+        StepKind.MARGINALIZE_CHANCE, name, x_node.name, (name,),
+        (ProducedTable(x_node.name, new_parents, new_cards, x_node.cardinality),),
+        b_map=tuple(row_map(new_parents, new_cards, node.parents, diagram.cards_of(node.parents))),
+        x_map=tuple(row_map(new_parents, new_cards, x_node.parents, x_cards)),
+        stride=stride,
+        span=node.cardinality * stride,
+    )
+
+
+def _reversal_shape(diagram: InfluenceDiagram, x: str, y: str) -> _Reversal:
+    x_node, y_node = diagram.node(x), diagram.node(y)
+    if x_node.kind is not NodeKind.CHANCE or y_node.kind is not NodeKind.CHANCE:
+        raise NotRemovable("arc reversal applies to chance nodes only")
+    if y not in x_node.parents:
+        raise ArcMissing(f"no arc {y} -> {x}")
+    if diagram.has_path(y, x, skip_arc=(y, x)):
+        raise WouldCreateCycle(f"another directed path {y} -> {x} exists")
+
+    x_parents, y_parents = x_node.parents, y_node.parents
+    x_cards, y_cards = diagram.cards_of(x_parents), diagram.cards_of(y_parents)
+    new_x_parents = _merge_parents(x_parents, y, y_parents)
+    new_x_cards = diagram.cards_of(new_x_parents)
+    new_y_parents = (x,) + _merge_parents(y_parents, y, [p for p in x_parents if p != y])
+    new_y_cards = diagram.cards_of(new_y_parents)
+    rest, rest_cards = new_y_parents[1:], new_y_cards[1:]
+    stride = stride_of(x_parents, x_cards, y)
+    return _Reversal(
+        StepKind.REVERSE_ARC, y, x, (),
+        (
+            ProducedTable(x, new_x_parents, new_x_cards, x_node.cardinality),
+            ProducedTable(y, new_y_parents, new_y_cards, y_node.cardinality),
+        ),
+        b_map=tuple(row_map(new_x_parents, new_x_cards, y_parents, y_cards)),
+        x_map=tuple(row_map(new_x_parents, new_x_cards, x_parents, x_cards)),
+        rest_y_map=tuple(row_map(rest, rest_cards, y_parents, y_cards)),
+        rest_x_map=tuple(row_map(rest, rest_cards, x_parents, x_cards)),
+        stride=stride,
+        span=y_node.cardinality * stride,
+    )
+
+
+def _barren_shape(diagram: InfluenceDiagram, name: str) -> _Barren:
+    node = diagram.node(name)
+    if node.kind is NodeKind.VALUE:
+        raise NotBarren("the value node is never barren")
+    if diagram.successors(name):
+        raise NotBarren(f"{name!r} has successors")
+    return _Barren(
+        StepKind.REMOVE_BARREN, name, None, (name,), (),
+        decision=node.kind is NodeKind.DECISION,
+    )
+
+
+def step_shape(diagram: InfluenceDiagram, step: TransformStep) -> StepShape:
+    """The shape of ``step`` (as :func:`~iidiag.solver.next_step` gives it)
+    on ``diagram``, which needs structure only: tables may be absent."""
+    if step.kind is StepKind.REMOVE_BARREN:
+        return _barren_shape(diagram, step.node)
+    if step.kind is StepKind.REMOVE_DECISION:
+        return _decision_shape(diagram, step.node)
+    if step.kind is StepKind.REMOVE_CHANCE_INTO_VALUE:
+        return _fold_shape(diagram, step.node)
+    if step.kind is StepKind.MARGINALIZE_CHANCE:
+        return _marginal_shape(diagram, step.node)
+    return _reversal_shape(diagram, step.into, step.node)
+
+
+def apply_shape(
+    diagram: InfluenceDiagram, shape: StepShape
+) -> tuple[InfluenceDiagram, TransformStep]:
+    """Run ``shape`` on ``diagram``'s tables: the new diagram, with its graph
+    and produced tables checked, and the completed step."""
+    produced, step = shape.run(table_rows(diagram), diagram)
+    out = shape.successor(diagram, produced)
+    return _checked(out, *(table.name for table in shape.produced)), step
 
 
 # ---------------------------------------------------------------------------
@@ -247,41 +603,7 @@ def remove_chance_into_value(
     envelope of the conditional expectation over all admitted distributions
     and value functions.
     """
-    node = diagram.node(name)
-    value = diagram.value_node
-    if node.kind is not NodeKind.CHANCE:
-        raise NotRemovable(f"{name!r} is not a chance node")
-    if diagram.successors(name) != (value.name,):
-        raise NotRemovable(f"{name!r} has successors besides the value node")
-
-    cpt = node.chance_table
-    vt = value.value_table
-    assert cpt is not None and vt is not None
-    new_parents = _merge_parents(vt.parents, name, cpt.parents)
-    new_cards = diagram.cards_of(new_parents)
-
-    stride = stride_of(vt.parents, vt.cards, name)
-    span = node.cardinality * stride
-    rows = []
-    for b_idx, base in zip(
-        row_map(new_parents, new_cards, cpt.parents, cpt.cards),
-        row_map(new_parents, new_cards, vt.parents, vt.cards),
-    ):
-        cell = vt.rows[base : base + span : stride]
-        rows.append(contraction_bounds(
-            cpt.rows[b_idx], [lo for lo, _ in cell], [hi for _, hi in cell]
-        ))
-
-    new_value = Node(
-        value.name,
-        NodeKind.VALUE,
-        None,
-        new_parents,
-        value_table=IntervalValueTable(new_parents, new_cards, tuple(rows)),
-    )
-    out = _checked(diagram.replace_nodes({value.name: new_value}, remove=[name]), value.name)
-    step = TransformStep(StepKind.REMOVE_CHANCE_INTO_VALUE, node=name, into=value.name)
-    return out, step
+    return apply_shape(diagram, _fold_shape(diagram, name))
 
 
 def _admissible(intervals: Sequence[tuple[float, float]]) -> tuple[int, ...]:
@@ -317,87 +639,7 @@ def remove_decision(
     only successor. The new interval per state is the hull of the admissible
     alternatives' intervals.
     """
-    node = diagram.node(name)
-    value = diagram.value_node
-    if node.kind is not NodeKind.DECISION:
-        raise NotRemovable(f"{name!r} is not a decision node")
-    if diagram.successors(name) != (value.name,):
-        raise NotRemovable(f"{name!r} has successors besides the value node")
-    vt = value.value_table
-    assert vt is not None
-    unobserved = [p for p in vt.parents if p != name and p not in node.parents]
-    if unobserved:
-        raise NotRemovable(
-            f"value parents not observed at {name!r}: {', '.join(unobserved)}"
-        )
-
-    info_parents = tuple(p for p in vt.parents if p != name)
-    info_cards = diagram.cards_of(info_parents)
-    stride = stride_of(vt.parents, vt.cards, name)
-    span = node.cardinality * stride
-
-    rows, sets = [], []
-    worst_gap = 0.0
-    for base in row_map(info_parents, info_cards, vt.parents, vt.cards):
-        intervals = vt.rows[base : base + span : stride]
-        admitted = _admissible(intervals)
-        lo = min(intervals[d][0] for d in admitted)
-        hi = max(intervals[d][1] for d in admitted)
-        rows.append((lo, hi))
-        sets.append(admitted)
-        # The reported hull minimum can sit below the best attainable floor
-        # (max over all alternatives of the lower endpoint); track the gap.
-        worst_gap = max(worst_gap, max(iv[0] for iv in intervals) - lo)
-
-    admissible = AdmissibleSet(
-        decision=name,
-        alternatives=node.variable.outcomes,
-        info_parents=info_parents,
-        info_cards=info_cards,
-        sets=tuple(sets),
-    )
-    new_value = Node(
-        value.name,
-        NodeKind.VALUE,
-        None,
-        info_parents,
-        value_table=IntervalValueTable(info_parents, info_cards, tuple(rows)),
-    )
-    out = _checked(diagram.replace_nodes({value.name: new_value}, remove=[name]), value.name)
-    step = TransformStep(
-        StepKind.REMOVE_DECISION,
-        node=name,
-        into=value.name,
-        admissible=admissible,
-        lower_gap=worst_gap,
-    )
-    return out, step
-
-
-def _marginal_rows(
-    y_node: Node,
-    x_node: Node,
-    new_parents: tuple[str, ...],
-    new_cards: tuple[int, ...],
-) -> tuple[tuple[float, ...], ...]:
-    """Lower bounds for x with y summed out: per target outcome, the minimum
-    of a fixed-coefficient mixture over the prior's admitted distributions."""
-    y_cpt, x_cpt = y_node.chance_table, x_node.chance_table
-    assert y_cpt is not None and x_cpt is not None
-    stride = stride_of(x_cpt.parents, x_cpt.cards, y_node.name)
-    span = y_node.cardinality * stride
-    outcomes = range(x_node.cardinality)
-    rows = []
-    for b_idx, base in zip(
-        row_map(new_parents, new_cards, y_cpt.parents, y_cpt.cards),
-        row_map(new_parents, new_cards, x_cpt.parents, x_cpt.cards),
-    ):
-        b_y = y_cpt.rows[b_idx]
-        x_rows = x_cpt.rows[base : base + span : stride]
-        rows.append(tuple(
-            mixture_lower_bound([x_row[x] for x_row in x_rows], b_y) for x in outcomes
-        ))
-    return tuple(rows)
+    return apply_shape(diagram, _decision_shape(diagram, name))
 
 
 def marginalize_chance(
@@ -405,32 +647,7 @@ def marginalize_chance(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Remove chance node ``name`` by summing it out of its single chance
     successor, which inherits its parents."""
-    node = diagram.node(name)
-    if node.kind is not NodeKind.CHANCE:
-        raise NotRemovable(f"{name!r} is not a chance node")
-    succs = diagram.successors(name)
-    if len(succs) != 1 or diagram.node(succs[0]).kind is not NodeKind.CHANCE:
-        raise NotRemovable(
-            f"{name!r} needs exactly one successor, a chance node; has {list(succs)}"
-        )
-    x_node = diagram.node(succs[0])
-    x_cpt = x_node.chance_table
-    assert x_cpt is not None
-
-    new_parents = _merge_parents(x_cpt.parents, name, node.chance_table.parents)
-    new_cards = diagram.cards_of(new_parents)
-    rows = _marginal_rows(node, x_node, new_parents, new_cards)
-
-    new_x = Node(
-        x_node.name,
-        NodeKind.CHANCE,
-        x_node.variable,
-        new_parents,
-        chance_table=LowerCPT(new_parents, new_cards, rows),
-    )
-    out = _checked(diagram.replace_nodes({x_node.name: new_x}, remove=[name]), x_node.name)
-    step = TransformStep(StepKind.MARGINALIZE_CHANCE, node=name, into=x_node.name)
-    return out, step
+    return apply_shape(diagram, _marginal_shape(diagram, name))
 
 
 def reverse_arc(
@@ -444,61 +661,7 @@ def reverse_arc(
     distribution. Rows where conditioning is on an event of necessarily zero
     upper probability are stored as zero bounds and flagged on the step.
     """
-    x_node, y_node = diagram.node(x), diagram.node(y)
-    if x_node.kind is not NodeKind.CHANCE or y_node.kind is not NodeKind.CHANCE:
-        raise NotRemovable("arc reversal applies to chance nodes only")
-    x_cpt, y_cpt = x_node.chance_table, y_node.chance_table
-    assert x_cpt is not None and y_cpt is not None
-    if y not in x_cpt.parents:
-        raise ArcMissing(f"no arc {y} -> {x}")
-    if diagram.has_path(y, x, skip_arc=(y, x)):
-        raise WouldCreateCycle(f"another directed path {y} -> {x} exists")
-
-    k_x, k_y = x_node.cardinality, y_node.cardinality
-    new_x_parents = _merge_parents(x_cpt.parents, y, y_cpt.parents)
-    new_x_cards = diagram.cards_of(new_x_parents)
-    new_y_parents = (x,) + _merge_parents(y_cpt.parents, y, [p for p in x_cpt.parents if p != y])
-    new_y_cards = diagram.cards_of(new_y_parents)
-
-    # x is the first parent of y's new table, so its rows come in k_x blocks
-    # of one row per assignment of the other parents.
-    rest, rest_cards = new_y_parents[1:], new_y_cards[1:]
-    y_map = row_map(rest, rest_cards, y_cpt.parents, y_cpt.cards)
-    x_map = row_map(rest, rest_cards, x_cpt.parents, x_cpt.cards)
-    stride = stride_of(x_cpt.parents, x_cpt.cards, y)
-    span = k_y * stride
-    free_x = [_free_mass(row) for row in x_cpt.rows]
-
-    notes: list[BoundNote] = []
-    y_rows = []
-    row_idx = 0
-    for x_val in range(k_x):
-        for b_idx, base in zip(y_map, x_map):
-            b_y = y_cpt.rows[b_idx]
-            b_x = [row[x_val] for row in x_cpt.rows[base : base + span : stride]]
-            u_x = [b + free for b, free in zip(b_x, free_x[base : base + span : stride])]
-            row = []
-            for y_out in range(k_y):
-                bound, flag = posterior_lower_bound(b_x, u_x, b_y, y_out)
-                if flag != "ok":
-                    notes.append(BoundNote(flag, y, row_idx, y_out))
-                row.append(bound)
-            y_rows.append(tuple(row))
-            row_idx += 1
-
-    x_rows = _marginal_rows(y_node, x_node, new_x_parents, new_x_cards)
-
-    new_x = Node(
-        x, NodeKind.CHANCE, x_node.variable, new_x_parents,
-        chance_table=LowerCPT(new_x_parents, new_x_cards, x_rows),
-    )
-    new_y = Node(
-        y, NodeKind.CHANCE, y_node.variable, new_y_parents,
-        chance_table=LowerCPT(new_y_parents, new_y_cards, tuple(y_rows)),
-    )
-    out = _checked(diagram.replace_nodes({x: new_x, y: new_y}), x, y)
-    step = TransformStep(StepKind.REVERSE_ARC, node=y, into=x, notes=tuple(notes))
-    return out, step
+    return apply_shape(diagram, _reversal_shape(diagram, x, y))
 
 
 def remove_barren(
@@ -506,10 +669,4 @@ def remove_barren(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Drop a chance or decision node with no successors; every other table
     is untouched."""
-    node = diagram.node(name)
-    if node.kind is NodeKind.VALUE:
-        raise NotBarren("the value node is never barren")
-    if diagram.successors(name):
-        raise NotBarren(f"{name!r} has successors")
-    out = _checked(diagram.replace_nodes(remove=[name]))
-    return out, TransformStep(StepKind.REMOVE_BARREN, node=name)
+    return apply_shape(diagram, _barren_shape(diagram, name))

@@ -1,23 +1,31 @@
 """End-to-end reduction: rule priority, determinism, termination, policies."""
 
+import itertools
+import sys
+import threading
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from iidiag import errors, solver
+from iidiag import errors, solver, transforms
+from iidiag.diagram_io import fixture_path, load_diagram
 from iidiag.exact import point_solve
 from iidiag.generate import random_chain_diagram, random_diagram
 from iidiag.model import (
     InfluenceDiagram,
+    IntervalValueTable,
     LowerCPT,
     Node,
     NodeKind,
+    Variable,
     build_diagram,
     config_assignment,
     config_index,
 )
+from iidiag.sensitivity import inject_range
 from iidiag.solver import apply_step, next_step, solve
-from iidiag.transforms import StepKind
+from iidiag.transforms import AdmissibleSet, StepKind
 
 
 class TestSolveValidatesItsInput:
@@ -269,3 +277,279 @@ class TestPointReductionEndToEnd:
                         [values[p] for p in positions], adm.info_cards
                     )
                     assert set(entry.tied) <= set(adm.sets[reduced])
+
+
+# ---------------------------------------------------------------------------
+# Compiled plans: solve() compiles the step sequence once per structure and
+# replays only the row arithmetic, so a warm solve must match a cold one.
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _stepwise(diagram):
+    """The reduction by next_step/apply_step, one rebuilt diagram per step."""
+    steps, policies = [], {}
+    while len(diagram.nodes) > 1:
+        step = next_step(diagram)
+        removed = diagram.node(step.node)
+        diagram, step = apply_step(diagram, step)
+        steps.append(step)
+        if step.admissible is not None:
+            policies[step.node] = step.admissible
+        elif step.kind is StepKind.REMOVE_BARREN and removed.kind is NodeKind.DECISION:
+            alts = removed.variable.outcomes
+            policies[step.node] = AdmissibleSet(
+                step.node, alts, (), (), (tuple(range(len(alts))),)
+            )
+    return diagram.value_node.value_table.rows[0], tuple(steps), policies
+
+
+def _cold(diagram):
+    solver.clear_plan_cache()
+    return solve(diagram)
+
+
+def _outcome(diagram):
+    """The report's repr, or the error's type and message."""
+    try:
+        return repr(solve(diagram))
+    except errors.DiagramError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _cold_outcome(diagram):
+    solver.clear_plan_cache()
+    return _outcome(diagram)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """A list that grows by one entry per plan compiled."""
+    calls = []
+    original = solver.compile_plan
+
+    def counting(diagram):
+        calls.append(diagram)
+        return original(diagram)
+
+    monkeypatch.setattr(solver, "compile_plan", counting)
+    solver.clear_plan_cache()
+    yield calls
+    solver.clear_plan_cache()
+
+
+def _golden_diagrams():
+    names = ("minimal", "survey", "wildcatter")
+    yield from ((n, load_diagram(fixture_path(n))) for n in names)
+    for path in sorted(GOLDEN.glob("*.iid.json")):
+        yield path.name, load_diagram(path)
+
+
+class TestPlanReuse:
+    def _assert_warm_equals_cold(self, warm_up, diagram, compiles):
+        solve(warm_up)
+        before = len(compiles)
+        warm = solve(diagram)
+        assert len(compiles) == before, "same structure must reuse the plan"
+        cold = _cold(diagram)
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        interval, steps, policies = _stepwise(diagram)
+        assert warm.final_interval == interval
+        assert warm.steps == steps
+        assert warm.policies == policies
+
+    @pytest.mark.parametrize("range_", [0.0, 0.03, 0.2, 0.6])
+    def test_golden_diagrams_with_new_numbers(self, range_, compiles):
+        for name, diagram in _golden_diagrams():
+            chance = diagram.names(NodeKind.CHANCE)
+            renumbered = inject_range(diagram, chance, range_)
+            self._assert_warm_equals_cold(diagram, renumbered, compiles)
+
+    def test_widened_sweep_cells(self, wildcatter, compiles):
+        rng = Random(21)
+        bases = [(wildcatter, ("OIL", "SEISMIC", "COST"))]
+        for _ in range(6):
+            d = random_diagram(rng, max_nodes=6, point=True)
+            bases.append((d, d.names(NodeKind.CHANCE)[:3]))
+        for base, targets in bases:
+            subsets = [
+                tuple(n for i, n in enumerate(targets) if mask >> i & 1)
+                for mask in range(1, 2 ** len(targets))
+            ]
+            for subset in subsets:
+                for range_ in (0.0, 0.01, 0.05, 0.10, 0.3):
+                    widened = inject_range(base, subset, range_)
+                    self._assert_warm_equals_cold(base, widened, compiles)
+
+    def test_labels_come_from_the_input(self, minimal_data, compiles):
+        # outcome labels are not structure: the plan is shared, and each
+        # report names its own diagram's alternatives
+        first = build_diagram(minimal_data)
+        minimal_data["nodes"][1]["alternatives"] = ["go", "stay"]
+        second = build_diagram(minimal_data)
+        solve(first)
+        warm = solve(second)
+        assert len(compiles) == 1
+        assert warm.policies["D"].alternatives == ("go", "stay")
+        assert repr(warm) == repr(_cold(second))
+
+    def test_threads_share_the_cache(self, minimal, survey):
+        # sweep --jobs solves from several threads: alternating structures
+        # across more threads than cores must never pair a key with another
+        # structure's plan
+        expected = {id(d): repr(_cold(d)) for d in (minimal, survey)}
+        wrong = []
+
+        def work(offset):
+            for j in range(150):
+                d = (minimal, survey)[(offset + j) % 2]
+                try:
+                    got = repr(solve(d))
+                except Exception as exc:  # a thread's error is lost otherwise
+                    got = exc
+                if got != expected[id(d)]:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_one_plan_is_kept(self, minimal, survey, compiles):
+        solve(minimal)
+        solve(minimal)
+        solve(survey)
+        solve(minimal)
+        assert len(compiles) == 3
+
+
+def _doc(cards=(2, 3), c_parents=("A", "B"), order=("A", "B", "C", "V")):
+    """Roots A and B, chance C over ``c_parents``, value V over (C, A).
+    C's rows are keyed by the outcome pair (a, b) in ``c_parents`` order,
+    so a permuted parent order describes the same model."""
+    card = dict(zip("AB", cards))
+    k_c = 2
+    c_rows = []
+    for values in itertools.product(*(range(card[p]) for p in c_parents)):
+        ab = dict(zip(c_parents, values))
+        c_rows.append([0.1 + 0.05 * ab["A"], 0.3 + 0.1 * ab["B"] / card["B"]])
+    nodes = {
+        "A": {"name": "A", "kind": "chance", "parents": [],
+              "table": [[0.2] + [0.7 / (card["A"] - 1)] * (card["A"] - 1)]},
+        "B": {"name": "B", "kind": "chance", "parents": [],
+              "table": [[0.9 / card["B"]] * card["B"]]},
+        "C": {"name": "C", "kind": "chance", "parents": list(c_parents), "table": c_rows},
+        "V": {"name": "V", "kind": "value", "parents": ["C", "A"],
+              "table": [[i, i + 1 + i % 3] for i in range(k_c * card["A"])]},
+    }
+    variables = [
+        {"name": n, "outcomes": [f"{n.lower()}{i}" for i in range(c)]}
+        for n, c in (("A", card["A"]), ("B", card["B"]), ("C", k_c))
+    ]
+    return {"variables": variables, "nodes": [nodes[n] for n in order]}
+
+
+def _two_decisions(order):
+    """D1 seen by D2, both parents of V; ``order`` is the decision order as
+    given, which build_diagram would derive as (D1, D2)."""
+    d1 = Node("D1", NodeKind.DECISION, Variable("D1", ("x", "y")), ())
+    d2 = Node("D2", NodeKind.DECISION, Variable("D2", ("u", "v")), ("D1",))
+    v = Node("V", NodeKind.VALUE, None, ("D1", "D2"), value_table=IntervalValueTable(
+        ("D1", "D2"), (2, 2), ((0.0, 1.0), (2.0, 2.5), (1.0, 3.0), (0.5, 0.5))
+    ))
+    return InfluenceDiagram({"D1": d1, "D2": d2, "V": v}, decision_order=order)
+
+
+class TestPlanKeyCompleteness:
+    """Diagrams that differ in one structural detail never share a plan, in
+    either solve order, and each result equals a cold solve."""
+
+    VARIANTS = {
+        "parent order": (_doc(), _doc(c_parents=("B", "A"))),
+        "cardinality": (_doc(), _doc(cards=(3, 3))),
+        "declaration order": (_doc(), _doc(order=("B", "A", "C", "V"))),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_structural_variants(self, variant, compiles):
+        first, second = (build_diagram(doc) for doc in self.VARIANTS[variant])
+        assert solver.structure_key(first) != solver.structure_key(second)
+        for a, b in ((first, second), (second, first)):
+            solver.clear_plan_cache()
+            compiles.clear()
+            _outcome(a)
+            got = _outcome(b)
+            assert len(compiles) == 2
+            assert got == _cold_outcome(b)
+
+    def test_declaration_order_changes_the_step_log(self):
+        # the variant above is a real test: the two orders fold differently
+        a = solve(build_diagram(_doc()))
+        b = solve(build_diagram(_doc(order=("B", "A", "C", "V"))))
+        assert [s.describe() for s in a.steps] != [s.describe() for s in b.steps]
+
+    def test_decision_order(self, compiles):
+        good, bad = _two_decisions(("D1", "D2")), _two_decisions(("D2", "D1"))
+        for a, b in ((good, bad), (bad, good)):
+            solver.clear_plan_cache()
+            compiles.clear()
+            _outcome(a)
+            got = _outcome(b)
+            assert len(compiles) == 2
+            assert got == _cold_outcome(b)
+        assert isinstance(solve(good), solver.SolveReport)
+        with pytest.raises(errors.Unsolvable):
+            solve(bad)
+
+
+class TestWarmSolveStillChecks:
+    def _with_table(self, diagram, name, rows):
+        node = diagram.node(name)
+        if node.kind is NodeKind.VALUE:
+            table = IntervalValueTable(node.parents, node.value_table.cards, rows)
+            new = Node(name, node.kind, None, node.parents, value_table=table)
+        else:
+            table = LowerCPT(node.parents, node.chance_table.cards, rows)
+            new = Node(name, node.kind, node.variable, node.parents, chance_table=table)
+        return diagram.replace_nodes({name: new})
+
+    def test_invalid_input_after_a_warm_hit(self, minimal, compiles):
+        solve(minimal)
+        inverted = self._with_table(
+            minimal, "V", ((10.0, 10.0), (1.0, 0.0), (4.0, 4.0), (4.0, 4.0))
+        )
+        with pytest.raises(errors.IntervalInverted, match=r"V\.table\[1\]"):
+            solve(inverted)
+        overfull = self._with_table(minimal, "C", ((0.7, 0.5),))
+        with pytest.raises(errors.RowSumExceedsOne, match=r"C\.table\[0\]"):
+            solve(overfull)
+        assert solve(minimal) == _cold(minimal)
+        assert len(compiles) == 2  # one warm-up, one after _cold cleared
+
+    def test_produced_tables_checked_cold_and_warm(self, minimal, monkeypatch, compiles):
+        solve(minimal)  # compiles and keeps the plan
+        monkeypatch.setattr(transforms, "contraction_bounds", lambda *a, **k: (1.0, 0.0))
+        with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
+            solve(minimal)  # warm
+        assert len(compiles) == 1
+        solver.clear_plan_cache()
+        with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
+            solve(minimal)  # cold
+        assert len(compiles) == 2
+
+    def test_unsolvable_is_not_cached(self, compiles):
+        bad = _two_decisions(("D2", "D1"))
+        for expected_compiles in (1, 2):
+            with pytest.raises(errors.Unsolvable):
+                solve(bad)
+            assert len(compiles) == expected_compiles
