@@ -15,14 +15,10 @@ import itertools
 import sys
 
 from iidiag.diagram_io import fixture_path, load_diagram
-from iidiag.sensitivity import SensitivitySpec, render_text, sweep
+from iidiag.sensitivity import SensitivitySpec, fmt, render_text, sweep
 
 RANGES = (0.0, 0.01, 0.05, 0.10)
 NODES = ("OIL", "SEISMIC", "COST")
-
-
-def fmt(x: float) -> str:
-    return f"{x:.4g}"
 
 
 def drill_table(diagram, report) -> str:

@@ -18,13 +18,9 @@ from .diagram_io import load_diagram, serialize_diagram
 from .errors import DiagramError
 from .exact import exact_envelope, soundness_check
 from .model import InfluenceDiagram, config_assignment
-from .sensitivity import SensitivitySpec, render_text, report_to_dict, sweep
+from .sensitivity import SensitivitySpec, fmt, render_text, report_to_dict, sweep
 from .solver import SolveReport, solve
 from .transforms import AdmissibleSet
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.4g}"
 
 
 def _node_list(raw: str) -> tuple[str, ...]:
@@ -128,14 +124,7 @@ def _policy_lines(diagram: InfluenceDiagram, admitted: AdmissibleSet) -> list[st
 def _solve_to_dict(report: SolveReport) -> dict:
     return {
         "interval": list(report.final_interval),
-        "policies": {
-            name: {
-                "alternatives": list(adm.alternatives),
-                "info_parents": list(adm.info_parents),
-                "sets": [list(s) for s in adm.sets],
-            }
-            for name, adm in report.policies.items()
-        },
+        "policies": {name: adm.to_dict() for name, adm in report.policies.items()},
         "steps": [step.describe() for step in report.steps],
         "notes": list(report.notes),
     }
@@ -152,7 +141,7 @@ def _cmd_solve(args) -> int:
         print(json.dumps(data, indent=2))
         return 0
     lo, hi = report.final_interval
-    print(f"expected value: [{_fmt(lo)}, {_fmt(hi)}]")
+    print(f"expected value: [{fmt(lo)}, {fmt(hi)}]")
     for tail, head in diagram.added_information_arcs:
         print(f"note: added no-forgetting arc {tail} -> {head}")
     for name, admitted in report.policies.items():
@@ -191,7 +180,7 @@ def _cmd_exact(args) -> int:
             )
         )
         return 0
-    print(f"exact envelope: [{_fmt(envelope.ev_min)}, {_fmt(envelope.ev_max)}]")
+    print(f"exact envelope: [{fmt(envelope.ev_min)}, {fmt(envelope.ev_max)}]")
     print(f"configurations evaluated: {envelope.configurations_evaluated}")
     for name, per in envelope.admissible_union.items():
         node = diagram.node(name)
@@ -264,11 +253,11 @@ def _cmd_check(args) -> int:
         )
     else:
         lo, hi = report.interval
-        print(f"interval: [{_fmt(lo)}, {_fmt(hi)}]  samples: {report.samples}")
+        print(f"interval: [{fmt(lo)}, {fmt(hi)}]  samples: {report.samples}")
         if report.sampled_min is not None:
             print(
-                f"sampled range: [{_fmt(report.sampled_min)}, {_fmt(report.sampled_max)}]"
-                f"  attainment gap: low {_fmt(report.gap_below)}, high {_fmt(report.gap_above)}"
+                f"sampled range: [{fmt(report.sampled_min)}, {fmt(report.sampled_max)}]"
+                f"  attainment gap: low {fmt(report.gap_below)}, high {fmt(report.gap_above)}"
             )
         print(
             f"violations: expected value {report.ev_violations}, "

@@ -227,7 +227,8 @@ def sweep(
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A number as every text output prints it: four significant digits."""
     return f"{x:.4g}"
 
 
@@ -243,10 +244,10 @@ def render_text(report: SweepReport, diagram: InfluenceDiagram) -> str:
     for cell in report.cells:
         row = [
             ",".join(cell.subset) if cell.subset else "(none)",
-            _fmt(cell.range_),
-            _fmt(cell.interval[0]),
-            _fmt(cell.interval[1]),
-            _fmt(cell.width),
+            fmt(cell.range_),
+            fmt(cell.interval[0]),
+            fmt(cell.interval[1]),
+            fmt(cell.width),
         ]
         for d in decisions:
             admitted = cell.policies[d]
@@ -254,8 +255,8 @@ def render_text(report: SweepReport, diagram: InfluenceDiagram) -> str:
         if len(header) > 5 + len(decisions):
             if cell.envelope is not None:
                 row += [
-                    _fmt(cell.envelope.ev_min),
-                    _fmt(cell.envelope.ev_max),
+                    fmt(cell.envelope.ev_min),
+                    fmt(cell.envelope.ev_max),
                     str(cell.envelope.configurations_evaluated),
                 ]
             else:
@@ -277,14 +278,7 @@ def report_to_dict(report: SweepReport) -> dict:
                 "subset": list(cell.subset),
                 "range": cell.range_,
                 "interval": list(cell.interval),
-                "policies": {
-                    name: {
-                        "alternatives": list(adm.alternatives),
-                        "info_parents": list(adm.info_parents),
-                        "sets": [list(s) for s in adm.sets],
-                    }
-                    for name, adm in cell.policies.items()
-                },
+                "policies": {name: adm.to_dict() for name, adm in cell.policies.items()},
                 "exact": None
                 if cell.envelope is None
                 else {
