@@ -8,9 +8,14 @@ tests/golden/<name>.json.out and tests/golden/<name>.trace.out.
 The reference layer is pinned the same way: ``iidiag check`` (text and
 ``--json``) on every golden diagram, ``iidiag exact`` (text and ``--json``)
 on the fixtures and on the widened generated diagrams, and one exhaustive
-``iidiag sweep --subsets --exact --json`` on the wildcatter fixture. These
-commands are listed in tests/golden/commands.json, one entry per output
-file, which the test replays.
+``iidiag sweep --subsets --exact`` (``--json`` and text) on the wildcatter
+fixture. These commands are listed in tests/golden/commands.json, one entry
+per output file, which the test replays.
+
+No golden diagram has an alternative duplicated by ``random_diagram``, so
+the canonical text of a few such diagrams is written to
+tests/golden/duplicate_<seed>.diagram.json; the test regenerates them and
+the golden diagrams to pin the generators' output.
 
 The outputs are a regression reference: record them once, at a commit whose
 outputs are trusted, and never re-record to make a failing golden test pass.
@@ -41,6 +46,7 @@ from iidiag.sensitivity import inject_range
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 FIXTURES = ("minimal", "survey", "wildcatter")
+DUPLICATE_SEEDS = (1, 4, 5, 12, 13, 50)
 
 
 # A chain whose signal S has an impossible outcome s2, so reversing H -> S
@@ -106,6 +112,17 @@ def widened() -> dict[str, InfluenceDiagram]:
     return out
 
 
+def duplicated() -> dict[str, InfluenceDiagram]:
+    """File stem -> point diagram with one decision's alternatives made
+    interchangeable, for the seeds in ``DUPLICATE_SEEDS``."""
+    return {
+        f"duplicate_{seed}": random_diagram(
+            Random(seed), max_nodes=5, point=True, duplicate_alternative=True
+        )
+        for seed in DUPLICATE_SEEDS
+    }
+
+
 def varied_nodes(diagram: InfluenceDiagram) -> str:
     """The chance nodes with a non-point row, comma-separated."""
     return ",".join(
@@ -139,6 +156,8 @@ def commands(names: list[str], generated: dict[str, InfluenceDiagram]) -> list[d
         add("exact.json", name, "exact", *args, "--json")
     add("sweep.json", "wildcatter", "sweep", "--nodes", "OIL,SEISMIC,COST",
         "--ranges", "0,0.01,0.05,0.10", "--subsets", "--exact", "--json")
+    add("sweep", "wildcatter", "sweep", "--nodes", "OIL,SEISMIC,COST",
+        "--ranges", "0,0.01,0.05,0.10", "--subsets", "--exact")
     return out
 
 
@@ -158,6 +177,8 @@ def main() -> int:
     for name, diagram in diagrams.items():
         paths[name] = GOLDEN / f"{name}.iid.json"
         save_diagram(diagram, paths[name])
+    for stem, diagram in duplicated().items():
+        save_diagram(diagram, GOLDEN / f"{stem}.diagram.json")
     for name, path in paths.items():
         (GOLDEN / f"{name}.json.out").write_text(stdout_of(["solve", str(path), "--json"]))
         (GOLDEN / f"{name}.trace.out").write_text(stdout_of(["solve", str(path), "--trace"]))
