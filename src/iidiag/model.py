@@ -16,6 +16,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import isfinite
 from typing import Any
 
 from .errors import (
@@ -533,23 +534,32 @@ def _add_no_forgetting(
 def check_rows(rows: Sequence[Sequence[float]], k: int | None, where: str) -> None:
     """Row invariants of one table, naming the first bad row as ``where[r]``.
 
-    Chance rows (``k`` outcomes) hold ``k`` lower bounds, none below 0, that
-    sum to at most 1. Value rows (``k`` is None) are [low, high] pairs with
-    low <= high. Everything within :data:`TOL`.
+    Every number is finite. Chance rows (``k`` outcomes) hold ``k`` lower
+    bounds, none below 0, that sum to at most 1. Value rows (``k`` is None)
+    are [low, high] pairs with low <= high. Everything within :data:`TOL`.
+
+    A row's sum is finite only if every entry is, so one ``isfinite`` per
+    row suffices; the entries are looked at one by one only when the sum is
+    not finite, which finite entries can cause by overflowing.
     """
     if k is None:
         for r, (lo, hi) in enumerate(rows):
+            if not isfinite(lo + hi) and not (isfinite(lo) and isfinite(hi)):
+                raise MalformedSpec(f"{where}[{r}]: non-finite number")
             if lo > hi + TOL:
                 raise IntervalInverted(f"{where}[{r}]: low {lo} > high {hi}")
         return
     for r, row in enumerate(rows):
         if len(row) != k:
             raise ParentMismatch(f"{where}[{r}]: expected {k} bounds, got {len(row)}")
+        total = sum(row)
+        if not isfinite(total) and not all(map(isfinite, row)):
+            raise MalformedSpec(f"{where}[{r}]: non-finite number")
         for b in row:
             if b < -TOL:
                 raise NegativeBound(f"{where}[{r}]: lower bound {b} < 0")
-        if sum(row) > 1.0 + TOL:
-            raise RowSumExceedsOne(f"{where}[{r}]: bounds sum to {sum(row)} > 1")
+        if total > 1.0 + TOL:
+            raise RowSumExceedsOne(f"{where}[{r}]: bounds sum to {total} > 1")
 
 
 def check_graph(diagram: InfluenceDiagram) -> None:

@@ -40,6 +40,17 @@ class TestParseSerialize:
         with pytest.raises(errors.DiagramSyntaxError):
             parse_diagram(text)
 
+    def test_overflowing_literal_rejected(self, tmp_path, capsys):
+        # 1e999 is valid JSON that decodes to inf; the model refuses it
+        text = fixture_path("minimal").read_text().replace("0.5", "1e999", 1)
+        with pytest.raises(errors.MalformedSpec, match="non-finite number"):
+            parse_diagram(text)
+        path = tmp_path / "huge.iid.json"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: nodes[0] (C).table[0]: non-finite number\n"
+
     def test_semantic_error_names_field(self):
         data = json.loads(fixture_path("minimal").read_text())
         data["nodes"][0]["table"] = [[0.5, 0.3, 0.2]]

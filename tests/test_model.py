@@ -20,6 +20,7 @@ from iidiag.model import (
     row_map,
     stride_of,
 )
+from iidiag.solver import solve
 
 
 class TestBuildDiagram:
@@ -55,6 +56,14 @@ class TestBuildDiagram:
     def test_interval_inverted(self, minimal_data):
         minimal_data["nodes"][2]["table"][0] = [5, 4]
         with pytest.raises(errors.IntervalInverted):
+            build_diagram(minimal_data)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("node,row", [(0, [None, 0.3]), (0, [0.3, None]),
+                                          (2, [None, 4.0]), (2, [4.0, None])])
+    def test_non_finite_number(self, minimal_data, node, row, x):
+        minimal_data["nodes"][node]["table"][0] = [x if b is None else b for b in row]
+        with pytest.raises(errors.MalformedSpec, match=r"table\[0\]: non-finite number"):
             build_diagram(minimal_data)
 
     def test_wrong_row_count(self, minimal_data):
@@ -295,6 +304,20 @@ class TestCheckStructure:
                      value_table=IntervalValueTable(v.parents, v.value_table.cards, tuple(rows)))
         with pytest.raises(errors.IntervalInverted, match=r"V\.table\[3\]"):
             check_structure(minimal.replace_nodes({"V": bad_v}))
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_hand_built_non_finite_numbers_are_not_solved(self, minimal, x):
+        c, v = minimal.node("C"), minimal.node("V")
+        bad_c = Node("C", NodeKind.CHANCE, c.variable, (),
+                     chance_table=LowerCPT((), (), ((x, 0.3),)))
+        with pytest.raises(errors.MalformedSpec, match=r"C\.table\[0\]: non-finite"):
+            solve(minimal.replace_nodes({"C": bad_c}))
+        rows = list(v.value_table.rows)
+        rows[2] = (0.3, x)
+        bad_v = Node("V", NodeKind.VALUE, None, v.parents,
+                     value_table=IntervalValueTable(v.parents, v.value_table.cards, tuple(rows)))
+        with pytest.raises(errors.MalformedSpec, match=r"V\.table\[2\]: non-finite"):
+            solve(minimal.replace_nodes({"V": bad_v}))
 
 
 class TestDiagramHelpers:
