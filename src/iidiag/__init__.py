@@ -3,52 +3,14 @@
 Evaluating a diagram yields an interval on optimal expected value and, per
 decision and information state, the set of alternatives not strictly
 dominated given the stated imprecision.
+
+The package root exports the names the README's library examples use; the
+rest is imported from the submodules.
 """
 
-from .diagram_io import (
-    fixture_path,
-    load_diagram,
-    parse_diagram,
-    save_diagram,
-    serialize_diagram,
-)
-from .exact import (
-    EnvelopeReport,
-    PointRealization,
-    PointSolution,
-    SoundnessReport,
-    exact_envelope,
-    point_solve,
-    sample_member,
-    soundness_check,
-    vertex_realizations,
-)
-from .model import (
-    InfluenceDiagram,
-    IntervalValueTable,
-    LowerCPT,
-    Node,
-    NodeKind,
-    Variable,
-    build_diagram,
-    config_assignment,
-    config_count,
-    config_index,
-    implied_upper,
-)
-from .sensitivity import SensitivitySpec, SweepReport, inject_range, sweep, widen
-from .solver import SolveReport, apply_step, next_step, solve
-from .transforms import (
-    AdmissibleSet,
-    BoundNote,
-    StepKind,
-    TransformStep,
-    admissible_set,
-    marginalize_chance,
-    remove_barren,
-    remove_chance_into_value,
-    remove_decision,
-    reverse_arc,
-)
+from .diagram_io import fixture_path, load_diagram
+from .exact import exact_envelope, point_solve, sample_member, soundness_check
+from .sensitivity import sweep, widen
+from .solver import solve
 
 __version__ = "0.1.0"

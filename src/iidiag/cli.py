@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="run the enumeration envelope beside each cell")
     p.add_argument("--cap", type=int, default=10_000_000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="sampling soundness check; exit 1 on violation")
@@ -104,21 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _state_label(
+    diagram: InfluenceDiagram, parents: tuple[str, ...], cards: tuple[int, ...], index: int
+) -> str:
+    """Information state ``index`` of ``parents`` as ``P=label ...``; empty
+    when there are no parents."""
+    values = config_assignment(index, cards)
+    return " ".join(
+        f"{p}={diagram.node(p).variable.outcomes[v]}" for p, v in zip(parents, values)
+    )
+
+
 def _policy_lines(diagram: InfluenceDiagram, admitted: AdmissibleSet) -> list[str]:
-    lines = []
     if not admitted.info_parents:
-        lines.append(f"  S = {{{', '.join(admitted.labels(0))}}}")
-        return lines
-    outcome_labels = {
-        p: diagram.node(p).variable.outcomes for p in admitted.info_parents
-    }
-    for idx, members in enumerate(admitted.sets):
-        values = config_assignment(idx, admitted.info_cards)
-        state = " ".join(
-            f"{p}={outcome_labels[p][v]}" for p, v in zip(admitted.info_parents, values)
-        )
-        lines.append(f"  {state}: {{{', '.join(admitted.labels(idx))}}}")
-    return lines
+        return [f"  S = {{{', '.join(admitted.labels(0))}}}"]
+    return [
+        f"  {_state_label(diagram, admitted.info_parents, admitted.info_cards, idx)}: "
+        f"{{{', '.join(admitted.labels(idx))}}}"
+        for idx in range(len(admitted.sets))
+    ]
 
 
 def _solve_to_dict(report: SolveReport) -> dict:
@@ -164,21 +167,7 @@ def _cmd_exact(args) -> int:
         diagram, args.nodes, include_value_box=args.include_value_box, cap=args.cap
     )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ev_min": envelope.ev_min,
-                    "ev_max": envelope.ev_max,
-                    "configurations_evaluated": envelope.configurations_evaluated,
-                    "admissible_union": {
-                        d: {str(i): list(s) for i, s in per.items()}
-                        for d, per in envelope.admissible_union.items()
-                    },
-                    "note": envelope.note,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({**envelope.to_dict(), "note": envelope.note}, indent=2))
         return 0
     print(f"exact envelope: [{fmt(envelope.ev_min)}, {fmt(envelope.ev_max)}]")
     print(f"configurations evaluated: {envelope.configurations_evaluated}")
@@ -190,11 +179,7 @@ def _cmd_exact(args) -> int:
               f"(information: {', '.join(parents) if parents else 'none'}):")
         cards = diagram.cards_of(parents)
         for idx, members in per.items():
-            values = config_assignment(idx, cards)
-            state = " ".join(
-                f"{p}={diagram.node(p).variable.outcomes[v]}"
-                for p, v in zip(parents, values)
-            )
+            state = _state_label(diagram, parents, cards, idx)
             shown = ", ".join(labels[i] for i in members)
             print(f"  {state or '(always)'}: {{{shown}}}")
     print(f"note: {envelope.note}")
@@ -218,7 +203,7 @@ def _cmd_sweep(args) -> int:
         exact_cap=args.cap,
         subsets=_subsets_of(args.nodes) if args.subsets else None,
     )
-    report = sweep(diagram, spec, jobs=args.jobs)
+    report = sweep(diagram, spec)
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
     else:

@@ -85,6 +85,18 @@ class EnvelopeReport:
         " ev_min and the optimal-alternative union are samples"
     )
 
+    def to_dict(self) -> dict:
+        """The JSON form ``exact --json`` and ``sweep --json`` print."""
+        return {
+            "ev_min": self.ev_min,
+            "ev_max": self.ev_max,
+            "configurations_evaluated": self.configurations_evaluated,
+            "admissible_union": {
+                d: {str(i): list(s) for i, s in per.items()}
+                for d, per in self.admissible_union.items()
+            },
+        }
+
 
 @dataclass(frozen=True)
 class SoundnessReport:
@@ -484,8 +496,9 @@ def exact_envelope(
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _simplex_point(rng: Random, k: int) -> list[float]:
-    # uniform over the k-simplex via normalized exponentials
+def simplex_point(rng: Random, k: int) -> list[float]:
+    """A point uniform on the k-outcome probability simplex (normalized
+    exponentials); the one simplex draw of the package."""
     draws = [rng.expovariate(1.0) for _ in range(k)]
     s = sum(draws)
     return [d / s for d in draws]
@@ -512,7 +525,7 @@ def _member_sampler(diagram: InfluenceDiagram) -> Callable[[Random], PointRealiz
         for name, rows in chance:
             members[name] = tuple([
                 row if free is None else tuple([
-                    b + free * e for b, e in zip(row, _simplex_point(rng, len(row)))
+                    b + free * e for b, e in zip(row, simplex_point(rng, len(row)))
                 ])
                 for row, free in rows
             ])

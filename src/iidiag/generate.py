@@ -12,19 +12,14 @@ from __future__ import annotations
 from random import Random
 from typing import Any
 
-from .model import InfluenceDiagram, build_diagram
-
-
-def _simplex(rng: Random, k: int) -> list[float]:
-    draws = [rng.expovariate(1.0) for _ in range(k)]
-    s = sum(draws)
-    return [d / s for d in draws]
+from .exact import simplex_point
+from .model import InfluenceDiagram, build_diagram, config_assignment, config_index
 
 
 def _chance_rows(rng: Random, n_rows: int, k: int, point: bool) -> list[list[float]]:
     rows = []
     for _ in range(n_rows):
-        p = _simplex(rng, k)
+        p = simplex_point(rng, k)
         if not point:
             p = [(1.0 - rng.uniform(0.0, 0.5)) * x for x in p]
         rows.append(p)
@@ -140,25 +135,10 @@ def _duplicate_alternative(
         pos = decl["parents"].index(decision)
         table = decl["table"]
         for idx in range(len(table)):
-            values = _unrank(idx, p_cards)
+            values = list(config_assignment(idx, p_cards))
             if values[pos] == b:
                 values[pos] = a
-                table[idx] = list(table[_rank(values, p_cards)])
-
-
-def _rank(values: list[int], cards: list[int]) -> int:
-    idx = 0
-    for v, c in zip(values, cards):
-        idx = idx * c + v
-    return idx
-
-
-def _unrank(idx: int, cards: list[int]) -> list[int]:
-    out = []
-    for c in reversed(cards):
-        out.append(idx % c)
-        idx //= c
-    return list(reversed(out))
+                table[idx] = list(table[config_index(values, p_cards)])
 
 
 def random_chain_diagram(rng: Random, *, point: bool = False) -> InfluenceDiagram:
@@ -358,7 +338,7 @@ def reversal_instance(rng: Random) -> tuple[InfluenceDiagram, str, str]:
         # column, so conditioning on it is indeterminate
         col = rng.randrange(k_x)
         for i in range(len(x_rows)):
-            rest = _simplex(rng, k_x - 1)
+            rest = simplex_point(rng, k_x - 1)
             row = rest[:col] + [0.0] + rest[col:]
             x_rows[i] = row
     elif roll < 0.4:

@@ -160,13 +160,6 @@ class LowerCPT:
     cards: tuple[int, ...]
     rows: tuple[tuple[float, ...], ...]
 
-    def row_for(self, assignment: Mapping[str, int]) -> tuple[float, ...]:
-        idx = config_index([assignment[p] for p in self.parents], self.cards)
-        return self.rows[idx]
-
-    def upper(self, row_index: int, outcome: int) -> float:
-        return implied_upper(self.rows[row_index], outcome)
-
 
 @dataclass(frozen=True)
 class IntervalValueTable:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from .errors import CombinatorialLimitExceeded, MalformedSpec, NonPointResidual
@@ -184,9 +183,12 @@ def _run_cell(
 def sweep(
     diagram: InfluenceDiagram, spec: SensitivitySpec, jobs: int = 1
 ) -> SweepReport:
-    """Run the whole sweep. Cells are independent; with ``jobs > 1`` they are
-    evaluated in a thread pool, and the report is assembled by cell key so
-    the output does not depend on completion order."""
+    """Run the whole sweep, one cell after another in subset then range
+    order. ``jobs`` accepts only 1: the cells are pure Python, so running
+    them on threads bought no time and leaked concurrent time into each
+    cell's ``solve_seconds``."""
+    if jobs != 1:  # kept so that callers passing jobs=1 keep working
+        raise MalformedSpec(f"jobs={jobs}: sweep runs its cells in order, jobs must be 1")
     _require_point(diagram)
     for name in spec.target_nodes:
         if diagram.node(name).kind is not NodeKind.CHANCE:
@@ -196,28 +198,13 @@ def sweep(
     point = point_solve(diagram, _point_realization(diagram))
     point_seconds = time.perf_counter() - start
 
-    tasks = [
-        (subset, r)
+    cells = tuple(
+        _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap)
         for subset in spec.effective_subsets()
         for r in spec.ranges
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(
-                pool.map(
-                    lambda t: _run_cell(
-                        diagram, t[0], t[1], spec.compare_exact, spec.exact_cap
-                    ),
-                    tasks,
-                )
-            )
-    else:
-        cells = [
-            _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap)
-            for subset, r in tasks
-        ]
+    )
     return SweepReport(
-        cells=tuple(cells),
+        cells=cells,
         point_value=point.expected_value,
         point_solve_seconds=point_seconds,
     )
@@ -279,17 +266,7 @@ def report_to_dict(report: SweepReport) -> dict:
                 "range": cell.range_,
                 "interval": list(cell.interval),
                 "policies": {name: adm.to_dict() for name, adm in cell.policies.items()},
-                "exact": None
-                if cell.envelope is None
-                else {
-                    "ev_min": cell.envelope.ev_min,
-                    "ev_max": cell.envelope.ev_max,
-                    "configurations_evaluated": cell.envelope.configurations_evaluated,
-                    "admissible_union": {
-                        d: {str(i): list(s) for i, s in per.items()}
-                        for d, per in cell.envelope.admissible_union.items()
-                    },
-                },
+                "exact": None if cell.envelope is None else cell.envelope.to_dict(),
                 "exact_skipped": cell.exact_skipped,
             }
             for cell in report.cells

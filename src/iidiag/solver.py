@@ -46,14 +46,6 @@ class SolveReport:
     steps: tuple[TransformStep, ...]
     notes: tuple[str, ...]
 
-    @property
-    def lower(self) -> float:
-        return self.final_interval[0]
-
-    @property
-    def upper(self) -> float:
-        return self.final_interval[1]
-
 
 def next_step(diagram: InfluenceDiagram) -> TransformStep:
     """The step :func:`solve` would apply next; a pure function of the diagram."""
@@ -114,18 +106,9 @@ def apply_step(
     return apply_shape(diagram, step_shape(diagram, step))
 
 
-@dataclass(frozen=True)
-class Plan:
-    """The whole reduction of one diagram structure: the shape of every
-    step, in order. It holds no table entries and no outcome labels, so it
-    serves every diagram with the same :func:`structure_key`."""
-
-    steps: tuple[StepShape, ...]
-
-
 def structure_key(diagram: InfluenceDiagram) -> tuple:
-    """Everything a :class:`Plan` depends on: per node in declaration order
-    its name, kind, parents and cardinality, plus the decision order."""
+    """Everything a plan depends on: per node in declaration order its name,
+    kind, parents and cardinality, plus the decision order."""
     nodes = tuple(
         (name, node.kind, node.parents,
          None if node.variable is None else len(node.variable.outcomes))
@@ -134,11 +117,15 @@ def structure_key(diagram: InfluenceDiagram) -> tuple:
     return nodes, diagram.decision_order
 
 
-def compile_plan(diagram: InfluenceDiagram) -> Plan:
-    """Replay :func:`next_step` on ``diagram``'s structure alone, checking
-    the graph of every intermediate structure as the transforms do. No
-    table is read: a produced node is rebuilt without one, and the nodes a
-    step leaves in place are never looked at past their arcs."""
+def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
+    """The plan of ``diagram``'s structure: the shape of every step of its
+    reduction, in order. It holds no table entries and no outcome labels, so
+    it serves every diagram with the same :func:`structure_key`.
+
+    :func:`next_step` is replayed on the structure alone, checking the graph
+    of every intermediate structure as the transforms do. No table is read:
+    a produced node is rebuilt without one, and the nodes a step leaves in
+    place are never looked at past their arcs."""
     shapes: list[StepShape] = []
     budget = 2 * (len(diagram.nodes) + len(diagram.arcs())) ** 2 + 10
     while len(diagram.nodes) > 1:
@@ -148,12 +135,12 @@ def compile_plan(diagram: InfluenceDiagram) -> Plan:
         diagram = shape.successor(diagram)
         check_graph(diagram)
         shapes.append(shape)
-    return Plan(tuple(shapes))
+    return tuple(shapes)
 
 
 # The plan of the most recently solved structure, as one (key, plan) tuple
 # so that threads read and replace it whole. Failed compiles are not kept.
-_cached_plan: tuple[tuple, Plan] | None = None
+_cached_plan: tuple[tuple, tuple[StepShape, ...]] | None = None
 
 
 def clear_plan_cache() -> None:
@@ -162,7 +149,7 @@ def clear_plan_cache() -> None:
     _cached_plan = None
 
 
-def _plan_of(diagram: InfluenceDiagram) -> Plan:
+def _plan_of(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
     global _cached_plan
     key = structure_key(diagram)
     entry = _cached_plan
@@ -185,9 +172,9 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     The input is validated in full first, so a hand-built diagram or one
     derived without :func:`~iidiag.model.build_diagram` is held to the same
     invariants. The step sequence depends on structure only: it is compiled
-    into a :class:`Plan` (kept for the most recent structure, so a run of
-    solves over one structure compiles once) and replayed over the input's
-    tables, checking every table a step produces.
+    into a plan (:func:`compile_plan`, kept for the most recent structure,
+    so a run of solves over one structure compiles once) and replayed over
+    the input's tables, checking every table a step produces.
     """
     check_structure(diagram)
     plan = _plan_of(diagram)
@@ -196,7 +183,7 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     policies: dict[str, AdmissibleSet] = {}
     notes: list[str] = []
 
-    for shape in plan.steps:
+    for shape in plan:
         produced, step = shape.run(tables, diagram)
         for table, rows in zip(shape.produced, produced):
             check_table_rows(table.name, rows, table.cards, table.outcomes)

@@ -246,18 +246,3 @@ class TestCli:
         assert "already canonical" in capsys.readouterr().out
         assert scratch.read_text() == first
         assert first == fixture_path("minimal").read_text()
-
-    def test_jobs_flag_output_stable(self, capsys):
-        args = [
-            "sweep",
-            str(fixture_path("wildcatter")),
-            "--nodes",
-            "OIL,COST",
-            "--ranges",
-            "0.01,0.05",
-        ]
-        assert main(args + ["--jobs", "1"]) == 0
-        one = capsys.readouterr().out
-        assert main(args + ["--jobs", "4"]) == 0
-        four = capsys.readouterr().out
-        assert one == four

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iidiag import errors
+from iidiag.cli import main
+from iidiag.diagram_io import fixture_path
 from iidiag.model import build_diagram
 from iidiag.sensitivity import (
     SensitivitySpec,
@@ -164,18 +166,18 @@ class TestSweep:
             assert pair.interval[0] <= cell.interval[0] + 1e-9
             assert pair.interval[1] >= cell.interval[1] - 1e-9
 
-    def test_jobs_do_not_change_output(self, wildcatter):
-        spec = SensitivitySpec(
-            target_nodes=("OIL", "COST"), ranges=(0.01, 0.05), compare_exact=True
-        )
-        seq = sweep(wildcatter, spec, jobs=1)
-        par = sweep(wildcatter, spec, jobs=4)
-        for a, b in zip(seq.cells, par.cells):
-            assert a.subset == b.subset and a.range_ == b.range_
-            assert a.interval == b.interval
-            assert {k: v.sets for k, v in a.policies.items()} == {
-                k: v.sets for k, v in b.policies.items()
-            }
+    def test_jobs_other_than_one_is_refused(self, wildcatter, capsys):
+        # cells always run in order: the keyword accepts only 1 and the
+        # CLI has no --jobs flag
+        spec = SensitivitySpec(target_nodes=("OIL",), ranges=(0.05,))
+        with pytest.raises(errors.MalformedSpec, match="jobs"):
+            sweep(wildcatter, spec, jobs=4)
+        assert len(sweep(wildcatter, spec, jobs=1).cells) == 1
+        argv = ["sweep", str(fixture_path("wildcatter")), "--nodes", "OIL",
+                "--ranges", "0.05", "--jobs", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--jobs" in captured.err and captured.out == ""
 
     def test_render_and_dict(self, wildcatter):
         spec = SensitivitySpec(

@@ -396,9 +396,9 @@ class TestPlanReuse:
         assert repr(warm) == repr(_cold(second))
 
     def test_threads_share_the_cache(self, minimal, survey):
-        # sweep --jobs solves from several threads: alternating structures
-        # across more threads than cores must never pair a key with another
-        # structure's plan
+        # a library caller may solve from several threads: alternating
+        # structures across more threads than cores must never pair a key
+        # with another structure's plan
         expected = {id(d): repr(_cold(d)) for d in (minimal, survey)}
         wrong = []
 
