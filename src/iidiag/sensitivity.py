@@ -184,10 +184,10 @@ def sweep(
     diagram: InfluenceDiagram, spec: SensitivitySpec, jobs: int = 1
 ) -> SweepReport:
     """Run the whole sweep, one cell after another in subset then range
-    order. ``jobs`` accepts only 1: the cells are pure Python, so running
-    them on threads bought no time and leaked concurrent time into each
-    cell's ``solve_seconds``."""
-    if jobs != 1:  # kept so that callers passing jobs=1 keep working
+    order. ``jobs`` accepts only 1: the cells are pure Python and hold the
+    interpreter lock, so threads would not finish them sooner and would add
+    each other's time to every cell's ``solve_seconds``."""
+    if jobs != 1:  # the keyword stays only for callers that pass jobs=1
         raise MalformedSpec(f"jobs={jobs}: sweep runs its cells in order, jobs must be 1")
     _require_point(diagram)
     for name in spec.target_nodes:
