@@ -27,7 +27,7 @@ def _names_used() -> set[str]:
     prose = re.sub(r"```.*?```", "", LIBRARY + _section("Sensitivity sweeps"), flags=re.S)
     for quoted in re.findall(r"`([^`]+)`", prose):
         head = quoted.split("(")[0]
-        if head.isidentifier() and head.islower() and head != "iidiag":
+        if head.isidentifier() and head.islower():
             names.add(head)
     return names
 
