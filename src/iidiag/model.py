@@ -319,10 +319,20 @@ def _want(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _want_name(mapping: Mapping[str, Any], where: str) -> str:
+    name = _want(mapping, "name", where)
+    if not isinstance(name, str):
+        raise MalformedSpec(f"{where}: name must be a string")
+    return name
+
+
 def _check_number(x: Any, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise MalformedSpec(f"{where}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int too large for a float
+        raise MalformedSpec(f"{where}: non-finite number") from None
 
 
 def _check_labels(raw: Any, where: str) -> tuple[str, ...]:
@@ -356,7 +366,7 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
 
     variables: dict[str, Variable] = {}
     for i, rv in enumerate(raw_vars):
-        name = _want(rv, "name", f"variables[{i}]")
+        name = _want_name(rv, f"variables[{i}]")
         outcomes = _check_labels(_want(rv, "outcomes", f"variables[{i}]"), f"variables[{i}].outcomes")
         if name in variables:
             raise MalformedSpec(f"variables[{i}]: duplicate variable {name!r}")
@@ -368,9 +378,7 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
     seen: set[str] = set()
     for i, rn in enumerate(raw_nodes):
         where = f"nodes[{i}]"
-        name = _want(rn, "name", where)
-        if not isinstance(name, str):
-            raise MalformedSpec(f"{where}: name must be a string")
+        name = _want_name(rn, where)
         if name in seen:
             raise MalformedSpec(f"{where}: duplicate node {name!r}")
         seen.add(name)
@@ -448,11 +456,12 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
 
     order = _decision_order(diagram)
     diagram, added = _add_no_forgetting(diagram, order)
-    diagram = InfluenceDiagram(
+    # No closing check_structure: each table was checked as it was parsed
+    # and every graph invariant above. An added information arc makes no
+    # cycle, as it stands for a directed path already in the graph.
+    return InfluenceDiagram(
         nodes=diagram.nodes, decision_order=order, added_information_arcs=added
     )
-    check_structure(diagram)
-    return diagram
 
 
 def _parse_chance_rows(raw: Any, n_rows: int, k: int, where: str) -> tuple[tuple[float, ...], ...]:
@@ -465,9 +474,12 @@ def _parse_chance_rows(raw: Any, n_rows: int, k: int, where: str) -> tuple[tuple
         at = f"{where}.table[{r}]"
         if not isinstance(raw_row, Sequence) or isinstance(raw_row, (str, bytes)):
             raise MalformedSpec(f"{at}: expected a list of bounds")
-        rows.append(tuple(_check_number(x, at) for x in raw_row))
+        bounds = (_check_number(x, at) for x in raw_row)
+        # Bounds within TOL below 0 are stored as 0 (-0.0 stays -0.0), and
+        # the check reads the stored numbers.
+        rows.append(tuple(0.0 if -TOL <= b < 0.0 else b for b in bounds))
     check_rows(rows, k, f"{where}.table")
-    return tuple(tuple(max(b, 0.0) for b in row) for row in rows)
+    return tuple(rows)
 
 
 def _parse_value_rows(raw: Any, n_rows: int, where: str) -> tuple[tuple[float, float], ...]:
@@ -557,8 +569,8 @@ def check_rows(rows: Sequence[Sequence[float]], k: int | None, where: str) -> No
 
 def check_graph(diagram: InfluenceDiagram) -> None:
     """Whole-diagram invariants that involve no table: one value node and
-    no successors of it, acyclic arcs, known parents, and a decision order
-    covering exactly the decision nodes."""
+    no successors of it, acyclic arcs between known nodes (an unknown parent
+    reads as a cycle), and a decision order covering exactly the decisions."""
     value = diagram.value_node  # NoValueNode if missing
     if len(diagram.names(NodeKind.VALUE)) > 1:
         raise MultipleValueNodes("more than one value node")
@@ -569,39 +581,29 @@ def check_graph(diagram: InfluenceDiagram) -> None:
     if set(diagram.decision_order) != set(diagram.names(NodeKind.DECISION)):
         raise MalformedSpec("decision_order out of sync with the node set")
 
-    for node in diagram.nodes.values():
-        for p in node.parents:
-            if p not in diagram.nodes:
-                raise MalformedSpec(f"{node.name}: unknown parent {p!r}")
-
-
-def check_table(diagram: InfluenceDiagram, node: Node) -> None:
-    """The table of a chance or value node matches its arcs and its parents'
-    cardinalities, and every row holds (:func:`check_rows`)."""
-    if node.kind is NodeKind.DECISION:
-        return
-    table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
-    if table is None or table.parents != node.parents:
-        raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
-    if table.cards != diagram.cards_of(node.parents):
-        raise ParentMismatch(f"{node.name}: table cards disagree with parents")
-    k = node.cardinality if node.kind is NodeKind.CHANCE else None
-    check_table_rows(node.name, table.rows, table.cards, k)
-
 
 def check_table_rows(
     name: str, rows: Sequence[Sequence[float]], cards: Sequence[int], k: int | None
 ) -> None:
-    """The checks of :func:`check_table` that read the numbers: one row per
-    parent configuration, and every row holds (:func:`check_rows`)."""
+    """The checks of a table that read its numbers: one row per parent
+    configuration, and every row holds (:func:`check_rows`)."""
     if len(rows) != config_count(cards):
         raise ParentMismatch(f"{name}: wrong row count")
     check_rows(rows, k, f"{name}.table")
 
 
 def check_structure(diagram: InfluenceDiagram) -> None:
-    """Full invariant sweep: :func:`check_graph` plus :func:`check_table` on
-    every node. Run on every diagram a solve starts from."""
+    """Full invariant sweep: :func:`check_graph`, and every chance and value
+    table matches its arcs and its parents' cardinalities and passes
+    :func:`check_table_rows`. Run on every diagram a solve starts from."""
     check_graph(diagram)
     for node in diagram.nodes.values():
-        check_table(diagram, node)
+        if node.kind is NodeKind.DECISION:
+            continue
+        table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
+        if table is None or table.parents != node.parents:
+            raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
+        if table.cards != diagram.cards_of(node.parents):
+            raise ParentMismatch(f"{node.name}: table cards disagree with parents")
+        k = node.cardinality if node.kind is NodeKind.CHANCE else None
+        check_table_rows(node.name, table.rows, table.cards, k)

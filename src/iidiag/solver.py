@@ -24,7 +24,6 @@ from .model import (
     NodeKind,
     check_graph,
     check_structure,
-    check_table_rows,
 )
 from .transforms import (
     AdmissibleSet,
@@ -184,9 +183,8 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     notes: list[str] = []
 
     for shape in plan:
-        produced, step = shape.run(tables, diagram)
+        produced, step = shape.run_checked(tables, diagram)
         for table, rows in zip(shape.produced, produced):
-            check_table_rows(table.name, rows, table.cards, table.outcomes)
             tables[table.name] = rows
         steps.append(step)
 

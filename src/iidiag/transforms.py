@@ -26,7 +26,7 @@ from .model import (
     NodeKind,
     TOL,
     check_graph,
-    check_table,
+    check_table_rows,
     row_map,
     stride_of,
 )
@@ -234,16 +234,6 @@ def _merge_parents(primary: Sequence[str], drop: str, extra: Sequence[str]) -> t
     return tuple(kept + [p for p in extra if p not in kept])
 
 
-def _checked(diagram: InfluenceDiagram, *produced: str) -> InfluenceDiagram:
-    """Check ``diagram`` after a step and return it: the whole-diagram
-    invariants plus the tables the step produced. Every other node is the
-    very object the step's input held, and that input was already checked."""
-    check_graph(diagram)
-    for name in produced:
-        check_table(diagram, diagram.nodes[name])
-    return diagram
-
-
 def table_rows(diagram: InfluenceDiagram) -> dict[str, Rows]:
     """The rows of every chance and value table, by node name."""
     out = {}
@@ -292,6 +282,14 @@ class StepShape:
         read for decision alternatives only. The base computes nothing,
         which is all a barren drop needs."""
         return (), TransformStep(self.kind, node=self.node, into=self.into)
+
+    def run_checked(self, tables, diagram):
+        """:meth:`run`, then :func:`~iidiag.model.check_table_rows` on every
+        produced table: the only tables a step adds to its checked input."""
+        produced, step = self.run(tables, diagram)
+        for table, rows in zip(self.produced, produced):
+            check_table_rows(table.name, rows, table.cards, table.outcomes)
+        return produced, step
 
     def successor(
         self, diagram: InfluenceDiagram, produced: Sequence[Rows] | None = None
@@ -584,9 +582,10 @@ def apply_shape(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Run ``shape`` on ``diagram``'s tables: the new diagram, with its graph
     and produced tables checked, and the completed step."""
-    produced, step = shape.run(table_rows(diagram), diagram)
+    produced, step = shape.run_checked(table_rows(diagram), diagram)
     out = shape.successor(diagram, produced)
-    return _checked(out, *(table.name for table in shape.produced)), step
+    check_graph(out)
+    return out, step
 
 
 # ---------------------------------------------------------------------------

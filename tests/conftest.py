@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -49,3 +50,12 @@ def wildcatter():
 
 def all_fixture_paths():
     return sorted(fixture_path("minimal").parent.glob("*.iid.json"))
+
+
+def golden_recorder():
+    """``scripts/record_golden.py`` as a module, for its diagram generators."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "record_golden.py"
+    spec = importlib.util.spec_from_file_location("record_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -22,17 +22,16 @@ recorder's own calls, and a few diagrams with a duplicated alternative
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from conftest import golden_recorder
 from iidiag import cli
 from iidiag.diagram_io import fixture_path, serialize_diagram
 
 GOLDEN = Path(__file__).parent / "golden"
-RECORDER = Path(__file__).resolve().parent.parent / "scripts" / "record_golden.py"
 FIXTURES = ("minimal", "survey", "wildcatter")
 GENERATED = tuple(sorted(p.name[: -len(".iid.json")] for p in GOLDEN.glob("*.iid.json")))
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
@@ -73,15 +72,8 @@ def test_reference_layer_stdout_is_byte_identical(case, capsys):
     assert capsys.readouterr().out == expected
 
 
-def _recorder():
-    spec = importlib.util.spec_from_file_location("record_golden", RECORDER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_generators_reproduce_the_golden_diagrams():
-    recorder = _recorder()
+    recorder = golden_recorder()
     generated = recorder.generated()
     assert sorted(generated) == list(GENERATED)
     for name, diagram in generated.items():

@@ -41,15 +41,24 @@ class TestParseSerialize:
             parse_diagram(text)
 
     def test_overflowing_literal_rejected(self, tmp_path, capsys):
-        # 1e999 is valid JSON that decodes to inf; the model refuses it
-        text = fixture_path("minimal").read_text().replace("0.5", "1e999", 1)
-        with pytest.raises(errors.MalformedSpec, match="non-finite number"):
-            parse_diagram(text)
-        path = tmp_path / "huge.iid.json"
-        path.write_text(text)
-        assert main(["solve", str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err == "error: nodes[0] (C).table[0]: non-finite number\n"
+        # 1e999 is valid JSON that decodes to inf, and an integer literal can
+        # be too large for a float; the model refuses both without echoing them
+        huge = "1" + "0" * 400
+        minimal = fixture_path("minimal").read_text()
+        for old, new, where in [
+            ("0.5", "1e999", "nodes[0] (C)"),
+            ("0.5", huge, "nodes[0] (C)"),
+            ("0.3", "-" + huge, "nodes[0] (C)"),
+            ("10.0", huge, "nodes[2] (V)"),
+        ]:
+            text = minimal.replace(old, new, 1)
+            with pytest.raises(errors.MalformedSpec, match="non-finite number"):
+                parse_diagram(text)
+            path = tmp_path / "huge.iid.json"
+            path.write_text(text)
+            assert main(["solve", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {where}.table[0]: non-finite number\n"
 
     def test_semantic_error_names_field(self):
         data = json.loads(fixture_path("minimal").read_text())
@@ -214,6 +223,16 @@ class TestCli:
         bad.write_text(json.dumps(data))
         assert main(["solve", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [["C"], 7, None])
+    def test_non_string_variable_name_fails(self, name, tmp_path, capsys):
+        bad = tmp_path / "bad.iid.json"
+        data = json.loads(fixture_path("minimal").read_text())
+        data["variables"][0]["name"] = name
+        bad.write_text(json.dumps(data))
+        assert main(["solve", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: variables[0]: name must be a string\n"
 
     def test_non_utf8_file_is_a_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.iid.json"

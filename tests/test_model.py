@@ -1,11 +1,16 @@
 """Diagram construction, validation, and configuration indexing."""
 
 import copy
+import math
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from iidiag import errors
+from conftest import all_fixture_paths, golden_recorder
+from iidiag import errors, model
+from iidiag.diagram_io import diagram_to_data, load_diagram
+from iidiag.generate import random_diagram
 from iidiag.model import (
     IntervalValueTable,
     LowerCPT,
@@ -20,7 +25,7 @@ from iidiag.model import (
     row_map,
     stride_of,
 )
-from iidiag.solver import solve
+from iidiag.solver import compile_plan, solve
 
 
 class TestBuildDiagram:
@@ -64,6 +69,27 @@ class TestBuildDiagram:
     def test_non_finite_number(self, minimal_data, node, row, x):
         minimal_data["nodes"][node]["table"][0] = [x if b is None else b for b in row]
         with pytest.raises(errors.MalformedSpec, match=r"table\[0\]: non-finite number"):
+            build_diagram(minimal_data)
+
+    def test_bounds_just_below_zero_are_stored_as_zero(self, minimal_data):
+        minimal_data["nodes"][0]["table"] = [[-1e-13, 0.5]]
+        row = build_diagram(minimal_data).node("C").chance_table.rows[0]
+        assert row == (0.0, 0.5) and math.copysign(1.0, row[0]) == 1.0
+        minimal_data["nodes"][0]["table"] = [[-0.0, 0.5]]
+        row = build_diagram(minimal_data).node("C").chance_table.rows[0]
+        assert row == (0.0, 0.5) and math.copysign(1.0, row[0]) == -1.0
+
+    def test_row_sum_is_checked_after_the_clamp(self, minimal_data):
+        # the raw sum 1 + 0.5e-12 passes; stored as (0.0, 1 + 1.5e-12) it
+        # sums above 1 + TOL, which build_diagram itself must refuse
+        minimal_data["nodes"][0]["table"] = [[-1e-12, 1 + 1.5e-12]]
+        with pytest.raises(errors.RowSumExceedsOne, match=r"table\[0\]"):
+            build_diagram(minimal_data)
+
+    @pytest.mark.parametrize("name", [["C"], 7, None])
+    def test_variable_name_must_be_a_string(self, minimal_data, name):
+        minimal_data["variables"][0]["name"] = name
+        with pytest.raises(errors.MalformedSpec, match=r"^variables\[0\]: name must be a string$"):
             build_diagram(minimal_data)
 
     def test_wrong_row_count(self, minimal_data):
@@ -318,6 +344,43 @@ class TestCheckStructure:
                      value_table=IntervalValueTable(v.parents, v.value_table.cards, tuple(rows)))
         with pytest.raises(errors.MalformedSpec, match=r"V\.table\[2\]: non-finite"):
             solve(minimal.replace_nodes({"V": bad_v}))
+
+
+class TestEachTableCheckedOnce:
+    """The parser checks each input table once and ``build_diagram`` adds
+    no closing pass; ``solve`` checks its input again, then every table a
+    step produces."""
+
+    def test_each_table_checked_once(self, monkeypatch):
+        calls = []
+        check_rows = model.check_rows
+
+        def counting(rows, k, where):
+            calls.append(where)
+            check_rows(rows, k, where)
+
+        monkeypatch.setattr(model, "check_rows", counting)
+        counts = {}
+        for path in all_fixture_paths():
+            calls.clear()
+            diagram = load_diagram(path)
+            tables = [n for n in diagram.nodes.values() if n.kind is not NodeKind.DECISION]
+            assert len(calls) == len(set(calls)) == len(tables), path.name
+            loaded = len(calls)
+            calls.clear()
+            solve(diagram)
+            produced = sum(len(shape.produced) for shape in compile_plan(diagram))
+            assert len(calls) == len(tables) + produced, path.name
+            counts[path.name] = (loaded, len(calls))
+        assert counts["wildcatter.iid.json"] == (5, 13)
+
+        # the closing pass build_diagram no longer runs would find nothing
+        diagrams = [load_diagram(path) for path in all_fixture_paths()]
+        diagrams += golden_recorder().generated().values()
+        assert len(diagrams) == 3 + 33
+        diagrams += [random_diagram(Random(seed)) for seed in range(300)]
+        for diagram in diagrams:
+            check_structure(build_diagram(diagram_to_data(diagram)))
 
 
 class TestDiagramHelpers:
