@@ -26,6 +26,7 @@ from .model import (
     NodeKind,
     TOL,
     is_point_row,
+    running_sum,
 )
 from .solver import SolveReport, solve
 
@@ -286,7 +287,7 @@ def _check_shape(plan: _Plan, realization: PointRealization) -> None:
         for r, row in enumerate(rows):
             if len(row) != k:
                 raise ShapeMismatch(f"{name}: row {r} has wrong length")
-            if abs(sum(row) - 1.0) > 1e-9 or any(map(_NEGATIVE.__gt__, row)):
+            if abs(running_sum(row) - 1.0) > 1e-9 or any(map(_NEGATIVE.__gt__, row)):
                 raise ShapeMismatch(f"{name}: row {r} is not a distribution")
     if len(realization.values) != plan.value_rows:
         raise ShapeMismatch("value row count mismatch")
@@ -311,9 +312,9 @@ def _decide(
 
 
 def _sum_groups(values: Sequence[float], k: int) -> list[float]:
-    """Sum of each run of ``k`` consecutive values, left to right from 0.0
-    as a running sum would add them (not ``sum``, which is compensated from
-    Python 3.12 on)."""
+    """Sum of each run of ``k`` consecutive values, added left to right
+    from 0.0 as :func:`~iidiag.model.running_sum` adds them, for all runs at
+    once."""
     acc = map(_ZERO.__add__, values[::k])
     for i in range(1, k):
         acc = map(add, acc, values[i::k])
@@ -407,7 +408,7 @@ def point_solve(
 def vertex_realizations(row: Sequence[float]) -> tuple[tuple[float, ...], ...]:
     """Vertices of {p >= row, sum(p) = 1}: the free mass 1 - sum(row) placed
     on each outcome in turn (a single point when the row already sums to 1)."""
-    free = 1.0 - sum(row)
+    free = 1.0 - running_sum(row)
     if free <= TOL:
         return (tuple(row),)
     return tuple(
@@ -500,7 +501,7 @@ def simplex_point(rng: Random, k: int) -> list[float]:
     """A point uniform on the k-outcome probability simplex (normalized
     exponentials); the one simplex draw of the package."""
     draws = [rng.expovariate(1.0) for _ in range(k)]
-    s = sum(draws)
+    s = running_sum(draws)
     return [d / s for d in draws]
 
 
@@ -515,7 +516,7 @@ def _member_sampler(diagram: InfluenceDiagram) -> Callable[[Random], PointRealiz
     for name in diagram.names(NodeKind.CHANCE):
         rows = []
         for row in diagram.node(name).chance_table.rows:
-            free = 1.0 - sum(row)
+            free = 1.0 - running_sum(row)
             rows.append((tuple(row), None if free <= TOL else free))
         chance.append((name, rows))
     value_rows = diagram.value_node.value_table.rows

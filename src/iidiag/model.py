@@ -135,13 +135,23 @@ def row_map(
     return rows
 
 
+def running_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0: the sum every float
+    reduction of the package uses. The built-in ``sum`` is compensated from
+    Python 3.12 on and would change last digits between versions."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def implied_upper(row: Sequence[float], outcome: int) -> float:
     """Upper bound implied by the other outcomes' lower bounds."""
-    return 1.0 - (sum(row) - row[outcome])
+    return 1.0 - (running_sum(row) - row[outcome])
 
 
 def is_point_row(row: Sequence[float]) -> bool:
-    return abs(sum(row) - 1.0) <= TOL
+    return abs(running_sum(row) - 1.0) <= TOL
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +345,13 @@ def _check_number(x: Any, where: str) -> float:
         raise MalformedSpec(f"{where}: non-finite number") from None
 
 
+def _is_list(raw: Any) -> bool:
+    """A JSON array: a sequence, but not a string, which is one too."""
+    return isinstance(raw, Sequence) and not isinstance(raw, (str, bytes))
+
+
 def _check_labels(raw: Any, where: str) -> tuple[str, ...]:
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+    if not _is_list(raw):
         raise MalformedSpec(f"{where}: expected a list of labels")
     labels = []
     for item in raw:
@@ -361,7 +376,7 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
     """
     raw_vars = _want(data, "variables", "document")
     raw_nodes = _want(data, "nodes", "document")
-    if not isinstance(raw_vars, Sequence) or not isinstance(raw_nodes, Sequence):
+    if not _is_list(raw_vars) or not _is_list(raw_nodes):
         raise MalformedSpec("document: 'variables' and 'nodes' must be lists")
 
     variables: dict[str, Variable] = {}
@@ -465,13 +480,14 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
 
 
 def _parse_chance_rows(raw: Any, n_rows: int, k: int, where: str) -> tuple[tuple[float, ...], ...]:
-    if not isinstance(raw, Sequence):
+    if not _is_list(raw):
         raise MalformedSpec(f"{where}.table: expected a list of rows")
     if len(raw) != n_rows:
         raise ParentMismatch(f"{where}.table: expected {n_rows} rows, got {len(raw)}")
     rows = []
     for r, raw_row in enumerate(raw):
         at = f"{where}.table[{r}]"
+        # _is_list, inlined: this runs once per row
         if not isinstance(raw_row, Sequence) or isinstance(raw_row, (str, bytes)):
             raise MalformedSpec(f"{at}: expected a list of bounds")
         bounds = (_check_number(x, at) for x in raw_row)
@@ -483,14 +499,16 @@ def _parse_chance_rows(raw: Any, n_rows: int, k: int, where: str) -> tuple[tuple
 
 
 def _parse_value_rows(raw: Any, n_rows: int, where: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(raw, Sequence):
+    if not _is_list(raw):
         raise MalformedSpec(f"{where}.table: expected a list of [low, high] rows")
     if len(raw) != n_rows:
         raise ParentMismatch(f"{where}.table: expected {n_rows} rows, got {len(raw)}")
     rows = []
     for r, raw_row in enumerate(raw):
         at = f"{where}.table[{r}]"
-        if not isinstance(raw_row, Sequence) or len(raw_row) != 2:
+        # _is_list, inlined: this runs once per row
+        if (not isinstance(raw_row, Sequence) or isinstance(raw_row, (str, bytes))
+                or len(raw_row) != 2):
             raise MalformedSpec(f"{at}: expected a [low, high] pair")
         rows.append((_check_number(raw_row[0], at), _check_number(raw_row[1], at)))
     check_rows(rows, None, f"{where}.table")
@@ -557,12 +575,18 @@ def check_rows(rows: Sequence[Sequence[float]], k: int | None, where: str) -> No
     for r, row in enumerate(rows):
         if len(row) != k:
             raise ParentMismatch(f"{where}[{r}]: expected {k} bounds, got {len(row)}")
-        total = sum(row)
+        # one pass for the sum (left to right, as running_sum) and the least
+        # bound; the first negative bound is looked for only if there is one
+        total = least = 0.0
+        for b in row:
+            total += b
+            if b < least:
+                least = b
         if not isfinite(total) and not all(map(isfinite, row)):
             raise MalformedSpec(f"{where}[{r}]: non-finite number")
-        for b in row:
-            if b < -TOL:
-                raise NegativeBound(f"{where}[{r}]: lower bound {b} < 0")
+        if least < -TOL:
+            b = next(b for b in row if b < -TOL)
+            raise NegativeBound(f"{where}[{r}]: lower bound {b} < 0")
         if total > 1.0 + TOL:
             raise RowSumExceedsOne(f"{where}[{r}]: bounds sum to {total} > 1")
 
@@ -593,10 +617,16 @@ def check_table_rows(
 
 
 def check_structure(diagram: InfluenceDiagram) -> None:
-    """Full invariant sweep: :func:`check_graph`, and every chance and value
-    table matches its arcs and its parents' cardinalities and passes
-    :func:`check_table_rows`. Run on every diagram a solve starts from."""
+    """Full invariant sweep: :func:`check_graph`, then :func:`check_tables`.
+    Run on every diagram a solve compiles a plan for."""
     check_graph(diagram)
+    check_tables(diagram)
+
+
+def check_tables(diagram: InfluenceDiagram) -> None:
+    """Every chance and value table matches its arcs and its parents'
+    cardinalities and passes :func:`check_table_rows`. Run on every diagram
+    a solve starts from; the graph is taken as checked."""
     for node in diagram.nodes.values():
         if node.kind is NodeKind.DECISION:
             continue

@@ -24,6 +24,7 @@ from .model import (
     NodeKind,
     check_graph,
     check_structure,
+    check_tables,
 )
 from .transforms import (
     AdmissibleSet,
@@ -106,10 +107,12 @@ def apply_step(
 
 
 def structure_key(diagram: InfluenceDiagram) -> tuple:
-    """Everything a plan depends on: per node in declaration order its name,
-    kind, parents and cardinality, plus the decision order."""
+    """Everything a plan and :func:`~iidiag.model.check_graph` depend on: per
+    node in declaration order its key, its ``Node.name`` (a hand-built
+    diagram can set the two apart), kind, parents and cardinality, plus the
+    decision order."""
     nodes = tuple(
-        (name, node.kind, node.parents,
+        (name, node.name, node.kind, node.parents,
          None if node.variable is None else len(node.variable.outcomes))
         for name, node in diagram.nodes.items()
     )
@@ -148,12 +151,17 @@ def clear_plan_cache() -> None:
     _cached_plan = None
 
 
-def _plan_of(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
+def _checked_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
+    """Check ``diagram`` and return its plan. The graph check reads nothing
+    outside :func:`structure_key`, so it runs only when a plan is compiled;
+    the tables are checked on every call."""
     global _cached_plan
     key = structure_key(diagram)
     entry = _cached_plan
     if entry is not None and entry[0] == key:
+        check_tables(diagram)
         return entry[1]
+    check_structure(diagram)
     _cached_plan = None  # never hold two plans at once
     plan = compile_plan(diagram)
     _cached_plan = (key, plan)
@@ -173,10 +181,10 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     invariants. The step sequence depends on structure only: it is compiled
     into a plan (:func:`compile_plan`, kept for the most recent structure,
     so a run of solves over one structure compiles once) and replayed over
-    the input's tables, checking every table a step produces.
+    the input's tables, checking every table a step produces. The graph is
+    checked once per compiled plan, every input table on every call.
     """
-    check_structure(diagram)
-    plan = _plan_of(diagram)
+    plan = _checked_plan(diagram)
     tables = table_rows(diagram)
     steps: list[TransformStep] = []
     policies: dict[str, AdmissibleSet] = {}

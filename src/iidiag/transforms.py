@@ -125,29 +125,18 @@ class TransformStep:
 # operations are assembled from; tests drive them directly against
 # brute-force oracles. The optional ``pick_*`` arguments force the receiving
 # outcome of the free probability mass and exist to assert tie invariance.
+# Each is a plain loop that adds left to right from 0.0, as
+# ``model.running_sum`` does, so every Python gives the same floats.
 # ---------------------------------------------------------------------------
 
 def _free_mass(row: Sequence[float]) -> float:
     # clamped so point rows (sum within TOL of 1) keep exactly zero slack
     # and zero bounds keep exactly zero uppers
-    free = 1.0 - sum(row)
+    total = 0.0
+    for b in row:
+        total += b
+    free = 1.0 - total
     return 0.0 if free < TOL else free
-
-
-def _argmax(values: Sequence[float], candidates: Sequence[int]) -> int:
-    best = candidates[0]
-    for i in candidates[1:]:
-        if values[i] > values[best]:
-            best = i
-    return best
-
-
-def _argmin(values: Sequence[float], candidates: Sequence[int]) -> int:
-    best = candidates[0]
-    for i in candidates[1:]:
-        if values[i] < values[best]:
-            best = i
-    return best
 
 
 def contraction_bounds(
@@ -164,13 +153,24 @@ def contraction_bounds(
     The extremes put the free mass 1 - sum(b) on the outcome with the worst
     (best) interval endpoint, with values at the matching box corner.
     """
-    free = _free_mass(b_row)
-    everyone = range(len(b_row))
-    s = pick_low if pick_low is not None else _argmin(lows, list(everyone))
-    r = pick_high if pick_high is not None else _argmax(highs, list(everyone))
-    lo = sum(lows[i] * b_row[i] for i in everyone) + free * lows[s]
-    hi = sum(highs[i] * b_row[i] for i in everyone) + free * highs[r]
-    return lo, hi
+    total = lo = hi = 0.0
+    worst, best = lows[0], highs[0]
+    for b, low, high in zip(b_row, lows, highs):
+        total += b
+        lo += low * b
+        hi += high * b
+        if low < worst:
+            worst = low
+        if high > best:
+            best = high
+    free = 1.0 - total
+    if free < TOL:
+        free = 0.0
+    if pick_low is not None:
+        worst = lows[pick_low]
+    if pick_high is not None:
+        best = highs[pick_high]
+    return lo + free * worst, hi + free * best
 
 
 def mixture_lower_bound(
@@ -182,9 +182,19 @@ def mixture_lower_bound(
     """Greatest lower bound of sum(c[y] * p[y]) for p dominating ``b_row``,
     with fixed nonnegative coefficients: free mass lands on the smallest
     coefficient."""
-    free = _free_mass(b_row)
-    m = pick if pick is not None else _argmin(coeffs, list(range(len(coeffs))))
-    return sum(c * b for c, b in zip(coeffs, b_row)) + free * coeffs[m]
+    total = acc = 0.0
+    least = coeffs[0]
+    for c, b in zip(coeffs, b_row):
+        total += b
+        acc += c * b
+        if c < least:
+            least = c
+    free = 1.0 - total
+    if free < TOL:
+        free = 0.0
+    if pick is not None:
+        least = coeffs[pick]
+    return acc + free * least
 
 
 def posterior_lower_bound(
@@ -206,16 +216,30 @@ def posterior_lower_bound(
     "indeterminate" when every admitted distribution gives the conditioning
     outcome zero weight in the pessimistic scenario; both store bound 0.
     """
-    free_y = _free_mass(b_y)
-    others = [i for i in range(len(b_y)) if i != y]
-    s = pick if pick is not None else _argmax(u_x, others)
-    w = b_x[y] * b_y[y] + u_x[s] * (b_y[s] + free_y)
-    rest = [i for i in others if i != s]
-    w += sum(u_x[i] * b_y[i] for i in rest)
+    # One pass finds the prior's free mass and the strongest competitor s
+    # (lowest index among ties); a second adds up the competitors besides s.
+    total = 0.0
+    s = -1
+    for i, b in enumerate(b_y):
+        total += b
+        if i != y and (s < 0 or u_x[i] > u_x[s]):
+            s = i
+    free_y = 1.0 - total
+    if free_y < TOL:
+        free_y = 0.0
+    if pick is not None:
+        s = pick
+    rest = 0.0
+    for i, b in enumerate(b_y):
+        if i != y and i != s:
+            rest += u_x[i] * b
+    floor = b_x[y] * b_y[y]
+    w = floor + u_x[s] * (b_y[s] + free_y) + rest
     if w > 0.0:
-        return b_x[y] * b_y[y] / w, "ok"
-    if any(u_x[j] * (b_y[j] + free_y) > 0.0 for j in rest):
-        return 0.0, "convention_zero"
+        return floor / w, "ok"
+    for j, b in enumerate(b_y):
+        if j != y and j != s and u_x[j] * (b + free_y) > 0.0:
+            return 0.0, "convention_zero"
     return 0.0, "indeterminate"
 
 
@@ -329,10 +353,8 @@ class _Fold(StepShape):
         stride, span = self.stride, self.span
         rows = []
         for b_idx, base in zip(self.b_map, self.v_map):
-            cell = v_rows[base : base + span : stride]
-            rows.append(contraction_bounds(
-                b_rows[b_idx], [lo for lo, _ in cell], [hi for _, hi in cell]
-            ))
+            lows, highs = zip(*v_rows[base : base + span : stride])
+            rows.append(contraction_bounds(b_rows[b_idx], lows, highs))
         return (tuple(rows),), TransformStep(self.kind, node=self.node, into=self.into)
 
 
@@ -374,18 +396,18 @@ class _Decision(StepShape):
 
 def _marginal_rows(
     y_rows: Rows, x_rows: Rows, b_map: Sequence[int], x_map: Sequence[int],
-    stride: int, span: int, k_x: int,
+    stride: int, span: int,
 ) -> Rows:
     """Lower bounds for x with y summed out: per target outcome, the minimum
     of a fixed-coefficient mixture over the prior's admitted distributions."""
-    outcomes = range(k_x)
     rows = []
     for b_idx, base in zip(b_map, x_map):
         b_y = y_rows[b_idx]
-        block = x_rows[base : base + span : stride]
-        rows.append(tuple(
-            mixture_lower_bound([x_row[x] for x_row in block], b_y) for x in outcomes
-        ))
+        # zip(*block): per outcome of x, its bounds given each outcome of y
+        rows.append(tuple([
+            mixture_lower_bound(coeffs, b_y)
+            for coeffs in zip(*x_rows[base : base + span : stride])
+        ]))
     return tuple(rows)
 
 
@@ -399,7 +421,7 @@ class _Marginal(StepShape):
     def run(self, tables, diagram):
         rows = _marginal_rows(
             tables[self.node], tables[self.into], self.b_map, self.x_map,
-            self.stride, self.span, self.produced[0].outcomes,
+            self.stride, self.span,
         )
         return (rows,), TransformStep(self.kind, node=self.node, into=self.into)
 
@@ -440,7 +462,7 @@ class _Reversal(StepShape):
                 row_idx += 1
 
         marginal = _marginal_rows(
-            y_rows, x_rows, self.b_map, self.x_map, stride, span, k_x
+            y_rows, x_rows, self.b_map, self.x_map, stride, span
         )
         step = TransformStep(self.kind, node=y, into=x, notes=tuple(notes))
         return (marginal, tuple(posterior)), step

@@ -4,7 +4,9 @@ Nothing here shares bound arithmetic with the package: envelopes come from
 enumerating row-polytope vertices crossed with value-box corners (plus a
 dense grid refinement for posteriors over binary priors), and table lookups
 go through itertools.product rather than the package's mixed-radix indexing,
-which independently pins down the row-order convention.
+which independently pins down the row-order convention. Float sums go
+through ``iidiag.model.running_sum``, plain left-to-right addition, so the
+exact comparisons hold on every Python version.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from iidiag.exact import PointRealization, PointSolution, PolicyEntry
-from iidiag.model import InfluenceDiagram, NodeKind, config_index
+from iidiag.model import InfluenceDiagram, NodeKind, config_index, running_sum
 
 
 def table_lookup(rows: Sequence, parent_names: Sequence[str], cards: Sequence[int]):
@@ -33,7 +35,7 @@ def table_lookup(rows: Sequence, parent_names: Sequence[str], cards: Sequence[in
 def row_vertices(row: Sequence[float]) -> list[tuple[float, ...]]:
     """Vertices of {p >= row, sum p = 1} by brute force: every way of
     finishing the free mass on one coordinate."""
-    free = 1.0 - sum(row)
+    free = 1.0 - running_sum(row)
     if free <= 1e-12:
         return [tuple(row)]
     return [
@@ -80,7 +82,7 @@ def expectation_envelope(
     best_lo, best_hi = float("inf"), float("-inf")
     for p in row_vertices(b_row):
         for v in interval_corners(intervals):
-            ev = sum(x * y for x, y in zip(v, p))
+            ev = running_sum(x * y for x, y in zip(v, p))
             best_lo = min(best_lo, ev)
             best_hi = max(best_hi, ev)
     return best_lo, best_hi
@@ -94,7 +96,7 @@ def marginal_lower_oracle(
     best = float("inf")
     for prior in row_vertices(prior_row):
         for combo in itertools.product(*[row_vertices(r) for r in likelihoods]):
-            total = sum(combo[y][x] * prior[y] for y in range(len(prior)))
+            total = running_sum(combo[y][x] * prior[y] for y in range(len(prior)))
             best = min(best, total)
     return best
 
@@ -110,7 +112,7 @@ def posterior_lower_oracle(
     best = None
     for prior in row_vertices(prior_row):
         for combo in itertools.product(*[row_vertices(r) for r in likelihoods]):
-            den = sum(combo[i][x] * prior[i] for i in range(len(prior)))
+            den = running_sum(combo[i][x] * prior[i] for i in range(len(prior)))
             if den <= 0.0:
                 continue
             val = combo[y][x] * prior[y] / den
@@ -131,7 +133,7 @@ def posterior_grid_min(
     t = np.linspace(0.0, 1.0, points)
     like0 = b_x[0] + (u_x[0] - b_x[0]) * t
     like1 = b_x[1] + (u_x[1] - b_x[1]) * t
-    free = 1.0 - sum(prior_row)
+    free = 1.0 - running_sum(prior_row)
     p0 = prior_row[0] + free * t
     a, b, p = np.meshgrid(like0, like1, p0, indexing="ij")
     num = a * p if y == 0 else b * (1.0 - p)
@@ -152,7 +154,7 @@ def marginal_grid_min(
     t = np.linspace(0.0, 1.0, points)
     like0 = b_x[0] + (u_x[0] - b_x[0]) * t
     like1 = b_x[1] + (u_x[1] - b_x[1]) * t
-    free = 1.0 - sum(prior_row)
+    free = 1.0 - running_sum(prior_row)
     p0 = prior_row[0] + free * t
     a, b, p = np.meshgrid(like0, like1, p0, indexing="ij")
     return float((a * p + b * (1.0 - p)).min())

@@ -234,6 +234,15 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: variables[0]: name must be a string\n"
 
+    def test_string_for_a_table_fails(self, tmp_path, capsys):
+        bad = tmp_path / "bad.iid.json"
+        data = json.loads(fixture_path("minimal").read_text())
+        data["nodes"][0]["table"] = "ab"
+        bad.write_text(json.dumps(data))
+        assert main(["solve", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: nodes[0] (C).table: expected a list of rows\n"
+
     def test_non_utf8_file_is_a_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.iid.json"
         bad.write_bytes('{"variables": [], "nodes": [], "x": "café"}'.encode("latin-1"))

@@ -92,6 +92,29 @@ class TestBuildDiagram:
         with pytest.raises(errors.MalformedSpec, match=r"^variables\[0\]: name must be a string$"):
             build_diagram(minimal_data)
 
+    # A JSON string is a sequence to Python; where a list is wanted it is
+    # refused as not a list, not read letter by letter.
+    STRING_FOR_LIST = {
+        "variables": (("variables",), r"^document: 'variables' and 'nodes' must be lists$"),
+        "nodes": (("nodes",), r"^document: 'variables' and 'nodes' must be lists$"),
+        "chance table": (("nodes", 0, "table"), r"^nodes\[0\] \(C\)\.table: expected a list of rows$"),
+        "value table": (("nodes", 2, "table"),
+                        r"^nodes\[2\] \(V\)\.table: expected a list of \[low, high\] rows$"),
+        "value row": (("nodes", 2, "table", 1),
+                      r"^nodes\[2\] \(V\)\.table\[1\]: expected a \[low, high\] pair$"),
+    }
+
+    @pytest.mark.parametrize("text", ["ab", "abcd"])
+    @pytest.mark.parametrize("field", sorted(STRING_FOR_LIST))
+    def test_string_where_a_list_is_wanted(self, minimal_data, field, text):
+        path, message = self.STRING_FOR_LIST[field]
+        holder = minimal_data
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = text
+        with pytest.raises(errors.MalformedSpec, match=message):
+            build_diagram(minimal_data)
+
     def test_wrong_row_count(self, minimal_data):
         minimal_data["nodes"][2]["table"] = minimal_data["nodes"][2]["table"][:3]
         with pytest.raises(errors.ParentMismatch, match="expected 4 rows"):

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from iidiag import errors, solver, transforms
+from iidiag import errors, model, solver, transforms
 from iidiag.diagram_io import fixture_path, load_diagram
 from iidiag.exact import point_solve
 from iidiag.generate import random_chain_diagram, random_diagram
@@ -553,3 +553,63 @@ class TestWarmSolveStillChecks:
             with pytest.raises(errors.Unsolvable):
                 solve(bad)
             assert len(compiles) == expected_compiles
+
+
+class TestGraphCheckedOncePerStructure:
+    """A warm solve checks every input table but not the graph again: the
+    graph check reads nothing outside the plan's structure key."""
+
+    def test_one_graph_check_per_structure(self, monkeypatch, compiles):
+        diagrams = list(_golden_diagrams())
+        plans = [solver.compile_plan(diagram) for _, diagram in diagrams]
+        compiles.clear()
+        graph_checks, row_checks = [], []
+        check_graph, check_rows = model.check_graph, model.check_rows
+
+        def counting_graph(diagram):
+            graph_checks.append(solver.structure_key(diagram))
+            check_graph(diagram)
+
+        def counting_rows(rows, k, where):
+            row_checks.append(where)
+            check_rows(rows, k, where)
+
+        # check_structure calls model's check_graph, compile_plan solver's
+        monkeypatch.setattr(model, "check_graph", counting_graph)
+        monkeypatch.setattr(solver, "check_graph", counting_graph)
+        monkeypatch.setattr(model, "check_rows", counting_rows)
+        previous, structures = None, 0
+        for (name, diagram), plan in zip(diagrams, plans):
+            tables = [n for n in diagram.nodes.values() if n.kind is not NodeKind.DECISION]
+            produced = sum(len(shape.produced) for shape in plan)
+            chance = diagram.names(NodeKind.CHANCE)
+            graph_checks.clear()
+            for range_ in (0.0, 0.03, 0.2, 0.6):
+                row_checks.clear()
+                solve(inject_range(diagram, chance, range_))
+                assert len(row_checks) == len(tables) + produced, name
+            key = solver.structure_key(diagram)
+            if key == previous:  # some golden diagrams share a structure
+                assert graph_checks == [], name
+            else:
+                # the input's structure once, then the one after each step
+                assert len(graph_checks) == 1 + len(plan), name
+                assert graph_checks.count(key) == 1, name
+                structures += 1
+            previous = key
+        assert len(compiles) == structures
+        assert structures > len(diagrams) // 2
+
+    def test_value_node_named_apart_from_its_key(self, minimal, compiles):
+        # the value node's Node.name names the chance node C; the graph check
+        # reads it, so a warm solve after the well-formed twin must fail as
+        # a cold one does
+        v = minimal.node("V")
+        renamed = Node("C", NodeKind.VALUE, None, v.parents, value_table=v.value_table)
+        odd = minimal.replace_nodes({"V": renamed})
+        assert list(odd.nodes) == list(minimal.nodes)
+        cold = _cold_outcome(odd)
+        assert cold == ("MalformedSpec", "the value node cannot have successors")
+        solve(minimal)
+        assert _outcome(odd) == cold
+        assert _outcome(minimal) == repr(_cold(minimal))
