@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .diagram_io import load_diagram, serialize_diagram
@@ -272,10 +273,16 @@ _HANDLERS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused:
+    parsing reads the parser and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -479,6 +479,11 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
     )
 
 
+# The entry types of a row the fast path takes; float subclasses and ints,
+# which float() would convert, take the per-entry check.
+_JUST_FLOAT = frozenset({float})
+
+
 def _parse_chance_rows(raw: Any, n_rows: int, k: int, where: str) -> tuple[tuple[float, ...], ...]:
     if not _is_list(raw):
         raise MalformedSpec(f"{where}.table: expected a list of rows")
@@ -486,16 +491,30 @@ def _parse_chance_rows(raw: Any, n_rows: int, k: int, where: str) -> tuple[tuple
         raise ParentMismatch(f"{where}.table: expected {n_rows} rows, got {len(raw)}")
     rows = []
     for r, raw_row in enumerate(raw):
+        # Fast path: a list of floats, as json.loads gives them, is stored
+        # as it is; check_rows below holds it to the same invariants.
+        if type(raw_row) is list:
+            row = tuple(raw_row)
+            if set(map(type, row)) == _JUST_FLOAT:  # empty rows fail this
+                # A NaN can hide a negative bound from min(), but check_rows
+                # rejects its row whatever the clamp stores.
+                if min(row) < 0.0:
+                    row = _clamp(row)
+                rows.append(row)
+                continue
         at = f"{where}.table[{r}]"
         # _is_list, inlined: this runs once per row
         if not isinstance(raw_row, Sequence) or isinstance(raw_row, (str, bytes)):
             raise MalformedSpec(f"{at}: expected a list of bounds")
-        bounds = (_check_number(x, at) for x in raw_row)
-        # Bounds within TOL below 0 are stored as 0 (-0.0 stays -0.0), and
-        # the check reads the stored numbers.
-        rows.append(tuple(0.0 if -TOL <= b < 0.0 else b for b in bounds))
+        rows.append(_clamp(tuple(_check_number(x, at) for x in raw_row)))
     check_rows(rows, k, f"{where}.table")
     return tuple(rows)
+
+
+def _clamp(row: tuple[float, ...]) -> tuple[float, ...]:
+    """Bounds within TOL below 0 stored as 0; -0.0 stays -0.0, and
+    check_rows reads the stored numbers."""
+    return tuple(0.0 if -TOL <= b < 0.0 else b for b in row)
 
 
 def _parse_value_rows(raw: Any, n_rows: int, where: str) -> tuple[tuple[float, float], ...]:
@@ -505,6 +524,12 @@ def _parse_value_rows(raw: Any, n_rows: int, where: str) -> tuple[tuple[float, f
         raise ParentMismatch(f"{where}.table: expected {n_rows} rows, got {len(raw)}")
     rows = []
     for r, raw_row in enumerate(raw):
+        # Fast path: a list of two floats, as json.loads gives them.
+        if type(raw_row) is list and len(raw_row) == 2:
+            lo, hi = raw_row
+            if type(lo) is float and type(hi) is float:
+                rows.append((lo, hi))
+                continue
         at = f"{where}.table[{r}]"
         # _is_list, inlined: this runs once per row
         if (not isinstance(raw_row, Sequence) or isinstance(raw_row, (str, bytes))
@@ -626,14 +651,24 @@ def check_structure(diagram: InfluenceDiagram) -> None:
 def check_tables(diagram: InfluenceDiagram) -> None:
     """Every chance and value table matches its arcs and its parents'
     cardinalities and passes :func:`check_table_rows`. Run on every diagram
-    a solve starts from; the graph is taken as checked."""
+    a solve starts from, always after :func:`check_graph` has passed on its
+    structure."""
+    cards = {
+        name: node.variable.cardinality
+        for name, node in diagram.nodes.items()
+        if node.variable is not None
+    }
     for node in diagram.nodes.values():
         if node.kind is NodeKind.DECISION:
             continue
         table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
         if table is None or table.parents != node.parents:
             raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
-        if table.cards != diagram.cards_of(node.parents):
+        try:
+            parent_cards = tuple([cards[p] for p in node.parents])
+        except KeyError:  # a parent without outcomes: cards_of names it
+            parent_cards = diagram.cards_of(node.parents)
+        if table.cards != parent_cards:
             raise ParentMismatch(f"{node.name}: table cards disagree with parents")
         k = node.cardinality if node.kind is NodeKind.CHANCE else None
         check_table_rows(node.name, table.rows, table.cards, k)

@@ -1,11 +1,12 @@
 """File format round-trips, canonical stability, and the command line."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import all_fixture_paths
-from iidiag import errors
+from iidiag import cli, errors
 from iidiag.cli import main
 from iidiag.diagram_io import (
     fixture_path,
@@ -13,6 +14,8 @@ from iidiag.diagram_io import (
     parse_diagram,
     serialize_diagram,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParseSerialize:
@@ -208,6 +211,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert "node named twice: " in captured.err
         assert captured.out == ""
+
+    def test_reused_parser_keeps_no_state(self, monkeypatch, capsys):
+        # one process, one parser: a flag or a failed parse must not carry
+        # over to the next call
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        path = str(fixture_path("survey"))
+        traced = (GOLDEN / "survey.trace.out").read_text()
+        assert main(["solve", path, "--trace"]) == 0
+        assert capsys.readouterr().out == traced
+        assert main(["solve", path, "--trace", "--no-such-flag"]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["solve", path]) == 0
+        plain = capsys.readouterr().out
+        assert plain == traced[: traced.index("steps:\n")]
+        assert "steps:" not in plain.splitlines()
+        assert main(["solve", path, "--json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "survey.json.out").read_text()
+        assert len(builds) == 1
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -26,6 +27,8 @@ from iidiag.model import (
     stride_of,
 )
 from iidiag.solver import compile_plan, solve
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestBuildDiagram:
@@ -404,6 +407,94 @@ class TestEachTableCheckedOnce:
         diagrams += [random_diagram(Random(seed)) for seed in range(300)]
         for diagram in diagrams:
             check_structure(build_diagram(diagram_to_data(diagram)))
+
+
+class _Float(float):
+    pass
+
+
+HUGE = 10**400
+
+
+def _with_row(data, node, row):
+    """``data`` with row 0 of ``node`` ("C" or "V") replaced by ``row``."""
+    data["nodes"][0 if node == "C" else 2]["table"][0] = row
+    return data
+
+
+class TestRowFastPath:
+    """A row of exact floats skips the per-entry check; every other row
+    takes it and gives what it gave before the fast path existed (the
+    expected outcomes below were recorded then)."""
+
+    C, V = "nodes[0] (C).table[0]", "nodes[2] (V).table[0]"
+
+    @pytest.mark.parametrize("node,row,expected", [
+        ("C", [1, 0.0], "(1.0, 0.0)"),
+        ("V", [2, 3.0], "(2.0, 3.0)"),
+        ("C", [0.5, True], ("MalformedSpec", f"{C}: expected a number, got True")),
+        ("V", [True, 1.0], ("MalformedSpec", f"{V}: expected a number, got True")),
+        ("C", [None, 0.3], ("MalformedSpec", f"{C}: expected a number, got None")),
+        ("V", [1.0, None], ("MalformedSpec", f"{V}: expected a number, got None")),
+        ("C", ["0.5", 0.3], ("MalformedSpec", f"{C}: expected a number, got '0.5'")),
+        ("V", ["0.5", 1.0], ("MalformedSpec", f"{V}: expected a number, got '0.5'")),
+        ("C", [[0.5], 0.3], ("MalformedSpec", f"{C}: expected a number, got [0.5]")),
+        ("V", [[0.5], 1.0], ("MalformedSpec", f"{V}: expected a number, got [0.5]")),
+        ("C", [HUGE, 0.0], ("MalformedSpec", f"{C}: non-finite number")),
+        ("V", [0.0, HUGE], ("MalformedSpec", f"{V}: non-finite number")),
+        ("C", [-1e-13, 0.3], "(0.0, 0.3)"),
+        ("C", [-1e-13, 1.0], "(0.0, 1.0)"),
+        ("C", [-1e-11, 0.3], ("NegativeBound", f"{C}: lower bound -1e-11 < 0")),
+        ("V", [-1e-13, 1.0], "(-1e-13, 1.0)"),
+        ("C", [-0.0, 0.3], "(-0.0, 0.3)"),
+        ("V", [-0.0, 0.0], "(-0.0, 0.0)"),
+        ("C", (0.5, 0.3), "(0.5, 0.3)"),
+        ("V", (1.0, 2.0), "(1.0, 2.0)"),
+        ("C", [_Float(0.5), 0.3], "(0.5, 0.3)"),
+        ("V", [_Float(0.5), 1.0], "(0.5, 1.0)"),
+        ("C", [0.5, 0.3, 0.1], ("ParentMismatch", f"{C}: expected 2 bounds, got 3")),
+        ("V", [1.0, 2.0, 3.0], ("MalformedSpec", f"{V}: expected a [low, high] pair")),
+        ("C", [], ("ParentMismatch", f"{C}: expected 2 bounds, got 0")),
+        ("V", [], ("MalformedSpec", f"{V}: expected a [low, high] pair")),
+    ])
+    def test_entry_kinds(self, minimal_data, node, row, expected):
+        try:
+            diagram = build_diagram(_with_row(minimal_data, node, row))
+        except errors.DiagramError as exc:
+            assert (type(exc).__name__, str(exc)) == expected
+            return
+        table = diagram.node(node).chance_table or diagram.node(node).value_table
+        assert repr(table.rows[0]) == expected
+        assert all(type(x) is float for r in table.rows for x in r)
+
+    def test_clamp_keeps_the_sign_of_zero(self, minimal_data):
+        stored = build_diagram(_with_row(minimal_data, "C", [-1e-13, -0.0]))
+        row = stored.node("C").chance_table.rows[0]
+        assert [math.copysign(1.0, b) for b in row] == [1.0, -1.0]
+
+    def test_json_floats_skip_the_per_entry_check(self, monkeypatch):
+        calls = []
+        check_number = model._check_number
+
+        def counting(x, where):
+            calls.append(where)
+            return check_number(x, where)
+
+        monkeypatch.setattr(model, "_check_number", counting)
+        paths = all_fixture_paths() + sorted(GOLDEN.glob("*.iid.json"))
+        assert len(paths) == 3 + 33
+        for path in paths:
+            build_diagram(diagram_to_data(load_diagram(path)))
+        assert calls == []
+        # the document of test_integers_canonicalize_to_floats
+        build_diagram({
+            "variables": [{"name": "C", "outcomes": ["a", "b"]}],
+            "nodes": [
+                {"name": "C", "kind": "chance", "parents": [], "table": [[1, 0]]},
+                {"name": "V", "kind": "value", "parents": ["C"], "table": [[1, 2], [3, 4]]},
+            ],
+        })
+        assert len(calls) == 6
 
 
 class TestDiagramHelpers:

@@ -613,3 +613,59 @@ class TestGraphCheckedOncePerStructure:
         solve(minimal)
         assert _outcome(odd) == cold
         assert _outcome(minimal) == repr(_cold(minimal))
+
+
+def _swapped_v_parents(minimal):
+    v = minimal.node("V")
+    table = IntervalValueTable(("C", "D"), (2, 2), v.value_table.rows)
+    return Node("V", NodeKind.VALUE, None, v.parents, value_table=table)
+
+
+def _tableless_c(minimal):
+    return Node("C", NodeKind.CHANCE, minimal.node("C").variable, ())
+
+
+def _wrong_v_cards(minimal):
+    v = minimal.node("V")
+    table = IntervalValueTable(v.parents, (2, 3), v.value_table.rows)
+    return Node("V", NodeKind.VALUE, None, v.parents, value_table=table)
+
+
+class TestTablesMatchTheirNodes:
+    """``check_tables`` refuses a hand-built table whose parents or cards
+    differ from its node's: a warm solve after the well-formed twin fails as
+    the cold one does. It reads the cards from one lookup per call."""
+
+    @pytest.mark.parametrize("bad_node,message", [
+        (_swapped_v_parents, "V: table parents disagree with arcs"),
+        (_tableless_c, "C: table parents disagree with arcs"),
+        (_wrong_v_cards, "V: table cards disagree with parents"),
+    ])
+    def test_mismatch_cold_and_warm(self, minimal, compiles, bad_node, message):
+        node = bad_node(minimal)
+        bad = minimal.replace_nodes({node.name: node})
+        assert solver.structure_key(bad) == solver.structure_key(minimal)
+        cold = _cold_outcome(bad)
+        assert cold == ("ParentMismatch", message)
+        solve(minimal)
+        assert _outcome(bad) == cold
+        assert len(compiles) == 1  # the twin's: the second failure was warm
+
+    def test_parent_without_outcomes(self, minimal):
+        bare = minimal.replace_nodes({"D": Node("D", NodeKind.DECISION, None, ())})
+        assert _cold_outcome(bare) == ("MalformedSpec", "node 'D' has no outcomes")
+
+    def test_warm_solve_calls_no_cards_of(self, monkeypatch, compiles):
+        calls = []
+        cards_of = InfluenceDiagram.cards_of
+
+        def counting(diagram, names):
+            calls.append(names)
+            return cards_of(diagram, names)
+
+        monkeypatch.setattr(InfluenceDiagram, "cards_of", counting)
+        for name, diagram in _golden_diagrams():
+            solve(diagram)
+            calls.clear()
+            solve(diagram)
+            assert calls == [], name
