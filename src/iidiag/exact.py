@@ -25,6 +25,7 @@ from .model import (
     InfluenceDiagram,
     NodeKind,
     TOL,
+    config_count,
     is_point_row,
     running_sum,
 )
@@ -139,6 +140,12 @@ class SoundnessReport:
 # therefore bounded by this constant, not by the size of the joint.
 _BLOCK_LEAVES = 1024
 
+# The largest joint a plan is compiled for. No joint past it could be walked
+# in any time, and as every variable has at least 2 outcomes the limit also
+# keeps the recursive walk to at most 64 outer levels, so a long chain is
+# refused with a typed error instead of overflowing the stack.
+_MAX_LEAVES = 2**64
+
 _ZERO = 0.0  # every sum starts here, so -0.0 terms add up to 0.0
 _NEGATIVE = -1e-9  # a realization's probability below this is rejected
 
@@ -230,6 +237,11 @@ def _compile(diagram: InfluenceDiagram) -> _Plan:
         )
         steps = tuple(t.get(name, 0) for t in targets)
         levels.append(_Level(name, node.cardinality, target, steps))
+
+    if config_count([level.card for level in levels]) > _MAX_LEAVES:
+        raise CombinatorialLimitExceeded(
+            f"the joint of {len(levels)} variables exceeds {_MAX_LEAVES} leaves"
+        )
 
     split, leaves = len(levels), 1
     while split and leaves * levels[split - 1].card <= _BLOCK_LEAVES:

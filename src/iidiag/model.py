@@ -324,13 +324,19 @@ class InfluenceDiagram:
 # ---------------------------------------------------------------------------
 
 def _want(mapping: Mapping[str, Any], key: str, where: str) -> Any:
-    if not isinstance(mapping, Mapping) or key not in mapping:
+    """``mapping[key]``. Each document, variable and node entry is checked to
+    be a mapping once, where its first field is read, so not here."""
+    if key not in mapping:
         raise MalformedSpec(f"{where}: missing field {key!r}")
     return mapping[key]
 
 
-def _want_name(mapping: Mapping[str, Any], where: str) -> str:
-    name = _want(mapping, "name", where)
+def _want_name(entry: Any, where: str) -> str:
+    """The name of a variable or node entry: its first field read, so the
+    entry is checked to be a mapping here."""
+    if not isinstance(entry, Mapping):
+        raise MalformedSpec(f"{where}: missing field 'name'")
+    name = _want(entry, "name", where)
     if not isinstance(name, str):
         raise MalformedSpec(f"{where}: name must be a string")
     return name
@@ -374,6 +380,8 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
     decision and its information) are added automatically and reported via
     ``added_information_arcs``.
     """
+    if not isinstance(data, Mapping):
+        raise MalformedSpec("document: missing field 'variables'")
     raw_vars = _want(data, "variables", "document")
     raw_nodes = _want(data, "nodes", "document")
     if not _is_list(raw_vars) or not _is_list(raw_nodes):

@@ -12,6 +12,12 @@ order, so identical diagrams always produce identical reports and step logs:
 5. otherwise take the first chance parent of the value node all of whose
    successors are chance nodes or the value node, and reverse the arc to its
    topologically earliest chance successor, repeating until rule 3 applies.
+
+:func:`next_step` applies the rule to a diagram's structure and returns the
+:class:`~iidiag.transforms.StepShape` of the step it picks; :func:`apply_step`
+runs one on the diagram's tables, and :func:`solve` runs a compiled plan of
+them. Every policy, including the all-admissible one of a dropped barren
+decision, comes from the completed step.
 """
 
 from __future__ import annotations
@@ -26,13 +32,17 @@ from .model import (
     check_structure,
     check_tables,
 )
-from .transforms import (
+from .transforms import (  # apply_step is re-exported for step-by-step callers
     AdmissibleSet,
     StepKind,
     StepShape,
     TransformStep,
-    apply_shape,
-    step_shape,
+    _barren_shape,
+    _decision_shape,
+    _fold_shape,
+    _marginal_shape,
+    _reversal_shape,
+    apply_step,
     table_rows,
 )
 
@@ -47,37 +57,34 @@ class SolveReport:
     notes: tuple[str, ...]
 
 
-def next_step(diagram: InfluenceDiagram) -> TransformStep:
-    """The step :func:`solve` would apply next; a pure function of the diagram."""
+def next_step(diagram: InfluenceDiagram) -> StepShape:
+    """The shape of the step :func:`solve` would apply next, ready for
+    :func:`apply_step`; a pure function of the diagram's structure, so
+    tables may be absent."""
     value = diagram.value_node
     if len(diagram.nodes) == 1:
         raise Unsolvable("only the value node remains")
 
     for name, node in diagram.nodes.items():
         if node.kind is not NodeKind.VALUE and not diagram.successors(name):
-            return TransformStep(StepKind.REMOVE_BARREN, node=name)
+            return _barren_shape(diagram, name)
 
     if diagram.decision_order:
         last = diagram.decision_order[-1]
         observed = set(diagram.node(last).parents)
-        others = [p for p in value.parents if p != last]
-        if (
-            last in value.parents
-            and diagram.successors(last) == (value.name,)
-            and all(p in observed for p in others)
+        if diagram.successors(last) == (value.name,) and all(
+            p in observed for p in value.parents if p != last
         ):
-            return TransformStep(StepKind.REMOVE_DECISION, node=last, into=value.name)
+            return _decision_shape(diagram, last)
 
     for name in diagram.names(NodeKind.CHANCE):
         if diagram.successors(name) == (value.name,):
-            return TransformStep(
-                StepKind.REMOVE_CHANCE_INTO_VALUE, node=name, into=value.name
-            )
+            return _fold_shape(diagram, name)
 
     for name in diagram.names(NodeKind.CHANCE):
         succs = diagram.successors(name)
         if len(succs) == 1 and diagram.node(succs[0]).kind is NodeKind.CHANCE:
-            return TransformStep(StepKind.MARGINALIZE_CHANCE, node=name, into=succs[0])
+            return _marginal_shape(diagram, name)
 
     topo = {n: i for i, n in enumerate(diagram.topological_order())}
     for name in diagram.names(NodeKind.CHANCE):
@@ -93,17 +100,9 @@ def next_step(diagram: InfluenceDiagram) -> TransformStep:
         )
         for head in heads:
             if not diagram.has_path(name, head, skip_arc=(name, head)):
-                return TransformStep(StepKind.REVERSE_ARC, node=name, into=head)
+                return _reversal_shape(diagram, head, name)
 
     raise Unsolvable("no reduction rule applies; invalid information structure")
-
-
-def apply_step(
-    diagram: InfluenceDiagram, step: TransformStep
-) -> tuple[InfluenceDiagram, TransformStep]:
-    """Run one step descriptor, returning the new diagram and the completed
-    step (with admissible sets / notes filled in)."""
-    return apply_shape(diagram, step_shape(diagram, step))
 
 
 def structure_key(diagram: InfluenceDiagram) -> tuple:
@@ -133,7 +132,7 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
     while len(diagram.nodes) > 1:
         if len(shapes) > budget:
             raise Unsolvable("step budget exceeded; reduction is not converging")
-        shape = step_shape(diagram, next_step(diagram))
+        shape = next_step(diagram)
         diagram = shape.successor(diagram)
         check_graph(diagram)
         shapes.append(shape)
@@ -172,8 +171,8 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     """Evaluate the diagram: bounded expected value plus admissible policies.
 
     Every decision of the input diagram appears exactly once in
-    ``policies``; a decision dropped as barren never influences value, so it
-    is reported with every alternative admissible at the empty information
+    ``policies``; a decision dropped as barren never influences value, so
+    its step reports every alternative admissible at the empty information
     state.
 
     The input is validated in full first, so a hand-built diagram or one
@@ -198,21 +197,13 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
 
         if step.admissible is not None:
             policies[step.node] = step.admissible
-            if step.lower_gap and step.lower_gap > 0:
+            if step.kind is StepKind.REMOVE_BARREN:
+                notes.append(f"{step.node}: barren decision, any alternative is optimal")
+            elif step.lower_gap > 0:
                 notes.append(
                     f"{step.node}: admissible-set hull lower bound sits "
                     f"{step.lower_gap:.4g} below the best attainable floor"
                 )
-        elif step.kind is StepKind.REMOVE_BARREN and shape.decision:
-            alternatives = diagram.node(step.node).variable.outcomes
-            policies[step.node] = AdmissibleSet(
-                decision=step.node,
-                alternatives=alternatives,
-                info_parents=(),
-                info_cards=(),
-                sets=(tuple(range(len(alternatives))),),
-            )
-            notes.append(f"{step.node}: barren decision, any alternative is optimal")
         if step.notes:
             ind = sum(1 for n in step.notes if n.kind == "indeterminate")
             conv = len(step.notes) - ind

@@ -50,9 +50,6 @@ class BoundNote:
     row_index: int
     outcome: int
 
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.node} row {self.row_index} outcome {self.outcome}"
-
 
 @dataclass(frozen=True)
 class AdmissibleSet:
@@ -87,12 +84,14 @@ class AdmissibleSet:
 
 @dataclass(frozen=True)
 class TransformStep:
-    """One applied (or about to be applied) transformation.
+    """One completed transformation, as :meth:`StepShape.run` reports it.
 
     ``node`` is the removed / marginalized / reversed-from node; ``into``
     names the target (the value node, the absorbing chance node, or the arc
-    head for a reversal). ``admissible`` and ``lower_gap`` are filled for
-    decision removals, ``notes`` for reversals.
+    head for a reversal). ``admissible`` is filled for decision removals and
+    for a dropped barren decision (every alternative, at the empty
+    information state), ``lower_gap`` for decision removals and ``notes``
+    for reversals.
     """
 
     kind: StepKind
@@ -123,10 +122,8 @@ class TransformStep:
 # ---------------------------------------------------------------------------
 # Row-level bound arithmetic. These are the numeric contracts the diagram
 # operations are assembled from; tests drive them directly against
-# brute-force oracles. The optional ``pick_*`` arguments force the receiving
-# outcome of the free probability mass and exist to assert tie invariance.
-# Each is a plain loop that adds left to right from 0.0, as
-# ``model.running_sum`` does, so every Python gives the same floats.
+# brute-force oracles. Each is a plain loop that adds left to right from
+# 0.0, as ``model.running_sum`` does, so every Python gives the same floats.
 # ---------------------------------------------------------------------------
 
 def _free_mass(row: Sequence[float]) -> float:
@@ -140,12 +137,7 @@ def _free_mass(row: Sequence[float]) -> float:
 
 
 def contraction_bounds(
-    b_row: Sequence[float],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    *,
-    pick_low: int | None = None,
-    pick_high: int | None = None,
+    b_row: Sequence[float], lows: Sequence[float], highs: Sequence[float]
 ) -> tuple[float, float]:
     """Tightest interval for sum(v[y] * p[y]) with p dominating ``b_row`` and
     each v[y] inside [lows[y], highs[y]].
@@ -166,19 +158,10 @@ def contraction_bounds(
     free = 1.0 - total
     if free < TOL:
         free = 0.0
-    if pick_low is not None:
-        worst = lows[pick_low]
-    if pick_high is not None:
-        best = highs[pick_high]
     return lo + free * worst, hi + free * best
 
 
-def mixture_lower_bound(
-    coeffs: Sequence[float],
-    b_row: Sequence[float],
-    *,
-    pick: int | None = None,
-) -> float:
+def mixture_lower_bound(coeffs: Sequence[float], b_row: Sequence[float]) -> float:
     """Greatest lower bound of sum(c[y] * p[y]) for p dominating ``b_row``,
     with fixed nonnegative coefficients: free mass lands on the smallest
     coefficient."""
@@ -192,18 +175,11 @@ def mixture_lower_bound(
     free = 1.0 - total
     if free < TOL:
         free = 0.0
-    if pick is not None:
-        least = coeffs[pick]
     return acc + free * least
 
 
 def posterior_lower_bound(
-    b_x: Sequence[float],
-    u_x: Sequence[float],
-    b_y: Sequence[float],
-    y: int,
-    *,
-    pick: int | None = None,
+    b_x: Sequence[float], u_x: Sequence[float], b_y: Sequence[float], y: int
 ) -> tuple[float, str]:
     """Greatest lower bound of p(y | x) under independent row bounds.
 
@@ -227,8 +203,6 @@ def posterior_lower_bound(
     free_y = 1.0 - total
     if free_y < TOL:
         free_y = 0.0
-    if pick is not None:
-        s = pick
     rest = 0.0
     for i, b in enumerate(b_y):
         if i != y and i != s:
@@ -270,9 +244,11 @@ def table_rows(diagram: InfluenceDiagram) -> dict[str, Rows]:
 
 # ---------------------------------------------------------------------------
 # Step shapes. Which step runs, and every index it reads, depends on the
-# graph and the cardinalities alone; the numbers only enter in ``run``. The
-# public transformations below and ``solver.solve``'s compiled plans share
-# these shapes, so each transformation's row arithmetic exists once.
+# graph and the cardinalities alone; the numbers only enter in ``run``. A
+# shape is the only form a step has before it runs: ``solver.next_step``
+# plans one, and the public transformations below and ``solver.solve``'s
+# compiled plans run them, so each transformation's row arithmetic exists
+# once.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -289,23 +265,17 @@ class ProducedTable:
 @dataclass(frozen=True)
 class StepShape:
     """One step as far as structure fixes it: kind, nodes, the nodes it
-    removes and the tables it produces. Subclasses add the row maps their
-    arithmetic walks and implement :meth:`run`."""
+    removes and the tables it produces. Each subclass adds the row maps its
+    arithmetic walks and a ``run(tables, diagram)`` that returns the rows of
+    each produced table, computed from ``tables`` (the current rows by node
+    name), and the completed step; ``diagram`` is read for decision
+    alternatives only."""
 
     kind: StepKind
     node: str
     into: str | None
     removed: tuple[str, ...]
     produced: tuple[ProducedTable, ...]
-
-    def run(
-        self, tables: Mapping[str, Rows], diagram: InfluenceDiagram
-    ) -> tuple[tuple[Rows, ...], TransformStep]:
-        """Rows of each produced table, computed from ``tables`` (the
-        current rows by node name), and the completed step. ``diagram`` is
-        read for decision alternatives only. The base computes nothing,
-        which is all a barren drop needs."""
-        return (), TransformStep(self.kind, node=self.node, into=self.into)
 
     def run_checked(self, tables, diagram):
         """:meth:`run`, then :func:`~iidiag.model.check_table_rows` on every
@@ -338,7 +308,18 @@ class StepShape:
 
 @dataclass(frozen=True)
 class _Barren(StepShape):
-    decision: bool  # a dropped decision is reported with every alternative
+    decision: bool
+
+    def run(self, tables, diagram):
+        # A dropped decision never influences value: every alternative is
+        # admissible at the one, empty information state.
+        admissible = None
+        if self.decision:
+            alternatives = diagram.node(self.node).variable.outcomes
+            admissible = AdmissibleSet(
+                self.node, alternatives, (), (), (tuple(range(len(alternatives))),)
+            )
+        return (), TransformStep(self.kind, node=self.node, admissible=admissible)
 
 
 @dataclass(frozen=True)
@@ -585,25 +566,12 @@ def _barren_shape(diagram: InfluenceDiagram, name: str) -> _Barren:
     )
 
 
-def step_shape(diagram: InfluenceDiagram, step: TransformStep) -> StepShape:
-    """The shape of ``step`` (as :func:`~iidiag.solver.next_step` gives it)
-    on ``diagram``, which needs structure only: tables may be absent."""
-    if step.kind is StepKind.REMOVE_BARREN:
-        return _barren_shape(diagram, step.node)
-    if step.kind is StepKind.REMOVE_DECISION:
-        return _decision_shape(diagram, step.node)
-    if step.kind is StepKind.REMOVE_CHANCE_INTO_VALUE:
-        return _fold_shape(diagram, step.node)
-    if step.kind is StepKind.MARGINALIZE_CHANCE:
-        return _marginal_shape(diagram, step.node)
-    return _reversal_shape(diagram, step.into, step.node)
-
-
-def apply_shape(
+def apply_step(
     diagram: InfluenceDiagram, shape: StepShape
 ) -> tuple[InfluenceDiagram, TransformStep]:
-    """Run ``shape`` on ``diagram``'s tables: the new diagram, with its graph
-    and produced tables checked, and the completed step."""
+    """Run ``shape`` (as :func:`~iidiag.solver.next_step` plans it) on
+    ``diagram``'s tables: the new diagram, with its graph and produced
+    tables checked, and the completed step."""
     produced, step = shape.run_checked(table_rows(diagram), diagram)
     out = shape.successor(diagram, produced)
     check_graph(out)
@@ -624,7 +592,7 @@ def remove_chance_into_value(
     envelope of the conditional expectation over all admitted distributions
     and value functions.
     """
-    return apply_shape(diagram, _fold_shape(diagram, name))
+    return apply_step(diagram, _fold_shape(diagram, name))
 
 
 def _admissible(intervals: Sequence[tuple[float, float]]) -> tuple[int, ...]:
@@ -660,7 +628,7 @@ def remove_decision(
     only successor. The new interval per state is the hull of the admissible
     alternatives' intervals.
     """
-    return apply_shape(diagram, _decision_shape(diagram, name))
+    return apply_step(diagram, _decision_shape(diagram, name))
 
 
 def marginalize_chance(
@@ -668,7 +636,7 @@ def marginalize_chance(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Remove chance node ``name`` by summing it out of its single chance
     successor, which inherits its parents."""
-    return apply_shape(diagram, _marginal_shape(diagram, name))
+    return apply_step(diagram, _marginal_shape(diagram, name))
 
 
 def reverse_arc(
@@ -682,7 +650,7 @@ def reverse_arc(
     distribution. Rows where conditioning is on an event of necessarily zero
     upper probability are stored as zero bounds and flagged on the step.
     """
-    return apply_shape(diagram, _reversal_shape(diagram, x, y))
+    return apply_step(diagram, _reversal_shape(diagram, x, y))
 
 
 def remove_barren(
@@ -690,4 +658,4 @@ def remove_barren(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Drop a chance or decision node with no successors; every other table
     is untouched."""
-    return apply_shape(diagram, _barren_shape(diagram, name))
+    return apply_step(diagram, _barren_shape(diagram, name))

@@ -48,6 +48,23 @@ def wildcatter():
     return load_diagram(fixture_path("wildcatter"))
 
 
+def chain_data(n):
+    """A chain C0 -> ... -> C{n-1} -> V of binary chance nodes: C0 is 'b'
+    with probability 2/3, each later node copies its parent, and V pays 1
+    on 'b', so the expected value is exactly 2/3 and the joint has 2**n
+    leaves."""
+    copy_rows = [[1.0, 0.0], [0.0, 1.0]]
+    nodes = [{"name": "C0", "kind": "chance", "parents": [], "table": [[1 / 3, 2 / 3]]}]
+    nodes += [
+        {"name": f"C{i}", "kind": "chance", "parents": [f"C{i - 1}"], "table": copy_rows}
+        for i in range(1, n)
+    ]
+    nodes.append({"name": "V", "kind": "value", "parents": [f"C{n - 1}"],
+                  "table": [[0.0, 0.0], [1.0, 1.0]]})
+    return {"variables": [{"name": f"C{i}", "outcomes": ["a", "b"]} for i in range(n)],
+            "nodes": nodes}
+
+
 def all_fixture_paths():
     return sorted(fixture_path("minimal").parent.glob("*.iid.json"))
 

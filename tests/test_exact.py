@@ -21,6 +21,7 @@ from iidiag.generate import random_chain_diagram, random_diagram
 from iidiag.model import NodeKind, build_diagram
 from iidiag.sensitivity import inject_range
 from iidiag.solver import solve
+from conftest import chain_data
 from oracles import halfspace_vertices, recursive_point_solve, table_lookup
 
 
@@ -75,6 +76,14 @@ class TestPointSolve:
         not_dist = PointRealization(chance={"C": ((0.6, 0.6),)}, values=(10, 0, 4, 4))
         with pytest.raises(errors.ShapeMismatch):
             point_solve(minimal, not_dist)
+
+    def test_joint_past_the_limit_refused(self):
+        # 2**1100 leaves: refused before the walk, which would otherwise
+        # recurse once per outer level and overflow the stack
+        d = build_diagram(chain_data(1100))
+        with pytest.raises(errors.CombinatorialLimitExceeded, match="1100 variables"):
+            point_solve(d, point_member(d))
+        assert solve(d).final_interval == pytest.approx((2 / 3, 2 / 3))
 
     def test_unreached_states_marked(self):
         d = build_diagram(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_fixture_paths
+from conftest import all_fixture_paths, chain_data
 from iidiag import cli, errors
 from iidiag.cli import main
 from iidiag.diagram_io import (
@@ -284,6 +284,14 @@ class TestCli:
         with pytest.raises(errors.DiagramSyntaxError, match="nested"):
             load_diagram(deep)
         assert main(["solve", str(deep)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_joint_past_the_limit_fails(self, tmp_path, capsys):
+        chain = tmp_path / "chain.iid.json"
+        chain.write_text(json.dumps(chain_data(1100)))
+        assert main(["exact", str(chain), "--nodes", "C0"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

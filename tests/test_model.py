@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 from pathlib import Path
 from random import Random
 
@@ -115,6 +116,38 @@ class TestBuildDiagram:
         for step in path[:-1]:
             holder = holder[step]
         holder[path[-1]] = text
+        with pytest.raises(errors.MalformedSpec, match=message):
+            build_diagram(minimal_data)
+
+    # An entry that is not a mapping has none of its fields; it is refused
+    # as missing the first one read.
+    @pytest.mark.parametrize("entry", [["C"], 7, "name", None])
+    @pytest.mark.parametrize("where, first", [
+        ("variables[0]", "name"), ("nodes[0]", "name"), ("nodes[2]", "name"),
+        ("document", "variables"),
+    ])
+    def test_entry_that_is_not_a_mapping(self, minimal_data, where, first, entry):
+        if where == "document":
+            minimal_data = entry
+        else:
+            field, index = where.rstrip("]").split("[")
+            minimal_data[field][int(index)] = entry
+        message = rf"^{re.escape(where)}: missing field '{first}'$"
+        with pytest.raises(errors.MalformedSpec, match=message):
+            build_diagram(minimal_data)
+
+    @pytest.mark.parametrize("path, where", [
+        (("variables", 0, "outcomes"), "variables[0]"),
+        (("nodes", 0, "name"), "nodes[0]"),
+        (("nodes", 0, "kind"), "nodes[0]"),
+        (("nodes", 0, "parents"), "nodes[0]"),
+        (("nodes", 0, "table"), "nodes[0] (C)"),
+        (("nodes", 1, "alternatives"), "nodes[1] (D)"),
+    ])
+    def test_missing_field(self, minimal_data, path, where):
+        field, index, key = path
+        del minimal_data[field][index][key]
+        message = rf"^{re.escape(where)}: missing field '{key}'$"
         with pytest.raises(errors.MalformedSpec, match=message):
             build_diagram(minimal_data)
 

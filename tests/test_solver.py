@@ -25,7 +25,7 @@ from iidiag.model import (
 )
 from iidiag.sensitivity import inject_range
 from iidiag.solver import apply_step, next_step, solve
-from iidiag.transforms import AdmissibleSet, StepKind
+from iidiag.transforms import StepKind
 
 
 class TestSolveValidatesItsInput:
@@ -291,17 +291,10 @@ def _stepwise(diagram):
     """The reduction by next_step/apply_step, one rebuilt diagram per step."""
     steps, policies = [], {}
     while len(diagram.nodes) > 1:
-        step = next_step(diagram)
-        removed = diagram.node(step.node)
-        diagram, step = apply_step(diagram, step)
+        diagram, step = apply_step(diagram, next_step(diagram))
         steps.append(step)
         if step.admissible is not None:
             policies[step.node] = step.admissible
-        elif step.kind is StepKind.REMOVE_BARREN and removed.kind is NodeKind.DECISION:
-            alts = removed.variable.outcomes
-            policies[step.node] = AdmissibleSet(
-                step.node, alts, (), (), (tuple(range(len(alts))),)
-            )
     return diagram.value_node.value_table.rows[0], tuple(steps), policies
 
 

@@ -18,6 +18,7 @@ from iidiag.generate import (
 )
 from iidiag.model import build_diagram
 from iidiag.transforms import (
+    AdmissibleSet,
     admissible_set,
     contraction_bounds,
     marginalize_chance,
@@ -38,6 +39,13 @@ from oracles import (
 
 def keys_of(cards):
     return list(itertools.product(*[range(c) for c in cards]))
+
+
+def swap(seq, i, j):
+    """``seq`` as a list with entries ``i`` and ``j`` exchanged."""
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +128,17 @@ class TestChanceRemoval:
         assert lo - 1e-9 <= ev <= hi + 1e-9
 
     def test_tie_invariance(self):
-        # equal best values: any tied receiver of the free mass gives the
-        # same bound
-        b_row = (0.2, 0.3, 0.1)
-        highs = [5.0, 5.0, 1.0]
-        lows = [-2.0, 0.0, -2.0]
+        # Outcomes 0 and 1 tie for the best value, 0 and 2 for the worst.
+        # The free mass goes to the lowest tied index, so swapping a tied
+        # pair hands it to the other candidate. Every number is dyadic, so
+        # each sum is exact in any order and the bounds must be equal.
+        b_row = (0.25, 0.125, 0.125)
+        lows = (-2.0, 0.5, -2.0)
+        highs = (4.0, 4.0, 1.0)
         base = contraction_bounds(b_row, lows, highs)
-        for pick_hi in (0, 1):
-            for pick_lo in (0, 2):
-                forced = contraction_bounds(
-                    b_row, lows, highs, pick_low=pick_lo, pick_high=pick_hi
-                )
-                assert forced == pytest.approx(base, abs=0)
+        for i, j in ((0, 1), (0, 2)):
+            swapped = [swap(seq, i, j) for seq in (b_row, lows, highs)]
+            assert contraction_bounds(*swapped) == base
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +433,17 @@ class TestReverseArc:
                 assert sum(row) <= 1 + 1e-12
 
     def test_tie_invariance_of_strongest_competitor(self):
-        # two competitors with identical likelihood uppers
-        b_x = [0.2, 0.3, 0.3]
-        u_x = [0.5, 0.6, 0.6]
-        b_y = (0.2, 0.3, 0.3)
+        # Competitors 1 and 2 tie on their likelihood upper bound but not on
+        # their prior floors. The lowest tied index takes the prior's free
+        # mass, so swapping them hands it to the other; with dyadic numbers
+        # every sum is exact and the bound must be equal.
+        b_x = (0.25, 0.375, 0.5)
+        u_x = (0.5, 0.75, 0.75)
+        b_y = (0.25, 0.125, 0.375)
         base, flag = posterior_lower_bound(b_x, u_x, b_y, 0)
         assert flag == "ok"
-        for pick in (1, 2):
-            forced, _ = posterior_lower_bound(b_x, u_x, b_y, 0, pick=pick)
-            assert forced == pytest.approx(base, abs=0)
+        swapped = [swap(seq, 1, 2) for seq in (b_x, u_x, b_y)]
+        assert posterior_lower_bound(*swapped, 0) == (base, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +464,10 @@ class TestRemoveBarren:
             ],
         }
         d = build_diagram(data)
-        out, _ = remove_barren(d, "B")
+        out, step = remove_barren(d, "B")
         assert "B" not in out.nodes
         assert out.value_node.value_table == d.value_node.value_table
+        assert step.admissible is None
 
     def test_value_node_not_barren(self, minimal):
         with pytest.raises(errors.NotBarren):
@@ -477,9 +487,14 @@ class TestRemoveBarren:
             ],
         }
         d = build_diagram(data)
-        out, _ = remove_barren(d, "D")
+        out, step = remove_barren(d, "D")
         assert "D" not in out.nodes
         assert out.decision_order == ()
+        # the step reports the policy: every alternative, no information
+        assert step.admissible == AdmissibleSet(
+            decision="D", alternatives=("x", "y"), info_parents=(),
+            info_cards=(), sets=((0, 1),),
+        )
 
 
 # ---------------------------------------------------------------------------
