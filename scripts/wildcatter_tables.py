@@ -15,7 +15,8 @@ import itertools
 import sys
 
 from iidiag.diagram_io import fixture_path, load_diagram
-from iidiag.sensitivity import SensitivitySpec, fmt, render_text, sweep
+from iidiag.sensitivity import SensitivitySpec, render_text, sweep
+from iidiag.transforms import fmt
 
 RANGES = (0.0, 0.01, 0.05, 0.10)
 NODES = ("OIL", "SEISMIC", "COST")

@@ -19,9 +19,9 @@ from .diagram_io import load_diagram, serialize_diagram
 from .errors import DiagramError
 from .exact import exact_envelope, soundness_check
 from .model import InfluenceDiagram, config_assignment
-from .sensitivity import SensitivitySpec, fmt, render_text, report_to_dict, sweep
+from .sensitivity import SensitivitySpec, render_text, report_to_dict, sweep
 from .solver import SolveReport, solve
-from .transforms import AdmissibleSet
+from .transforms import AdmissibleSet, fmt
 
 
 def _node_list(raw: str) -> tuple[str, ...]:

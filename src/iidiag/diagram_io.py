@@ -42,6 +42,10 @@ def parse_diagram(text: str) -> InfluenceDiagram:
         raise DiagramSyntaxError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:
+        # the one other ValueError json.loads raises: an integer literal
+        # longer than the interpreter's int-string conversion limit
+        raise DiagramSyntaxError("integer literal has too many digits") from None
     except RecursionError:
         raise DiagramSyntaxError("JSON nested too deeply") from None
     return build_diagram(data)

@@ -352,8 +352,11 @@ def _check_number(x: Any, where: str) -> float:
 
 
 def _is_list(raw: Any) -> bool:
-    """A JSON array: a sequence, but not a string, which is one too."""
-    return isinstance(raw, Sequence) and not isinstance(raw, (str, bytes))
+    """A JSON array: a sequence, but not a string, which is one too. A
+    ``list``, what ``json.loads`` makes, is settled before the ABC check."""
+    return type(raw) is list or (
+        isinstance(raw, Sequence) and not isinstance(raw, (str, bytes))
+    )
 
 
 def _check_labels(raw: Any, where: str) -> tuple[str, ...]:

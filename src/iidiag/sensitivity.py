@@ -23,7 +23,7 @@ from .errors import CombinatorialLimitExceeded, MalformedSpec, NonPointResidual
 from .exact import EnvelopeReport, PointRealization, exact_envelope, point_solve
 from .model import InfluenceDiagram, LowerCPT, Node, NodeKind, TOL, is_point_row
 from .solver import solve
-from .transforms import AdmissibleSet
+from .transforms import AdmissibleSet, fmt
 
 
 def widen(point_row: Sequence[float], range_: float) -> tuple[float, ...]:
@@ -213,11 +213,6 @@ def sweep(
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-def fmt(x: float) -> str:
-    """A number as every text output prints it: four significant digits."""
-    return f"{x:.4g}"
-
 
 def render_text(report: SweepReport, diagram: InfluenceDiagram) -> str:
     """Aligned plain-text table, one row per (subset, range)."""

@@ -43,6 +43,7 @@ from .transforms import (  # apply_step is re-exported for step-by-step callers
     _marginal_shape,
     _reversal_shape,
     apply_step,
+    fmt,
     table_rows,
 )
 
@@ -202,7 +203,7 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
             elif step.lower_gap > 0:
                 notes.append(
                     f"{step.node}: admissible-set hull lower bound sits "
-                    f"{step.lower_gap:.4g} below the best attainable floor"
+                    f"{fmt(step.lower_gap)} below the best attainable floor"
                 )
         if step.notes:
             ind = sum(1 for n in step.notes if n.kind == "indeterminate")

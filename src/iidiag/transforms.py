@@ -32,6 +32,11 @@ from .model import (
 )
 
 
+def fmt(x: float) -> str:
+    """A number as every text output prints it: four significant digits."""
+    return f"{x:.4g}"
+
+
 class StepKind(Enum):
     REMOVE_BARREN = "remove_barren"
     REMOVE_DECISION = "remove_decision"
@@ -115,7 +120,7 @@ class TransformStep:
             if ind:
                 bits.append(f"{ind} indeterminate bounds")
         if self.lower_gap is not None and self.lower_gap > 0:
-            bits.append(f"lower-bound attainment gap {self.lower_gap:.4g}")
+            bits.append(f"lower-bound attainment gap {fmt(self.lower_gap)}")
         return head + (f" ({', '.join(bits)})" if bits else "")
 
 

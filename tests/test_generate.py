@@ -39,7 +39,7 @@ CALLS = (
     ("marginalize_instance", marginalize_instance),
 )
 
-# Recorded before the generators were rewritten on one document builder.
+# Recorded before the generators were rewritten on `generate._Doc`.
 DIGEST = "3bbfafa4970c2cf51447d69a3d9426c9e7813a71044ff6815d1df24de53da880"
 
 

@@ -288,6 +288,20 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads refuses an integer literal over the int-string limit
+        # (4300 digits by default) with a bare ValueError
+        text = fixture_path("minimal").read_text().replace("0.5", "1" * 5000, 1)
+        with pytest.raises(errors.DiagramSyntaxError, match="too many digits"):
+            parse_diagram(text)
+        path = tmp_path / "digits.iid.json"
+        path.write_text(text)
+        for argv in (["solve"], ["check", "--samples", "10"], ["fmt"]):
+            assert main([*argv, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: integer literal has too many digits\n"
+
     def test_joint_past_the_limit_fails(self, tmp_path, capsys):
         chain = tmp_path / "chain.iid.json"
         chain.write_text(json.dumps(chain_data(1100)))
