@@ -25,6 +25,7 @@ from .model import (
     InfluenceDiagram,
     NodeKind,
     TOL,
+    check_structure,
     config_count,
     is_point_row,
     running_sum,
@@ -212,6 +213,7 @@ def _steps(parents: Sequence[str], cards: Sequence[int], scale: int = 1) -> dict
 
 
 def _compile(diagram: InfluenceDiagram) -> _Plan:
+    check_structure(diagram)  # a hand-built diagram gets typed errors
     chance, targets = [], []
     for name in diagram.names(NodeKind.CHANCE):
         node = diagram.node(name)
@@ -276,7 +278,8 @@ _PLANS: dict[int, _Plan] = {}
 
 def _plan_of(diagram: InfluenceDiagram) -> _Plan:
     """The diagram's plan, compiled on first use and dropped with the diagram
-    (diagrams are immutable, so a plan never goes stale)."""
+    (diagrams are immutable, so a plan never goes stale). Compiling checks
+    the diagram, so every diagram is checked once, before any row is read."""
     key = id(diagram)
     plan = _PLANS.get(key)
     if plan is None:
@@ -439,6 +442,7 @@ def exact_envelope(
     (and value-box corners when requested); every other row must be a point
     row. Returns the expected-value envelope and, per decision and reachable
     information state, the union of optimal alternatives."""
+    _plan_of(diagram)  # checks the diagram before its rows are read
     varied = list(varied_nodes)
     chance_names = diagram.names(NodeKind.CHANCE)
     for name in varied:
@@ -552,6 +556,7 @@ def sample_member(diagram: InfluenceDiagram, seed: int) -> PointRealization:
     """A random admitted point model: per row, the free mass is spread over
     the outcomes uniformly on the allocation simplex; values are uniform in
     their intervals. Deterministic given the seed."""
+    check_structure(diagram)
     return _member_sampler(diagram)(Random(seed))
 
 
@@ -573,6 +578,7 @@ def soundness_check(
         report = solve(diagram)
     lo, hi = report.final_interval
     rng = Random(seed)
+    _plan_of(diagram)  # checks the diagram before the sampler reads its rows
     draw = _member_sampler(diagram)
 
     ev_violations = policy_violations = 0

@@ -223,7 +223,7 @@ class InfluenceDiagram:
         except KeyError:
             raise MalformedSpec(f"unknown node {name!r}") from None
 
-    @property
+    @cached_property
     def value_node(self) -> Node:
         for node in self.nodes.values():
             if node.kind is NodeKind.VALUE:
@@ -629,13 +629,17 @@ def check_rows(rows: Sequence[Sequence[float]], k: int | None, where: str) -> No
 
 def check_graph(diagram: InfluenceDiagram) -> None:
     """Whole-diagram invariants that involve no table: one value node and
-    no successors of it, acyclic arcs between known nodes (an unknown parent
-    reads as a cycle), and a decision order covering exactly the decisions."""
+    no successors of it, outcomes on every other node, acyclic arcs between
+    known nodes (an unknown parent reads as a cycle), and a decision order
+    covering exactly the decisions."""
     value = diagram.value_node  # NoValueNode if missing
     if len(diagram.names(NodeKind.VALUE)) > 1:
         raise MultipleValueNodes("more than one value node")
     if diagram.successors(value.name):
         raise MalformedSpec("the value node cannot have successors")
+    for node in diagram.nodes.values():
+        if node.variable is None and node.kind is not NodeKind.VALUE:
+            raise MalformedSpec(f"node {node.name!r} has no outcomes")
     diagram.topological_order()
 
     if set(diagram.decision_order) != set(diagram.names(NodeKind.DECISION)):
@@ -660,26 +664,26 @@ def check_structure(diagram: InfluenceDiagram) -> None:
 
 
 def check_tables(diagram: InfluenceDiagram) -> None:
-    """Every chance and value table matches its arcs and its parents'
-    cardinalities and passes :func:`check_table_rows`. Run on every diagram
-    a solve starts from, always after :func:`check_graph` has passed on its
-    structure."""
+    """:func:`check_table` on every chance and value node. Run on every
+    diagram a solve starts from, always after :func:`check_graph` has
+    passed on its structure, so every parent has outcomes."""
     cards = {
         name: node.variable.cardinality
         for name, node in diagram.nodes.items()
         if node.variable is not None
     }
     for node in diagram.nodes.values():
-        if node.kind is NodeKind.DECISION:
-            continue
-        table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
-        if table is None or table.parents != node.parents:
-            raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
-        try:
-            parent_cards = tuple([cards[p] for p in node.parents])
-        except KeyError:  # a parent without outcomes: cards_of names it
-            parent_cards = diagram.cards_of(node.parents)
-        if table.cards != parent_cards:
-            raise ParentMismatch(f"{node.name}: table cards disagree with parents")
-        k = node.cardinality if node.kind is NodeKind.CHANCE else None
-        check_table_rows(node.name, table.rows, table.cards, k)
+        if node.kind is not NodeKind.DECISION:
+            check_table(node, tuple([cards[p] for p in node.parents]))
+
+
+def check_table(node: Node, parent_cards: tuple[int, ...]) -> None:
+    """A chance or value node's table matches its arcs and its parents'
+    cardinalities ``parent_cards`` and passes :func:`check_table_rows`."""
+    table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
+    if table is None or table.parents != node.parents:
+        raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
+    if table.cards != parent_cards:
+        raise ParentMismatch(f"{node.name}: table cards disagree with parents")
+    k = node.cardinality if node.kind is NodeKind.CHANCE else None
+    check_table_rows(node.name, table.rows, table.cards, k)

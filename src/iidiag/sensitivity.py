@@ -21,7 +21,15 @@ from typing import Iterable, Sequence
 
 from .errors import CombinatorialLimitExceeded, MalformedSpec, NonPointResidual
 from .exact import EnvelopeReport, PointRealization, exact_envelope, point_solve
-from .model import InfluenceDiagram, LowerCPT, Node, NodeKind, TOL, is_point_row
+from .model import (
+    InfluenceDiagram,
+    LowerCPT,
+    Node,
+    NodeKind,
+    TOL,
+    check_structure,
+    is_point_row,
+)
 from .solver import solve
 from .transforms import AdmissibleSet, fmt
 
@@ -189,6 +197,7 @@ def sweep(
     each other's time to every cell's ``solve_seconds``."""
     if jobs != 1:  # the keyword stays only for callers that pass jobs=1
         raise MalformedSpec(f"jobs={jobs}: sweep runs its cells in order, jobs must be 1")
+    check_structure(diagram)
     _require_point(diagram)
     for name in spec.target_nodes:
         if diagram.node(name).kind is not NodeKind.CHANCE:

@@ -25,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Unsolvable
-from .model import (
-    InfluenceDiagram,
-    NodeKind,
-    check_graph,
-    check_structure,
-    check_tables,
-)
+from .model import InfluenceDiagram, NodeKind, check_structure, check_tables
 from .transforms import (  # apply_step is re-exported for step-by-step callers
     AdmissibleSet,
     StepKind,
@@ -107,10 +101,11 @@ def next_step(diagram: InfluenceDiagram) -> StepShape:
 
 
 def structure_key(diagram: InfluenceDiagram) -> tuple:
-    """Everything a plan and :func:`~iidiag.model.check_graph` depend on: per
-    node in declaration order its key, its ``Node.name`` (a hand-built
-    diagram can set the two apart), kind, parents and cardinality, plus the
-    decision order."""
+    """Everything a plan and the graph half of
+    :func:`~iidiag.model.check_structure` depend on: per node in declaration
+    order its key, its ``Node.name`` (a hand-built diagram can set the two
+    apart), kind, parents and cardinality (None for a node without
+    outcomes), plus the decision order."""
     nodes = tuple(
         (name, node.name, node.kind, node.parents,
          None if node.variable is None else len(node.variable.outcomes))
@@ -124,10 +119,10 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
     reduction, in order. It holds no table entries and no outcome labels, so
     it serves every diagram with the same :func:`structure_key`.
 
-    :func:`next_step` is replayed on the structure alone, checking the graph
-    of every intermediate structure as the transforms do. No table is read:
+    :func:`next_step` is replayed on the structure alone. No table is read:
     a produced node is rebuilt without one, and the nodes a step leaves in
-    place are never looked at past their arcs."""
+    place are never looked at past their arcs. The graph is not checked
+    again: each step keeps a valid graph valid."""
     shapes: list[StepShape] = []
     budget = 2 * (len(diagram.nodes) + len(diagram.arcs())) ** 2 + 10
     while len(diagram.nodes) > 1:
@@ -135,7 +130,6 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
             raise Unsolvable("step budget exceeded; reduction is not converging")
         shape = next_step(diagram)
         diagram = shape.successor(diagram)
-        check_graph(diagram)
         shapes.append(shape)
     return tuple(shapes)
 

@@ -1,11 +1,11 @@
 """Value-preserving diagram transformations.
 
-Each operation returns a fresh diagram, with its graph and the tables the
-operation produced re-checked, together with a :class:`TransformStep`
-describing what ran. Steps carry machine-readable notes about rows where
-conditioning on a (possibly) zero-probability event forced a convention: a
-stored zero lower bound that is either a sound "convention zero" or a
-genuinely indeterminate row.
+Each operation checks its input's graph and the tables it reads, and
+returns a fresh diagram, with the tables the operation produced checked,
+together with a :class:`TransformStep` describing what ran. Steps carry
+machine-readable notes about rows where conditioning on a (possibly)
+zero-probability event forced a convention: a stored zero lower bound that
+is either a sound "convention zero" or a genuinely indeterminate row.
 
 Tie-breaking everywhere is by lowest outcome index; the computed bounds are
 invariant under the choice among tied candidates.
@@ -26,6 +26,7 @@ from .model import (
     NodeKind,
     TOL,
     check_graph,
+    check_table,
     check_table_rows,
     row_map,
     stride_of,
@@ -575,12 +576,18 @@ def apply_step(
     diagram: InfluenceDiagram, shape: StepShape
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Run ``shape`` (as :func:`~iidiag.solver.next_step` plans it) on
-    ``diagram``'s tables: the new diagram, with its graph and produced
-    tables checked, and the completed step."""
+    ``diagram``'s tables: the new diagram and the completed step.
+
+    The input's graph is checked, and the tables of the step's nodes; every
+    other table is carried over unread. A step keeps a valid graph valid,
+    so the output's graph is not checked again; its produced tables are."""
+    check_graph(diagram)
+    for name in (shape.node, shape.into):
+        node = diagram.nodes.get(name)
+        if node is not None and node.kind is not NodeKind.DECISION:
+            check_table(node, diagram.cards_of(node.parents))
     produced, step = shape.run_checked(table_rows(diagram), diagram)
-    out = shape.successor(diagram, produced)
-    check_graph(out)
-    return out, step
+    return shape.successor(diagram, produced), step
 
 
 # ---------------------------------------------------------------------------

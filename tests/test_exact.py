@@ -18,8 +18,8 @@ from iidiag.exact import (
     vertex_realizations,
 )
 from iidiag.generate import random_chain_diagram, random_diagram
-from iidiag.model import NodeKind, build_diagram
-from iidiag.sensitivity import inject_range
+from iidiag.model import LowerCPT, Node, NodeKind, build_diagram
+from iidiag.sensitivity import SensitivitySpec, inject_range, sweep
 from iidiag.solver import solve
 from conftest import chain_data
 from oracles import halfspace_vertices, recursive_point_solve, table_lookup
@@ -446,3 +446,61 @@ class TestSoundnessCheck:
             d = random_chain_diagram(rng) if i % 2 else random_diagram(rng)
             report = soundness_check(d, samples=60, seed=i)
             assert report.passed, (i, report)
+
+
+def _with_seismic(wildcatter, rows):
+    """Wildcatter with SEISMIC's table given ``rows``, or none at all."""
+    node = wildcatter.node("SEISMIC")
+    table = None if rows is None else LowerCPT(node.parents, (3,), rows)
+    seismic = Node("SEISMIC", NodeKind.CHANCE, node.variable, node.parents, chance_table=table)
+    return wildcatter.replace_nodes({"SEISMIC": seismic})
+
+
+class TestHandBuiltDiagramsAreChecked:
+    """Every entry point of the reference layer checks a hand-built diagram
+    before it reads a row, so a missing table or a short one is a typed
+    error naming the node, not an AttributeError or IndexError."""
+
+    BROKEN = {
+        "no table": (None, "SEISMIC: table parents disagree with arcs"),
+        "two of three rows": (((0.6, 0.3, 0.1), (0.3, 0.4, 0.3)), "SEISMIC: wrong row count"),
+    }
+    CALLS = {
+        "point_solve": lambda d, member: point_solve(d, member),
+        "exact_envelope": lambda d, member: exact_envelope(d, ["OIL"]),
+        "soundness_check": lambda d, member: soundness_check(d, 2, report=solve(member)),
+        "sample_member": lambda d, member: sample_member(d, 0),
+        "sweep": lambda d, member: sweep(d, SensitivitySpec(("OIL",), (0.0, 0.1))),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("broken", sorted(BROKEN))
+    def test_typed_error(self, wildcatter, broken, call):
+        rows, message = self.BROKEN[broken]
+        diagram = _with_seismic(wildcatter, rows)
+        # soundness_check gets a valid report: solve() would refuse first
+        member = wildcatter if call == "soundness_check" else point_member(wildcatter)
+        with pytest.raises(errors.ParentMismatch) as caught:
+            self.CALLS[call](diagram, member)
+        assert str(caught.value) == message
+
+    def test_sample_member_refuses_an_overfull_row(self, minimal):
+        c = minimal.node("C")
+        overfull = minimal.replace_nodes({"C": Node(
+            "C", NodeKind.CHANCE, c.variable, (), chance_table=LowerCPT((), (), ((0.9, 0.9),))
+        )})
+        with pytest.raises(errors.RowSumExceedsOne, match=r"C\.table\[0\]"):
+            sample_member(overfull, 0)
+
+    def test_checked_once_per_diagram(self, wildcatter, monkeypatch):
+        # point_solve checks when it compiles the diagram's plan, so a run
+        # of calls on one diagram object checks it once
+        calls = []
+        monkeypatch.setattr(exact, "check_structure", calls.append)
+        diagram = _with_seismic(wildcatter, wildcatter.node("SEISMIC").chance_table.rows)
+        member = point_member(diagram)
+        for _ in range(3):
+            point_solve(diagram, member)
+        exact_envelope(diagram, ["OIL"])
+        soundness_check(diagram, 4, report=solve(diagram))
+        assert calls == [diagram]

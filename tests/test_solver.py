@@ -10,7 +10,7 @@ import pytest
 
 from iidiag import errors, model, solver, transforms
 from iidiag.diagram_io import fixture_path, load_diagram
-from iidiag.exact import point_solve
+from iidiag.exact import point_solve, soundness_check
 from iidiag.generate import random_chain_diagram, random_diagram
 from iidiag.model import (
     InfluenceDiagram,
@@ -25,7 +25,8 @@ from iidiag.model import (
 )
 from iidiag.sensitivity import inject_range
 from iidiag.solver import apply_step, next_step, solve
-from iidiag.transforms import StepKind
+from iidiag.transforms import StepKind, remove_barren
+from conftest import chain_data
 
 
 class TestSolveValidatesItsInput:
@@ -567,9 +568,7 @@ class TestGraphCheckedOncePerStructure:
             row_checks.append(where)
             check_rows(rows, k, where)
 
-        # check_structure calls model's check_graph, compile_plan solver's
         monkeypatch.setattr(model, "check_graph", counting_graph)
-        monkeypatch.setattr(solver, "check_graph", counting_graph)
         monkeypatch.setattr(model, "check_rows", counting_rows)
         previous, structures = None, 0
         for (name, diagram), plan in zip(diagrams, plans):
@@ -585,9 +584,9 @@ class TestGraphCheckedOncePerStructure:
             if key == previous:  # some golden diagrams share a structure
                 assert graph_checks == [], name
             else:
-                # the input's structure once, then the one after each step
-                assert len(graph_checks) == 1 + len(plan), name
-                assert graph_checks.count(key) == 1, name
+                # the input's structure only: a step keeps a valid graph
+                # valid (TestStepsKeepTheGraphValid)
+                assert graph_checks == [key], name
                 structures += 1
             previous = key
         assert len(compiles) == structures
@@ -606,6 +605,85 @@ class TestGraphCheckedOncePerStructure:
         solve(minimal)
         assert _outcome(odd) == cold
         assert _outcome(minimal) == repr(_cold(minimal))
+
+
+class TestStepsKeepTheGraphValid:
+    """compile_plan checks the input's graph only. Every step keeps a valid
+    graph valid (one value node without successors, outcomes on the other
+    nodes, acyclic arcs, a decision order covering the decisions), which
+    this checks on every intermediate structure of the corpus."""
+
+    @staticmethod
+    def _corpus():
+        yield from _golden_diagrams()
+        for seed in range(300):
+            yield f"random_diagram {seed}", random_diagram(Random(seed), max_nodes=8)
+            yield f"random_chain_diagram {seed}", random_chain_diagram(Random(seed))
+        for n in (1, 2, 7, 60):
+            yield f"chain_data({n})", build_diagram(chain_data(n))
+
+    def test_every_intermediate_structure_is_valid(self):
+        kinds = set()
+        for name, diagram in self._corpus():
+            model.check_graph(diagram)
+            for shape in solver.compile_plan(diagram):
+                diagram = shape.successor(diagram)
+                model.check_graph(diagram)
+                kinds.add(shape.kind)
+            assert list(diagram.nodes) == [diagram.value_node.name], name
+        assert kinds == set(StepKind)
+
+    def test_compiling_a_chain_sorts_nothing(self, monkeypatch):
+        # rule 5, the only rule that sorts, never fires on a chain
+        diagram = build_diagram(chain_data(200))
+        calls = []
+        topological_order, check_graph = InfluenceDiagram.topological_order, model.check_graph
+
+        def counting_sort(d):
+            calls.append("topological_order")
+            return topological_order(d)
+
+        def counting_check(d):
+            calls.append("check_graph")
+            check_graph(d)
+
+        monkeypatch.setattr(InfluenceDiagram, "topological_order", counting_sort)
+        monkeypatch.setattr(model, "check_graph", counting_check)
+        assert len(solver.compile_plan(diagram)) == 200
+        assert calls == []
+
+
+class TestNodesWithoutOutcomes:
+    """A chance or decision node without outcomes is refused by the graph
+    check, before any step looks its outcomes up."""
+
+    @pytest.fixture
+    def bare_e(self, minimal):
+        e = Node("E", NodeKind.DECISION, None, ())
+        return InfluenceDiagram(
+            {**minimal.nodes, "E": e}, decision_order=minimal.decision_order + ("E",)
+        )
+
+    @pytest.mark.parametrize("call", [
+        solve,
+        lambda d: soundness_check(d, 2),
+        lambda d: remove_barren(d, "E"),
+    ], ids=["solve", "soundness_check", "remove_barren"])
+    def test_decision_without_alternatives(self, bare_e, call, compiles):
+        with pytest.raises(errors.MalformedSpec) as caught:
+            call(bare_e)
+        assert str(caught.value) == "node 'E' has no outcomes"
+
+    def test_outcomes_are_in_the_structure_key(self, bare_e, compiles):
+        # a warm solve skips the graph check, so the key must tell a node
+        # without outcomes from one with them
+        named = bare_e.replace_nodes(
+            {"E": Node("E", NodeKind.DECISION, Variable("E", ("e1", "e2")), ())}
+        )
+        assert solver.structure_key(named) != solver.structure_key(bare_e)
+        solve(named)
+        assert _outcome(bare_e) == ("MalformedSpec", "node 'E' has no outcomes")
+        assert len(compiles) == 1  # the twin's: bare_e is refused before
 
 
 def _swapped_v_parents(minimal):

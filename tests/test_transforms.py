@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iidiag import errors, transforms
+from iidiag import errors, model, transforms
 from iidiag.exact import sample_member
 from iidiag.generate import (
     chance_removal_instance,
@@ -16,7 +16,14 @@ from iidiag.generate import (
     marginalize_instance,
     reversal_instance,
 )
-from iidiag.model import build_diagram
+from iidiag.model import (
+    InfluenceDiagram,
+    IntervalValueTable,
+    LowerCPT,
+    Node,
+    NodeKind,
+    build_diagram,
+)
 from iidiag.transforms import (
     AdmissibleSet,
     admissible_set,
@@ -543,6 +550,47 @@ class TestProducedTablesAreChecked:
         monkeypatch.setattr(transforms, "posterior_lower_bound", lambda *a, **k: (-0.5, "ok"))
         with pytest.raises(errors.NegativeBound, match=r"Y\.table\[0\]"):
             reverse_arc(d, "X", "Y")
+
+
+class TestStepInputsAreChecked:
+    """A public step checks its input's graph and the tables it reads, so a
+    hand-built diagram gives a typed error naming the table instead of a
+    KeyError or ValueError from the row arithmetic."""
+
+    def test_tableless_chance_node(self, minimal):
+        c = minimal.node("C")
+        bare = minimal.replace_nodes({"C": Node("C", NodeKind.CHANCE, c.variable, ())})
+        with pytest.raises(errors.ParentMismatch) as caught:
+            remove_chance_into_value(bare, "C")
+        assert str(caught.value) == "C: table parents disagree with arcs"
+
+    def test_value_table_with_one_row(self, minimal):
+        v = minimal.node("V")
+        table = IntervalValueTable(v.parents, v.value_table.cards, ((1.0, 2.0),))
+        short = minimal.replace_nodes(
+            {"V": Node("V", NodeKind.VALUE, None, v.parents, value_table=table)}
+        )
+        with pytest.raises(errors.ParentMismatch) as caught:
+            remove_chance_into_value(short, "C")
+        assert str(caught.value) == "V: wrong row count"
+
+    def test_tables_the_step_does_not_read_stay_unchecked(self, minimal, monkeypatch):
+        # a barren chance node B with a broken table: folding C reads only
+        # C's and V's tables, so the step succeeds and B is carried over
+        broken = Node("B", NodeKind.CHANCE, minimal.node("C").variable, (),
+                      chance_table=LowerCPT((), (), ((0.9, 0.9),)))
+        diagram = InfluenceDiagram({"B": broken, **minimal.nodes}, minimal.decision_order)
+        checked = []
+        check_rows = model.check_rows
+
+        def counting(rows, k, where):
+            checked.append(where)
+            check_rows(rows, k, where)
+
+        monkeypatch.setattr(model, "check_rows", counting)
+        after, _ = remove_chance_into_value(diagram, "C")
+        assert checked == ["C.table", "V.table", "V.table"]  # read, read, produced
+        assert after.node("B") is broken
 
 
 class TestSoundnessSampling:
