@@ -2,6 +2,7 @@
 soundness harness."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 from random import Random
@@ -17,7 +18,7 @@ from iidiag.exact import (
     soundness_check,
     vertex_realizations,
 )
-from iidiag.generate import random_chain_diagram, random_diagram
+from iidiag.generate import _Doc, random_chain_diagram, random_diagram
 from iidiag.model import LowerCPT, Node, NodeKind, build_diagram
 from iidiag.sensitivity import SensitivitySpec, inject_range, sweep
 from iidiag.solver import solve
@@ -149,6 +150,45 @@ def _large_diagram(rng: Random):
                                             range(math.prod(cards[p] for p in v_parents)))]})
     variables = [{"name": c, "outcomes": ["x", "y", "z"]} for c in parents]
     return build_diagram({"variables": variables, "nodes": nodes})
+
+
+def _ladder(rng: Random, rung: int):
+    """Chain H -> S1 .. S<rung> -> D with V(D, H), 3 outcomes everywhere and
+    interval rows: a joint of 3**(rung + 2) leaves. The decision observes the
+    last signal, so the sum/max order starts S<rung>, D."""
+    doc = _Doc(rng)
+    doc.chance("H", 3, [])
+    prev = "H"
+    for i in range(1, rung + 1):
+        doc.chance(f"S{i}", 3, [prev])
+        prev = f"S{i}"
+    doc.decision("D", 3, [prev])
+    doc.value(["D", "H"])
+    return doc.build()
+
+
+def _digest_diagrams():
+    for rung in range(1, 8):
+        yield f"ladder({rung})", _ladder(Random(700 + rung), rung)
+    for n in range(10, 13):
+        yield f"chain_data({n})", build_diagram(chain_data(n))
+    yield "large", _large_diagram(Random(3002))
+
+
+# Recorded before point_solve multiplied block-invariant columns once per call.
+POINT_SOLVE_DIGEST = "d62d0f413886e83abfe69efcd1aba2ea37c6aeb4e22bb2dc8369c35058fa8950"
+
+
+def test_point_solve_floats_are_pinned():
+    """``repr`` of ``point_solve`` (float bits and policy dictionary order)
+    for three sampled members of each diagram, most of them joints of many
+    inner blocks, hashed into one digest."""
+    h = hashlib.sha256()
+    for label, diagram in _digest_diagrams():
+        for seed in range(3):
+            h.update(f"{label} {seed}\n".encode())
+            h.update(repr(point_solve(diagram, sample_member(diagram, seed))).encode())
+    assert h.hexdigest() == POINT_SOLVE_DIGEST
 
 
 class TestPointSolveMatchesRecursiveWalk:
