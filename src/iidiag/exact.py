@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, itemgetter, mul
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -173,17 +173,24 @@ class _Plan:
     flattened rows, then the value row, then for each decision its
     information state. Each is a sum of per-variable steps, so the outer
     walk carries one base per target and the inner block adds its own
-    tabulated part: ``leaf_offsets[j]`` per leaf for the chance and value
-    targets, ``group_offsets[q]`` per group for a decision at inner level
-    ``q`` (``None`` at a chance level). Leaves and groups are in walk order,
-    last level fastest.
+    tabulated part: an offset per leaf for the chance and value targets,
+    ``group_offsets[q]`` per group for a decision at inner level ``q``
+    (``None`` at a chance level). Leaves and groups are in walk order, last
+    level fastest.
+
+    ``gathers[j]`` reads target ``j``'s leaf column: an ``itemgetter`` over
+    its leaf offsets, applied to the flattened table when the base is 0 and
+    otherwise to the window of ``extent`` (largest offset + 1) entries from
+    the base. The first ``hoisted`` chance targets move at no outer level,
+    so their columns are the same in every block.
     """
 
     chance: tuple[tuple[str, int, int], ...]  # (name, rows, outcomes)
     value_rows: int
     outer: tuple[_Level, ...]
     inner: tuple[_Level, ...]
-    leaf_offsets: tuple[tuple[int, ...], ...]
+    gathers: tuple[tuple[Callable[[Sequence[float]], Sequence[float]], int], ...]
+    hoisted: int
     group_offsets: tuple[tuple[int, ...] | None, ...]
     ones: tuple[float, ...]
 
@@ -210,6 +217,14 @@ def _steps(parents: Sequence[str], cards: Sequence[int], scale: int = 1) -> dict
         out[parent] = step
         step *= card
     return out
+
+
+def _gather(offsets: Sequence[int]) -> Callable[[Sequence[float]], Sequence[float]]:
+    """The entries at ``offsets``, as a sequence even for one offset (a
+    one-leaf block), where a plain ``itemgetter`` returns the entry itself."""
+    if len(offsets) == 1:
+        return itemgetter(slice(offsets[0], offsets[0] + 1))
+    return itemgetter(*offsets)
 
 
 def _compile(diagram: InfluenceDiagram) -> _Plan:
@@ -261,13 +276,17 @@ def _compile(diagram: InfluenceDiagram) -> _Plan:
             [base + i * step for base in column for i in range(level.card)]
             for column, step in zip(offsets, level.steps)
         ]
-    leaf_offsets = tuple(tuple(column) for column in offsets[:first_decision])
+    outer = levels[:split]
+    hoisted = 0
+    while hoisted < len(chance) and not any(level.steps[hoisted] for level in outer):
+        hoisted += 1
     return _Plan(
         chance=tuple(chance),
         value_rows=len(value.value_table.rows),
-        outer=tuple(levels[:split]),
+        outer=tuple(outer),
         inner=tuple(inner),
-        leaf_offsets=leaf_offsets,
+        gathers=tuple((_gather(column), max(column) + 1) for column in offsets[:first_decision]),
+        hoisted=hoisted,
         group_offsets=tuple(group_offsets),
         ones=(1.0,) * leaves,
     )
@@ -336,17 +355,19 @@ def _sum_groups(values: Sequence[float], k: int) -> list[float]:
     return list(acc)
 
 
-def _evaluate_block(plan: _Plan, tables, policy, bases) -> tuple[float, float]:
+def _evaluate_block(plan: _Plan, tables, prefix, policy, bases) -> tuple[float, float]:
     """Reach and expected value of the inner block below one outer
-    configuration, reduced level by level from the bottom. Reach is only
-    reduced in a diagram with decisions; without one nothing reads it."""
+    configuration, reduced level by level from the bottom. ``prefix`` holds
+    the product of the hoisted columns. Reach is only reduced in a diagram
+    with decisions; without one nothing reads it."""
+    h = plan.hoisted
     columns = [
-        map(table.__getitem__, map(base.__add__, offsets) if base else offsets)
-        for table, base, offsets in zip(tables, bases, plan.leaf_offsets)
+        gather(table[base:base + extent] if base else table)
+        for table, base, (gather, extent) in zip(tables[h:], bases[h:], plan.gathers[h:])
     ]
     # leaf weight: 1.0 times each chance node's probability in names(CHANCE)
     # order, then times the leaf's value
-    reach = plan.ones
+    reach = prefix
     for column in columns[:-1]:
         reach = list(map(mul, reach, column))
     total = list(map(mul, reach, columns[-1]))
@@ -369,13 +390,13 @@ def _evaluate_block(plan: _Plan, tables, policy, bases) -> tuple[float, float]:
     return reach[0], total[0]
 
 
-def _walk(plan: _Plan, tables, policy, pos: int, bases) -> tuple[float, float]:
+def _walk(plan: _Plan, tables, prefix, policy, pos: int, bases) -> tuple[float, float]:
     """Depth-first over the outer levels, carrying each target's base."""
     if pos == len(plan.outer):
-        return _evaluate_block(plan, tables, policy, bases)
+        return _evaluate_block(plan, tables, prefix, policy, bases)
     level = plan.outer[pos]
     results = [
-        _walk(plan, tables, policy, pos + 1,
+        _walk(plan, tables, prefix, policy, pos + 1,
               [b + i * s for b, s in zip(bases, level.steps)])
         for i in range(level.card)
     ]
@@ -401,8 +422,11 @@ def point_solve(
     The diagram's structure is compiled once into a :class:`_Plan`; a call
     flattens the realization's rows, multiplies each leaf's weight column by
     column in ``names(CHANCE)`` order, and sums (chance) or maximizes
-    (decision) level by level in the sum/max order. Sums run left to right
-    from 0.0, so the result is the same float a depth-first walk gives."""
+    (decision) level by level in the sum/max order. The leading columns that
+    no outer level moves are multiplied once per call, the rest once per
+    block, so every leaf's weight is the same product in the same order.
+    Sums run left to right from 0.0, so the result is the same float a
+    depth-first walk gives."""
     plan = _plan_of(diagram)
     _check_shape(plan, realization)
     tables = [
@@ -410,9 +434,12 @@ def point_solve(
         for name, _, _ in plan.chance
     ]
     tables.append(realization.values)
+    prefix = plan.ones
+    for table, (gather, _) in zip(tables[:plan.hoisted], plan.gathers):
+        prefix = list(map(mul, prefix, gather(table)))  # every base is 0
     policy: dict[str, dict[int, PolicyEntry]] = {d: {} for d in diagram.decision_order}
     bases = [0] * (len(tables) + len(diagram.decision_order))
-    _, total = _walk(plan, tables, policy, 0, bases)
+    _, total = _walk(plan, tables, prefix, policy, 0, bases)
     return PointSolution(expected_value=total, policy=policy)
 
 

@@ -257,6 +257,56 @@ class TestPointSolveMatchesRecursiveWalk:
             self._assert_same(diagram, _one_hot_rows(member, rng) if k % 2 else member)
 
 
+    @staticmethod
+    def _chain(n: int):
+        """A root decision D, then an interval chain C0 -> ... -> C<n-1> of
+        binary nodes, V(D, C<n-1>). The sum/max order is D, C0, ..., so for
+        n = 10 the block is the whole chain below D, and for n = 11 C0 is
+        walked outside it."""
+        doc = _Doc(Random(3003 + n))
+        doc.decision("D", 2, [])
+        doc.chance("C0", 2, [])
+        for i in range(1, n):
+            doc.chance(f"C{i}", 2, [f"C{i - 1}"])
+        doc.value(["D", f"C{n - 1}"])
+        return doc.build()
+
+    @staticmethod
+    def _one_leaf_blocks():
+        """C -> D, C -> B with B of 1100 outcomes, V(D, B): the last level of
+        the sum/max order alone is past one block, so every block is a
+        single leaf."""
+        doc = _Doc(Random(3004))
+        doc.chance("C", 3, [])
+        doc.decision("D", 2, ["C"])
+        doc.chance("B", 1100, ["C"])
+        doc.value(["D", "B"])
+        return doc.build()
+
+    @pytest.mark.parametrize("case", ["all", "some", "none", "one-leaf blocks"])
+    def test_block_invariant_columns(self, case):
+        """The leading chance columns no outer level moves are multiplied
+        once per call: all of them, some, none, and none with one-leaf
+        blocks."""
+        diagram = {
+            "all": lambda: self._chain(10),
+            "some": lambda: _ladder(Random(706), 6),
+            "none": lambda: self._chain(11),
+            "one-leaf blocks": self._one_leaf_blocks,
+        }[case]()
+        plan = exact._plan_of(diagram)
+        assert plan.outer
+        hoisted = {"all": len(plan.chance), "none": 0, "one-leaf blocks": 0}
+        if case == "some":
+            assert 0 < plan.hoisted < len(plan.chance)
+        else:
+            assert plan.hoisted == hoisted[case]
+        assert (len(plan.ones) == 1) == (case == "one-leaf blocks")
+        rng = Random(3005)
+        for k in range(3):
+            member = sample_member(diagram, k)
+            self._assert_same(diagram, _one_hot_rows(member, rng) if k == 2 else member)
+
 class TestWildcatterRollout:
     """Independent decision-tree rollout of the shipped wildcatter tables."""
 
