@@ -14,6 +14,7 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable
 
 from .diagram_io import load_diagram, serialize_diagram
 from .errors import DiagramError
@@ -34,14 +35,19 @@ def _node_list(raw: str) -> tuple[str, ...]:
     return names
 
 
-def _sample_count(raw: str) -> int:
-    try:
-        n = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad sample count {raw!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"sample count {n} is negative")
-    return n
+def _count(what: str) -> Callable[[str], int]:
+    """An argument type for a non-negative integer, named ``what`` in its
+    usage errors."""
+    def parse(raw: str) -> int:
+        try:
+            n = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {raw!r}") from None
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"{what} {n} is negative")
+        return n
+
+    return parse
 
 
 def _range_list(raw: str) -> tuple[float, ...]:
@@ -79,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", type=Path)
     p.add_argument("--nodes", type=_node_list, required=True, metavar="A,B")
     p.add_argument("--include-value-box", action="store_true")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=_count("cap"), default=10_000_000)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sweep", help="imprecision sweep over a point diagram")
@@ -90,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep every nonempty subset of --nodes")
     p.add_argument("--exact", action="store_true",
                    help="run the enumeration envelope beside each cell")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=_count("cap"), default=10_000_000)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="sampling soundness check; exit 1 on violation")
     p.add_argument("file", type=Path)
-    p.add_argument("--samples", type=_sample_count, required=True)
+    p.add_argument("--samples", type=_count("sample count"), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 

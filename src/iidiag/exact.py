@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from math import isfinite
 from operator import add, itemgetter, mul
 from random import Random
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CombinatorialLimitExceeded,
+    MalformedSpec,
     NonPointResidual,
     ShapeMismatch,
 )
@@ -321,10 +323,13 @@ def _check_shape(plan: _Plan, realization: PointRealization) -> None:
         for r, row in enumerate(rows):
             if len(row) != k:
                 raise ShapeMismatch(f"{name}: row {r} has wrong length")
-            if abs(running_sum(row) - 1.0) > 1e-9 or any(map(_NEGATIVE.__gt__, row)):
+            # written so that a NaN entry fails too
+            if not abs(running_sum(row) - 1.0) <= 1e-9 or any(map(_NEGATIVE.__gt__, row)):
                 raise ShapeMismatch(f"{name}: row {r} is not a distribution")
     if len(realization.values) != plan.value_rows:
         raise ShapeMismatch("value row count mismatch")
+    if not all(map(isfinite, realization.values)):
+        raise ShapeMismatch("value rows must be finite")
 
 
 def _decide(
@@ -474,7 +479,7 @@ def exact_envelope(
     chance_names = diagram.names(NodeKind.CHANCE)
     for name in varied:
         if name not in chance_names:
-            raise NonPointResidual(f"{name!r} is not a chance node")
+            raise MalformedSpec(f"{name!r} is not a chance node")
 
     axes: list[tuple[tuple[float, ...], ...]] = []
     layout: list[tuple[str, int, int]] = []  # (node, first axis, end axis)
@@ -548,6 +553,18 @@ def simplex_point(rng: Random, k: int) -> list[float]:
     return [d / s for d in draws]
 
 
+def _uniform(rng: Random, lo: float, hi: float) -> float:
+    """A point of ``[lo, hi]`` from one ``rng.random()``: ``rng.uniform(lo,
+    hi)``'s value whenever the width ``hi - lo`` is finite. A width past the
+    float range would make that value inf or NaN, so then the point is
+    weighed from the two ends instead."""
+    u = rng.random()
+    width = hi - lo
+    if isfinite(width):
+        return lo + width * u
+    return lo * (1.0 - u) + hi * u
+
+
 def _member_sampler(diagram: InfluenceDiagram) -> Callable[[Random], PointRealization]:
     """A function of a ``Random`` drawing one admitted member of ``diagram``.
 
@@ -573,7 +590,7 @@ def _member_sampler(diagram: InfluenceDiagram) -> Callable[[Random], PointRealiz
                 ])
                 for row, free in rows
             ])
-        values = tuple([rng.uniform(lo, hi) if hi > lo else lo for lo, hi in value_rows])
+        values = tuple([_uniform(rng, lo, hi) if hi > lo else lo for lo, hi in value_rows])
         return PointRealization(chance=members, values=values)
 
     return draw

@@ -78,6 +78,19 @@ class TestPointSolve:
         with pytest.raises(errors.ShapeMismatch):
             point_solve(minimal, not_dist)
 
+    @pytest.mark.parametrize(
+        "chance, values",
+        [
+            (((0.6, 0.4),), (10, 0, math.inf, 4)),
+            (((0.6, 0.4),), (10, math.nan, 4, 4)),
+            (((0.6, 0.4),), (-math.inf, 0, 4, 4)),
+            (((math.nan, 0.4),), (10, 0, 4, 4)),
+        ],
+    )
+    def test_non_finite_realization_refused(self, minimal, chance, values):
+        with pytest.raises(errors.ShapeMismatch):
+            point_solve(minimal, PointRealization(chance={"C": chance}, values=values))
+
     def test_joint_past_the_limit_refused(self):
         # 2**1100 leaves: refused before the walk, which would otherwise
         # recurse once per outer level and overflow the stack
@@ -408,6 +421,11 @@ class TestExactEnvelope:
         assert report.configurations_evaluated == 1
         assert report.ev_min == pytest.approx(report.ev_max)
 
+    @pytest.mark.parametrize("name", ["D", "V", "NOPE"])
+    def test_varied_node_must_be_chance(self, minimal, name):
+        with pytest.raises(errors.MalformedSpec, match="is not a chance node"):
+            exact_envelope(minimal, ["C", name])
+
     def test_non_point_residual(self, minimal):
         with pytest.raises(errors.NonPointResidual):
             exact_envelope(minimal, [])  # C has slack but is not varied
@@ -476,6 +494,31 @@ class TestSampleMember:
                     assert all(p >= b - 1e-12 for p, b in zip(row, b_row))
             for v, (lo, hi) in zip(member.values, survey.value_node.value_table.rows):
                 assert lo - 1e-12 <= v <= hi + 1e-12
+
+
+    def test_value_draw_is_uniforms(self):
+        # the value draw spends one random() per interval row and is
+        # Random.uniform's value whenever the width is finite
+        for seed in range(200):
+            rng = Random(seed)
+            lo = rng.uniform(-1e6, 1e6)
+            hi = lo + rng.choice([1e-9, 1.0, 3e5])
+            a, b = Random(seed), Random(seed)
+            assert exact._uniform(a, lo, hi) == b.uniform(lo, hi)
+            assert a.random() == b.random()
+
+    def test_value_width_past_the_float_range(self, minimal_data):
+        for node in minimal_data["nodes"]:
+            if node["kind"] == "value":
+                node["table"] = [[-1e308, 1e308], [-1e308, 1.5e308], [-1.7e308, 1e308], [-1, 1]]
+        diagram = build_diagram(minimal_data)
+        rows = diagram.value_node.value_table.rows
+        for seed in range(100):
+            member = sample_member(diagram, seed)
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(member.values, rows))
+        report = soundness_check(diagram, samples=20)
+        assert report.passed
+        assert -1e308 <= report.sampled_min <= report.sampled_max <= 1e308
 
 
 class TestSoundnessCheck:

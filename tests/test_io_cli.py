@@ -189,6 +189,32 @@ class TestCli:
         assert rc == 2
         assert "--ranges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "wildcatter", "--nodes", "OIL", "--cap", "-5"],
+            ["sweep", "wildcatter", "--nodes", "OIL", "--ranges", "0.1", "--exact", "--cap", "-1"],
+            ["exact", "wildcatter", "--nodes", "OIL", "--cap", "many"],
+        ],
+    )
+    def test_bad_cap_usage_error(self, argv, capsys):
+        argv = [argv[0], str(fixture_path(argv[1])), *argv[2:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--cap" in captured.err
+        assert captured.out == ""
+
+    def test_check_with_a_value_width_past_the_float_range(self, minimal_data, tmp_path, capsys):
+        for node in minimal_data["nodes"]:
+            if node["kind"] == "value":
+                node["table"] = [[-1e308, 1e308] for _ in node["table"]]
+        path = tmp_path / "huge.iid.json"
+        path.write_text(json.dumps(minimal_data), encoding="utf-8")
+        assert main(["solve", str(path)]) == 0
+        assert "[-1e+308, 1e+308]" in capsys.readouterr().out
+        assert main(["check", str(path), "--samples", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_negative_samples_usage_error(self, capsys):
         path = str(fixture_path("minimal"))
         assert main(["check", path, "--samples", "-3"]) == 2
