@@ -1,0 +1,44 @@
+"""The pair statistics of ``scripts/bench_pairs.py`` on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert bench_pairs.quartiles([5, 1, 4, 2, 3]) == (2, 3, 4)
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+    assert bench_pairs.quartiles([7.5]) == (7.5, 7.5, 7.5)
+
+
+def test_pair_wins_count_neither_side_on_a_tie():
+    parent = [10.0, 10.0, 10.0, 10.0]
+    change = [12.0, 10.0, 8.0, 11.0]
+    assert bench_pairs.pair_wins(parent, change, "higher") == 2
+    assert bench_pairs.pair_wins(parent, change, "lower") == 1
+
+
+@pytest.mark.parametrize(
+    "change, better, gain",
+    [
+        # 10 of 10 won, medians 134.5 - 120.5 = 14 > parent IQR 121.75 - 119.25
+        ([130 + i for i in range(10)], "higher", True),
+        # the same numbers where lower is better: every pair lost
+        ([130 + i for i in range(10)], "lower", False),
+        # 9 of 10 won and far ahead: still a gain
+        ([115] + [130 + i for i in range(9)], "higher", True),
+        # 8 of 10 won: not a gain however far ahead
+        ([115, 115] + [130 + i for i in range(8)], "higher", False),
+        # every pair won, but by less than the parent's spread
+        ([p + 1 for p in [121, 118, 125, 120, 119, 123, 117, 122, 121, 120]], "higher", False),
+    ],
+)
+def test_gain_needs_nine_tenths_of_pairs_and_more_than_the_parents_spread(change, better, gain):
+    parent = [121, 118, 125, 120, 119, 123, 117, 122, 121, 120]
+    assert bench_pairs.is_gain(parent, change, better) is gain
