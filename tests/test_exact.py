@@ -320,6 +320,31 @@ class TestPointSolveMatchesRecursiveWalk:
             member = sample_member(diagram, k)
             self._assert_same(diagram, _one_hot_rows(member, rng) if k == 2 else member)
 
+    def test_column_spanning_a_wide_window(self):
+        """X's parents [A, B1..B13] run against the declaration order (A
+        last), so A is walked inside the block while B1..B5 are walked
+        outside it, and X's column spans far more entries than the block
+        has leaves: it is read offset by offset, not through a window."""
+        doc = _Doc(Random(3006))
+        doc.decision("D", 2, [])
+        bs = [f"B{i}" for i in range(1, 14)]
+        for b in bs:
+            doc.chance(b, 2, [])
+        doc.chance("A", 2, [])
+        doc.chance("X", 2, ["A", *bs])
+        doc.value(["D", "X"])
+        diagram = doc.build()
+        plan = exact._plan_of(diagram)
+        assert {"D", "B1", "B5"} <= {level.name for level in plan.outer}
+        assert "A" in {level.name for level in plan.inner}
+        span_of_a = 2 * 2**13  # X's step for A: 2 outcomes times 2**13 rows
+        assert span_of_a > exact._WINDOW_SPAN * len(plan.ones)
+        rng = Random(3007)
+        for k in range(2):
+            member = sample_member(diagram, k)
+            self._assert_same(diagram, _one_hot_rows(member, rng) if k else member)
+
+
 class TestWildcatterRollout:
     """Independent decision-tree rollout of the shipped wildcatter tables."""
 
