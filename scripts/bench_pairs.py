@@ -1,13 +1,14 @@
 """Alternating parent/change pairs of one benchmark workload.
 
 Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W
-           [--pairs 10] [--seconds 30] [--seed 1]
+           [--pairs 10] [--seconds 30]
 
 Runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``) in
-each checkout, once per side for each pair, with the same seed within a pair
-(pair ``i`` uses ``--seed + i``) and the side that goes first alternating
-from pair to pair. Only the last line of each run's stdout, its JSON
-summary, is read; every run's summary is echoed to stderr as it completes.
+each checkout, once per side for each pair, with the same seed within a
+pair (pair ``i``, counted from 1, uses seed ``i``) and the side that goes
+first alternating from pair to pair. Only the last line of each run's
+stdout, its JSON summary, is read; every run's summary is echoed to stderr
+as it completes.
 
 Then, per end-to-end metric of ``BENCHMARK.json``, it prints each side's
 first quartile, median and third quartile, the change in the median, and
@@ -75,7 +76,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
-        seed = args.seed + i
+        seed = 1 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             summary = run_once(sides[side], spec["command"], args.workload, seed, args.seconds)
