@@ -15,8 +15,13 @@ first quartile, median and third quartile, the change in the median, and
 the pairs the change won (a tie counts for neither side). ``gain`` says
 whether the change wins at least nine tenths of the pairs and its median is
 better than the parent's by more than the parent's interquartile range: the
-rule a claimed gain must meet. The exit status is 1 when a run fails or
-its summary is not ``correct`` (a failed op or a failed check), else 0.
+rule a claimed gain must meet. ``worse`` says whether the change's median is
+worse than the parent's by more than the metric's ``bound`` (a share of the
+parent's median): ``yes``, ``no``, or ``unresolved`` when it is not worse by
+that much but the parent's interquartile range is wider than the bound, so
+the runs cannot show it is not, unless every change run beats every parent
+run. The exit status is 1 when a run fails or its summary is not
+``correct`` (a failed op or a failed check), else 0.
 """
 
 from __future__ import annotations
@@ -60,6 +65,28 @@ def is_gain(parent, change, better: str) -> bool:
     return 10 * pair_wins(parent, change, better) >= 9 * len(parent) and ahead > q3 - q1
 
 
+def regression(parent, change, better: str, bound: float) -> str:
+    """``yes`` when the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median; else ``unresolved`` when the
+    parent's interquartile range is wider than that, unless every change
+    run beats every parent run; else ``no``."""
+    q1, parent_median, q3 = quartiles(parent)
+    change_median = quartiles(change)[1]
+    behind = change_median - parent_median
+    if better == "higher":
+        behind = -behind
+    allowed = bound * abs(parent_median)
+    if behind > allowed:
+        return "yes"
+    if better == "higher":
+        clear = min(change) > max(parent)
+    else:
+        clear = max(change) < min(parent)
+    if q3 - q1 > allowed and not clear:
+        return "unresolved"
+    return "no"
+
+
 def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -95,7 +122,7 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':12s} {'better':6s} {'parent q1 / median / q3':>30s} "
-          f"{'change q1 / median / q3':>30s} {'median':>8s} {'wins':>6s}  gain")
+          f"{'change q1 / median / q3':>30s} {'median':>8s} {'wins':>6s}  gain  worse")
     for metric in spec["end_to_end"]:
         name, better = metric["name"], metric["better"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -105,7 +132,8 @@ def main(argv=None) -> int:
         print(f"{name:12s} {better:6s} {' / '.join(f'{v:.4g}' for v in p):>30s} "
               f"{' / '.join(f'{v:.4g}' for v in c):>30s} {moved:>8s} "
               f"{pair_wins(parent, change, better):>3d}/{args.pairs:<2d}  "
-              f"{'yes' if is_gain(parent, change, better) else 'no'}")
+              f"{'yes' if is_gain(parent, change, better) else 'no':4s}  "
+              f"{regression(parent, change, better, metric['bound'])}")
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
     return 0 if all(r["correct"] is True for rs in runs.values() for r in rs) else 1

@@ -42,3 +42,30 @@ def test_pair_wins_count_neither_side_on_a_tie():
 def test_gain_needs_nine_tenths_of_pairs_and_more_than_the_parents_spread(change, better, gain):
     parent = [121, 118, 125, 120, 119, 123, 117, 122, 121, 120]
     assert bench_pairs.is_gain(parent, change, better) is gain
+
+
+PARENT = [121, 118, 125, 120, 119, 123, 117, 122, 121, 120]  # median 120.5, IQR 2.5
+
+
+@pytest.mark.parametrize(
+    "change, better, bound, worse",
+    [
+        # the same runs: not worse
+        (PARENT, "higher", 0.1, "no"),
+        # median 106 is 12% below 120.5: worse than a 10% bound
+        ([p - 14.5 for p in PARENT], "higher", 0.1, "yes"),
+        # the same drop where lower is better is a gain
+        ([p - 14.5 for p in PARENT], "lower", 0.1, "no"),
+        # 12% above where lower is better: worse
+        ([p + 14.5 for p in PARENT], "lower", 0.1, "yes"),
+        # a 1% drop inside a 10% bound
+        ([p - 1.2 for p in PARENT], "higher", 0.1, "no"),
+        # a 1% drop, but the parent's spread (2.5 of 120.5) exceeds a 1% bound
+        ([p - 1.2 for p in PARENT], "higher", 0.01, "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ([126 + i for i in range(10)], "higher", 0.01, "no"),
+        ([110 - i for i in range(10)], "lower", 0.01, "no"),
+    ],
+)
+def test_regression_verdict(change, better, bound, worse):
+    assert bench_pairs.regression(PARENT, change, better, bound) == worse
