@@ -491,6 +491,8 @@ def exact_envelope(
     (and value-box corners when requested); every other row must be a point
     row. Returns the expected-value envelope and, per decision and reachable
     information state, the union of optimal alternatives."""
+    if cap < 0:
+        raise MalformedSpec(f"cap {cap} is negative")
     _plan_of(diagram)  # checks the diagram before its rows are read
     varied = list(varied_nodes)
     chance_names = diagram.names(NodeKind.CHANCE)
@@ -635,6 +637,8 @@ def soundness_check(
     expected value lies inside the computed interval and (b) every optimal
     choice at every reachable information state is admissible. Violations
     are counted, not raised."""
+    if samples < 0:
+        raise MalformedSpec(f"sample count {samples} is negative")
     if report is None:
         report = solve(diagram)
     lo, hi = report.final_interval

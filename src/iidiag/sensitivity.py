@@ -10,13 +10,14 @@ this choice.
 
 ``sweep`` widens chosen node subsets at each requested range, solves each
 widened diagram, and optionally runs the vertex-enumeration envelope beside
-it, producing a table-shaped report.
+it, producing a table-shaped report. Range 0 widens nothing, so the range-0
+cell is solved once and shared by every subset.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import CombinatorialLimitExceeded, MalformedSpec, NonPointResidual
@@ -39,7 +40,7 @@ def widen(point_row: Sequence[float], range_: float) -> tuple[float, ...]:
     the factor (1 - range_)."""
     if not 0.0 <= range_ < 1.0:
         raise MalformedSpec(f"range {range_} outside [0, 1)")
-    return tuple((1.0 - range_) * p for p in point_row)
+    return tuple(map((1.0 - range_).__mul__, point_row))
 
 
 def inject_range(
@@ -76,6 +77,8 @@ class SensitivitySpec:
     subsets: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.exact_cap < 0:
+            raise MalformedSpec(f"exact_cap {self.exact_cap} is negative")
         for r in self.ranges:
             if not 0.0 <= r < 1.0:
                 raise MalformedSpec(f"range {r} outside [0, 1)")
@@ -88,6 +91,11 @@ class SensitivitySpec:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (subset, range) cell of a sweep. ``solve_seconds`` is the time
+    of the solve that produced the cell's interval and policies. Every
+    range-0 cell shares the sweep's first range-0 solve, so they all carry
+    that one solve's time."""
+
     subset: tuple[str, ...]
     range_: float
     interval: tuple[float, float]
@@ -199,7 +207,8 @@ def sweep(
         raise MalformedSpec(f"jobs={jobs}: sweep runs its cells in order, jobs must be 1")
     check_structure(diagram)
     _require_point(diagram)
-    for name in spec.target_nodes:
+    subsets = spec.effective_subsets()
+    for name in (*spec.target_nodes, *(name for subset in subsets for name in subset)):
         if diagram.node(name).kind is not NodeKind.CHANCE:
             raise MalformedSpec(f"{name!r} is not a chance node")
 
@@ -207,13 +216,23 @@ def sweep(
     point = point_solve(diagram, _point_realization(diagram))
     point_seconds = time.perf_counter() - start
 
-    cells = tuple(
-        _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap)
-        for subset in spec.effective_subsets()
-        for r in spec.ranges
-    )
+    # Range 0 widens nothing ((1 - 0) * p == p for every float), so every
+    # subset's range-0 cell is the same solve: the first is computed, later
+    # ones copy it. With compare_exact every row is then a point row, and
+    # the envelope is the one configuration it evaluates for any subset.
+    cells = []
+    shared = None
+    for subset in subsets:
+        for r in spec.ranges:
+            if r == 0.0 and shared is not None:
+                cells.append(replace(shared, subset=subset, range_=r))
+                continue
+            cell = _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap)
+            if r == 0.0:
+                shared = cell
+            cells.append(cell)
     return SweepReport(
-        cells=cells,
+        cells=tuple(cells),
         point_value=point.expected_value,
         point_solve_seconds=point_seconds,
     )

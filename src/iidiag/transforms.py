@@ -143,17 +143,17 @@ def _free_mass(row: Sequence[float]) -> float:
 
 
 def contraction_bounds(
-    b_row: Sequence[float], lows: Sequence[float], highs: Sequence[float]
+    b_row: Sequence[float], intervals: Sequence[tuple[float, float]]
 ) -> tuple[float, float]:
     """Tightest interval for sum(v[y] * p[y]) with p dominating ``b_row`` and
-    each v[y] inside [lows[y], highs[y]].
+    each v[y] inside ``intervals[y]``, a value table's (low, high) row.
 
     The extremes put the free mass 1 - sum(b) on the outcome with the worst
     (best) interval endpoint, with values at the matching box corner.
     """
     total = lo = hi = 0.0
-    worst, best = lows[0], highs[0]
-    for b, low, high in zip(b_row, lows, highs):
+    worst, best = intervals[0]
+    for b, (low, high) in zip(b_row, intervals):
         total += b
         lo += low * b
         hi += high * b
@@ -340,8 +340,7 @@ class _Fold(StepShape):
         stride, span = self.stride, self.span
         rows = []
         for b_idx, base in zip(self.b_map, self.v_map):
-            lows, highs = zip(*v_rows[base : base + span : stride])
-            rows.append(contraction_bounds(b_rows[b_idx], lows, highs))
+            rows.append(contraction_bounds(b_rows[b_idx], v_rows[base : base + span : stride]))
         return (tuple(rows),), TransformStep(self.kind, node=self.node, into=self.into)
 
 
@@ -357,15 +356,14 @@ class _Decision(StepShape):
         rows, sets = [], []
         worst_gap = 0.0
         for base in self.v_map:
-            intervals = v_rows[base : base + span : stride]
-            admitted = _admissible(intervals)
-            lo = min(intervals[d][0] for d in admitted)
-            hi = max(intervals[d][1] for d in admitted)
+            admitted, lo, hi, floor = _undominated(v_rows[base : base + span : stride])
             rows.append((lo, hi))
             sets.append(admitted)
             # The reported hull minimum can sit below the best attainable
             # floor (max over all alternatives of the lower endpoint).
-            worst_gap = max(worst_gap, max(iv[0] for iv in intervals) - lo)
+            gap = floor - lo
+            if gap > worst_gap:
+                worst_gap = gap
         info = self.produced[0]
         admissible = AdmissibleSet(
             decision=self.node,
@@ -607,9 +605,29 @@ def remove_chance_into_value(
     return apply_step(diagram, _fold_shape(diagram, name))
 
 
-def _admissible(intervals: Sequence[tuple[float, float]]) -> tuple[int, ...]:
-    floor = max(lo for lo, _ in intervals)
-    return tuple(d for d, (_, hi) in enumerate(intervals) if hi >= floor)
+def _undominated(
+    intervals: Sequence[tuple[float, float]]
+) -> tuple[tuple[int, ...], float, float, float]:
+    """At one information state: the admissible alternatives, the hull
+    (lo, hi) of their intervals, and the floor (the largest lower endpoint).
+    An alternative is admissible iff its upper endpoint reaches the floor,
+    so the alternatives holding the floor and the largest upper endpoint
+    always are: ``hi`` is the largest upper endpoint of all, and ``lo`` is
+    at most the floor."""
+    floor, hi = intervals[0]
+    for low, high in intervals:
+        if low > floor:
+            floor = low
+        if high > hi:
+            hi = high
+    admitted = []
+    lo = floor
+    for d, (low, high) in enumerate(intervals):
+        if high >= floor:
+            admitted.append(d)
+            if low < lo:
+                lo = low
+    return tuple(admitted), lo, hi, floor
 
 
 def admissible_set(
@@ -624,9 +642,9 @@ def admissible_set(
     if decision not in table.parents:
         raise NotRemovable(f"{decision!r} is not a parent of the value table")
     card = table.cards[table.parents.index(decision)]
-    return _admissible([
+    return _undominated([
         table.interval_for({**info_assignment, decision: d}) for d in range(card)
-    ])
+    ])[0]
 
 
 def remove_decision(

@@ -466,6 +466,11 @@ class TestExactEnvelope:
         with pytest.raises(errors.CombinatorialLimitExceeded):
             exact_envelope(survey, ["STATE", "SIGNAL"], include_value_box=True, cap=10)
 
+    def test_negative_cap_is_malformed(self, minimal):
+        # a negative cap is a bad argument, not a limit one configuration exceeds
+        with pytest.raises(errors.MalformedSpec, match="cap -1 is negative"):
+            exact_envelope(minimal, ["C"], cap=-1)
+
     @pytest.mark.parametrize("case", ["survey", "widened wildcatter"])
     def test_no_member_exceeds_ev_max(self, case, survey, wildcatter):
         # ev_max is exact: the optimum is convex in each row and in the
@@ -586,6 +591,11 @@ class TestSoundnessCheck:
         report = soundness_check(survey, samples=0)
         assert report.passed
         assert report.sampled_min is None
+
+    def test_negative_samples_are_malformed(self, survey):
+        # a negative count checks nothing, so it must not read as a pass
+        with pytest.raises(errors.MalformedSpec, match="sample count -3 is negative"):
+            soundness_check(survey, samples=-3)
 
     def test_minimal_thousand_samples(self, minimal):
         report = soundness_check(minimal, samples=1000, seed=7)

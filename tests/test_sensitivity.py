@@ -1,9 +1,11 @@
 """Range injection and sweep reports."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from iidiag import errors
+from iidiag import errors, sensitivity
 from iidiag.cli import main
 from iidiag.diagram_io import fixture_path
 from iidiag.model import build_diagram
@@ -15,6 +17,7 @@ from iidiag.sensitivity import (
     sweep,
     widen,
 )
+from test_outputs_pinned import wildcatter_sweep_spec
 
 POINT_MINIMAL = {
     "variables": [{"name": "C", "outcomes": ["c1", "c2"]}],
@@ -189,3 +192,65 @@ class TestSweep:
         data = report_to_dict(report)
         assert len(data["cells"]) == 2
         assert data["cells"][1]["exact"]["configurations_evaluated"] == 3
+
+    def test_negative_exact_cap_is_malformed(self):
+        # a negative cap would mark every cell exact_skipped without a word
+        with pytest.raises(errors.MalformedSpec, match="exact_cap -1 is negative"):
+            SensitivitySpec(target_nodes=("C",), ranges=(0.05,), exact_cap=-1)
+
+    def test_every_subset_names_chance_nodes(self, wildcatter):
+        # TEST's range-0 cell would share OIL's solve, so the check cannot
+        # wait for TEST's own widening
+        spec = SensitivitySpec(("OIL",), (0.0,), subsets=(("OIL",), ("TEST",)))
+        with pytest.raises(errors.MalformedSpec, match="^'TEST' is not a chance node$"):
+            sweep(wildcatter, spec)
+
+    def test_subsets_are_checked_before_the_first_cell(self, wildcatter, monkeypatch):
+        solves = []
+        monkeypatch.setattr(sensitivity, "solve", solves.append)
+        spec = SensitivitySpec(("OIL",), (0.05,), subsets=(("OIL",), ("TEST",)))
+        with pytest.raises(errors.MalformedSpec, match="^'TEST' is not a chance node$"):
+            sweep(wildcatter, spec)
+        assert solves == []
+
+
+class TestSharedRangeZero:
+    """Range 0 widens nothing, so the sweep solves its range-0 cell once and
+    every later subset shares it."""
+
+    @pytest.mark.parametrize("compare_exact", [False, True])
+    def test_inject_range_and_solve_run_in_lockstep(self, wildcatter, monkeypatch, compare_exact):
+        # every computed cell widens, then solves, once each: 1 range-0
+        # cell and 7 subsets x 3 nonzero ranges
+        calls = []
+        inject, solve = sensitivity.inject_range, sensitivity.solve
+
+        def traced_inject(diagram, nodes, range_):
+            calls.append(("inject_range", tuple(nodes), range_))
+            return inject(diagram, nodes, range_)
+
+        def traced_solve(diagram):
+            calls.append(("solve",))
+            return solve(diagram)
+
+        monkeypatch.setattr(sensitivity, "inject_range", traced_inject)
+        monkeypatch.setattr(sensitivity, "solve", traced_solve)
+        spec = wildcatter_sweep_spec(compare_exact=compare_exact)
+        report = sweep(wildcatter, spec)
+        assert len(report.cells) == 28
+        computed = [(c.subset, c.range_) for c in report.cells
+                    if c.range_ != 0.0 or c.subset == spec.subsets[0]]
+        assert len(computed) == 22
+        assert calls[0::2] == [("inject_range", s, r) for s, r in computed]
+        assert calls[1::2] == [("solve",)] * 22
+
+    @pytest.mark.parametrize("compare_exact", [False, True])
+    def test_shared_cells_equal_their_own_solve(self, wildcatter, compare_exact):
+        spec = wildcatter_sweep_spec(compare_exact=compare_exact)
+        report = sweep(wildcatter, spec)
+        first = report.cell(spec.subsets[0], 0.0)
+        for subset in spec.subsets[1:]:
+            shared = report.cell(subset, 0.0)
+            assert shared.solve_seconds == first.solve_seconds
+            own = sensitivity._run_cell(wildcatter, subset, 0.0, compare_exact, spec.exact_cap)
+            assert shared == dataclasses.replace(own, solve_seconds=first.solve_seconds)

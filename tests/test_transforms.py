@@ -65,12 +65,12 @@ class TestChanceRemoval:
         assert expectation_envelope((0.3, 0.4), [(0, 1), (2, 3)]) == pytest.approx(
             (0.8, 2.4), abs=1e-12
         )
-        assert contraction_bounds((0.3, 0.4), [0, 2], [1, 3]) == pytest.approx(
+        assert contraction_bounds((0.3, 0.4), [(0, 1), (2, 3)]) == pytest.approx(
             (0.8, 2.4), abs=1e-12
         )
 
     def test_point_row_point_values(self):
-        assert contraction_bounds((0.6, 0.4), [10, 0], [10, 0]) == pytest.approx(
+        assert contraction_bounds((0.6, 0.4), [(10, 10), (0, 0)]) == pytest.approx(
             (6.0, 6.0), abs=1e-12
         )
 
@@ -79,7 +79,7 @@ class TestChanceRemoval:
         assert expectation_envelope((0.5, 0.3), [(10, 10), (0, 0)]) == pytest.approx(
             (5.0, 7.0), abs=1e-12
         )
-        assert contraction_bounds((0.5, 0.3), [10, 0], [10, 0]) == pytest.approx(
+        assert contraction_bounds((0.5, 0.3), [(10, 10), (0, 0)]) == pytest.approx(
             (5.0, 7.0), abs=1e-12
         )
 
@@ -123,7 +123,7 @@ class TestChanceRemoval:
         lows = data.draw(st.lists(st.floats(-5, 5), min_size=k, max_size=k))
         widths = data.draw(st.lists(st.floats(0, 3), min_size=k, max_size=k))
         highs = [lo + w for lo, w in zip(lows, widths)]
-        lo, hi = contraction_bounds(b_row, lows, highs)
+        lo, hi = contraction_bounds(b_row, list(zip(lows, highs)))
         # arbitrary member: free mass spread unevenly, values mid-box
         free = max(0.0, 1 - sum(b_row))
         weights = data.draw(st.lists(st.floats(0.001, 1), min_size=k, max_size=k))
@@ -142,9 +142,10 @@ class TestChanceRemoval:
         b_row = (0.25, 0.125, 0.125)
         lows = (-2.0, 0.5, -2.0)
         highs = (4.0, 4.0, 1.0)
-        base = contraction_bounds(b_row, lows, highs)
+        intervals = tuple(zip(lows, highs))
+        base = contraction_bounds(b_row, intervals)
         for i, j in ((0, 1), (0, 2)):
-            swapped = [swap(seq, i, j) for seq in (b_row, lows, highs)]
+            swapped = [swap(seq, i, j) for seq in (b_row, intervals)]
             assert contraction_bounds(*swapped) == base
 
 
@@ -223,6 +224,24 @@ class TestAdmissibleSet:
 
 
 class TestDecisionRemoval:
+    @given(st.lists(
+        st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.sampled_from([-0.0, 0.0, 1.0, 2.0]))
+        .filter(lambda iv: iv[0] <= iv[1]),
+        min_size=2, max_size=4,
+    ))
+    def test_state_matches_min_and_max_bit_for_bit(self, intervals):
+        # the kernel's loops keep the value min and max would pick, signed
+        # zeros included, as the definitions written with them do
+        d = decision_table(intervals)
+        out, step = remove_decision(d, "D")
+        floor = max(lo for lo, _ in intervals)
+        admitted = tuple(i for i, (_, hi) in enumerate(intervals) if hi >= floor)
+        lo = min(intervals[i][0] for i in admitted)
+        hi = max(intervals[i][1] for i in admitted)
+        assert step.admissible.sets == (admitted,)
+        assert repr(out.value_node.value_table.rows[0]) == repr((lo, hi))
+        assert repr(step.lower_gap) == repr(max(0.0, floor - lo))
+
     def test_singleton_set(self):
         d = decision_table([(5, 7), (4, 4)])
         out, step = remove_decision(d, "D")
@@ -739,7 +758,7 @@ class TestPointReduction:
             s = sum(p)
             p = [x / s for x in p]
             v = [rng.uniform(-5, 5) for _ in range(k)]
-            lo, hi = contraction_bounds(p, v, v)
+            lo, hi = contraction_bounds(p, [(x, x) for x in v])
             exact = sum(a * b for a, b in zip(p, v))
             assert lo == pytest.approx(exact, abs=1e-9)
             assert hi == pytest.approx(exact, abs=1e-9)
