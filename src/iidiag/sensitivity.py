@@ -40,7 +40,7 @@ def widen(point_row: Sequence[float], range_: float) -> tuple[float, ...]:
     the factor (1 - range_)."""
     if not 0.0 <= range_ < 1.0:
         raise MalformedSpec(f"range {range_} outside [0, 1)")
-    return tuple(map((1.0 - range_).__mul__, point_row))
+    return tuple((1.0 - range_) * p for p in point_row)
 
 
 def inject_range(

@@ -361,9 +361,7 @@ class _Decision(StepShape):
             sets.append(admitted)
             # The reported hull minimum can sit below the best attainable
             # floor (max over all alternatives of the lower endpoint).
-            gap = floor - lo
-            if gap > worst_gap:
-                worst_gap = gap
+            worst_gap = max(worst_gap, floor - lo)
         info = self.produced[0]
         admissible = AdmissibleSet(
             decision=self.node,
