@@ -251,6 +251,5 @@ class TestSharedRangeZero:
         first = report.cell(spec.subsets[0], 0.0)
         for subset in spec.subsets[1:]:
             shared = report.cell(subset, 0.0)
-            assert shared.solve_seconds == first.solve_seconds
             own = sensitivity._run_cell(wildcatter, subset, 0.0, compare_exact, spec.exact_cap)
             assert shared == dataclasses.replace(own, solve_seconds=first.solve_seconds)
