@@ -22,6 +22,10 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.diagrams < 1:
+        parser.error("--diagrams must be at least 1")
+    if args.samples < 0:
+        parser.error("--samples must be at least 0")
 
     rng = Random(args.seed)
     step_counts = {kind: 0 for kind in StepKind}

@@ -156,6 +156,12 @@ _MAX_LEAVES = 2**64
 # spans more than this many entries per leaf is read offset by offset.
 _WINDOW_SPAN = 8
 
+# soundness_check evaluates its members with point_solve while the joint fits
+# one block, so the sampled values of every such diagram stay point_solve's
+# floats, and by variable elimination past it, where point_solve walks the
+# joint one block at a time.
+_ELIMINATION_LEAVES = _BLOCK_LEAVES
+
 _ZERO = 0.0  # every sum starts here, so -0.0 terms add up to 0.0
 _NEGATIVE = -1e-9  # a realization's probability below this is rejected
 
@@ -227,17 +233,33 @@ def _steps(parents: Sequence[str], cards: Sequence[int], scale: int = 1) -> dict
     return out
 
 
+def _offsets(names: Sequence[str], cards: Sequence[int], steps: dict[str, int]) -> list[int]:
+    """The index, in a table whose strides are ``steps``, of every
+    configuration of ``names`` (``cards`` outcomes each, last fastest); a
+    name without a stride does not move the index."""
+    out = [0]
+    for name, card in zip(names, cards):
+        step = steps.get(name, 0)
+        out = [base + i * step for base in out for i in range(card)]
+    return out
+
+
+def _picker(offsets: Sequence[int]) -> Callable[[Sequence[float]], Sequence[float]]:
+    """An ``itemgetter`` for the entries at ``offsets``; a one-offset
+    column is read as a sequence too, where a plain ``itemgetter`` returns
+    the entry itself."""
+    if len(offsets) == 1:
+        return itemgetter(slice(offsets[0], offsets[0] + 1))
+    return itemgetter(*offsets)
+
+
 def _reader(offsets: Sequence[int]) -> Callable[[Sequence[float], int], Iterable[float]]:
     """Reads a table's entries at ``offsets`` plus a base: with one
-    ``itemgetter`` on the table at base 0, and on the window that the
+    :func:`_picker` on the table at base 0, and on the window that the
     offsets span from the base otherwise. A window longer than
     ``_WINDOW_SPAN`` entries per offset is not copied; the base is added to
-    each offset instead. A one-offset column (a one-leaf block) is read as
-    a sequence too, where a plain ``itemgetter`` returns the entry itself."""
-    if len(offsets) == 1:
-        pick = itemgetter(slice(offsets[0], offsets[0] + 1))
-    else:
-        pick = itemgetter(*offsets)
+    each offset instead."""
+    pick = _picker(offsets)
     extent = max(offsets) + 1
     if extent <= _WINDOW_SPAN * len(offsets):
         return lambda table, base: pick(table[base:base + extent]) if base else pick(table)
@@ -285,16 +307,13 @@ def _compile(diagram: InfluenceDiagram) -> _Plan:
         leaves *= levels[split].card
     inner = levels[split:]
 
-    offsets = [[0] for _ in targets]
-    group_offsets = []
-    for level in inner:
-        group_offsets.append(
-            tuple(offsets[level.target]) if level.target >= 0 else None
-        )
-        offsets = [
-            [base + i * step for base in column for i in range(level.card)]
-            for column, step in zip(offsets, level.steps)
-        ]
+    names = [level.name for level in inner]
+    cards = [level.card for level in inner]
+    group_offsets = [
+        tuple(_offsets(names[:q], cards[:q], targets[level.target]))
+        if level.target >= 0 else None
+        for q, level in enumerate(inner)
+    ]
     outer = levels[:split]
     hoisted = 0
     while hoisted < len(chance) and not any(level.steps[hoisted] for level in outer):
@@ -304,7 +323,9 @@ def _compile(diagram: InfluenceDiagram) -> _Plan:
         value_rows=len(value.value_table.rows),
         outer=tuple(outer),
         inner=tuple(inner),
-        readers=tuple(_reader(column) for column in offsets[:first_decision]),
+        readers=tuple(
+            _reader(_offsets(names, cards, steps)) for steps in targets[:first_decision]
+        ),
         hoisted=hoisted,
         group_offsets=tuple(group_offsets),
         ones=(1.0,) * leaves,
@@ -314,19 +335,24 @@ def _compile(diagram: InfluenceDiagram) -> _Plan:
 _PLANS: dict[int, _Plan] = {}
 
 
-def _plan_of(diagram: InfluenceDiagram) -> _Plan:
-    """The diagram's plan, compiled on first use and dropped with the diagram
-    (diagrams are immutable, so a plan never goes stale). Compiling checks
-    the diagram, so every diagram is checked once, before any row is read."""
+def _cached(cache: dict, compile_: Callable, diagram: InfluenceDiagram):
+    """``compile_(diagram)``, compiled on first use and dropped with the
+    diagram (diagrams are immutable, so a plan never goes stale)."""
     key = id(diagram)
-    plan = _PLANS.get(key)
+    plan = cache.get(key)
     if plan is None:
-        plan = _PLANS[key] = _compile(diagram)
-        weakref.finalize(diagram, _PLANS.pop, key, None)
+        plan = cache[key] = compile_(diagram)
+        weakref.finalize(diagram, cache.pop, key, None)
     return plan
 
 
-def _check_shape(plan: _Plan, realization: PointRealization) -> None:
+def _plan_of(diagram: InfluenceDiagram) -> _Plan:
+    """The diagram's plan (see :func:`_cached`). Compiling checks the
+    diagram, so every diagram is checked once, before any row is read."""
+    return _cached(_PLANS, _compile, diagram)
+
+
+def _check_shape(plan: _Plan | _Elimination, realization: PointRealization) -> None:
     names = [name for name, _, _ in plan.chance]
     if realization.chance.keys() != set(names):
         raise ShapeMismatch(
@@ -347,6 +373,19 @@ def _check_shape(plan: _Plan, realization: PointRealization) -> None:
         raise ShapeMismatch("value row count mismatch")
     if not all(map(isfinite, realization.values)):
         raise ShapeMismatch("value rows must be finite")
+
+
+def _tables(plan: _Plan | _Elimination, realization: PointRealization) -> list:
+    """The realization's tables, checked against the plan's shapes: each
+    chance node's rows flattened (entry ``row * k + outcome``), in
+    ``names(CHANCE)`` order, then the values."""
+    _check_shape(plan, realization)
+    tables = [
+        list(itertools.chain.from_iterable(realization.chance[name]))
+        for name, _, _ in plan.chance
+    ]
+    tables.append(realization.values)
+    return tables
 
 
 def _decide(
@@ -377,25 +416,14 @@ def _sum_groups(values: Sequence[float], k: int) -> list[float]:
     return list(acc)
 
 
-def _evaluate_block(plan: _Plan, tables, prefix, policy, bases) -> tuple[float, float]:
-    """Reach and expected value of the inner block below one outer
-    configuration, reduced level by level from the bottom. ``prefix`` holds
-    the product of the hoisted columns. Reach is only reduced in a diagram
-    with decisions; without one nothing reads it."""
-    h = plan.hoisted
-    columns = [
-        read(table, base)
-        for table, base, read in zip(tables[h:], bases[h:], plan.readers[h:])
-    ]
-    # leaf weight: 1.0 times each chance node's probability in names(CHANCE)
-    # order, then times the leaf's value
-    reach = prefix
-    for column in columns[:-1]:
-        reach = list(map(mul, reach, column))
-    total = list(map(mul, reach, columns[-1]))
-
+def _reduce(levels, group_offsets, bases, policy, reach, total) -> tuple[float, float]:
+    """Reach and expected value of a block of ``levels``, from its leaves'
+    ``reach`` and ``total`` columns (in walk order, last level fastest),
+    summed (chance) or maximized (decision) level by level from the bottom.
+    Reach is only reduced in a diagram with decisions; without one nothing
+    reads it."""
     track_reach = bool(policy)
-    for level, groups in zip(reversed(plan.inner), reversed(plan.group_offsets)):
+    for level, groups in zip(reversed(levels), reversed(group_offsets)):
         k = level.card
         if groups is None:
             total = _sum_groups(total, k)
@@ -410,6 +438,23 @@ def _evaluate_block(plan: _Plan, tables, prefix, policy, bases) -> tuple[float, 
             reach = [r for r, _ in reduced]
             total = [t for _, t in reduced]
     return reach[0], total[0]
+
+
+def _evaluate_block(plan: _Plan, tables, prefix, policy, bases) -> tuple[float, float]:
+    """Reach and expected value of the inner block below one outer
+    configuration. ``prefix`` holds the product of the hoisted columns."""
+    h = plan.hoisted
+    columns = [
+        read(table, base)
+        for table, base, read in zip(tables[h:], bases[h:], plan.readers[h:])
+    ]
+    # leaf weight: 1.0 times each chance node's probability in names(CHANCE)
+    # order, then times the leaf's value
+    reach = prefix
+    for column in columns[:-1]:
+        reach = list(map(mul, reach, column))
+    total = list(map(mul, reach, columns[-1]))
+    return _reduce(plan.inner, plan.group_offsets, bases, policy, reach, total)
 
 
 def _walk(plan: _Plan, tables, prefix, policy, pos: int, bases) -> tuple[float, float]:
@@ -450,18 +495,206 @@ def point_solve(
     Sums run left to right from 0.0, so the result is the same float a
     depth-first walk gives."""
     plan = _plan_of(diagram)
-    _check_shape(plan, realization)
-    tables = [
-        list(itertools.chain.from_iterable(realization.chance[name]))
-        for name, _, _ in plan.chance
-    ]
-    tables.append(realization.values)
+    tables = _tables(plan, realization)
     prefix = plan.ones
     for table, read in zip(tables[:plan.hoisted], plan.readers):
         prefix = list(map(mul, prefix, read(table, 0)))  # every base is 0
     policy: dict[str, dict[int, PolicyEntry]] = {d: {} for d in diagram.decision_order}
     bases = [0] * (len(tables) + len(diagram.decision_order))
     _, total = _walk(plan, tables, prefix, policy, 0, bases)
+    return PointSolution(expected_value=total, policy=policy)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation by variable elimination
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Product:
+    """Factors multiplied over one scope (its variables in sum/max order,
+    last fastest). ``inputs`` are slots of probability factors, each read
+    through its gather: a :func:`_picker` of the factor's entry at every
+    configuration of the scope, or ``None`` where the factor is laid out
+    over the scope already. If ``pair``, the reach and total tables are
+    read through ``pair_gather`` and multiplied by the product."""
+
+    inputs: tuple[int, ...]
+    gathers: tuple[Callable[[Sequence[float]], Sequence[float]] | None, ...]
+    pair: bool
+    pair_gather: Callable[[Sequence[float]], Sequence[float]] | None
+
+
+@dataclass(frozen=True)
+class _Elimination:
+    """Everything about a diagram that :func:`eliminate` needs besides the
+    numbers of a realization.
+
+    A factor is a flat table over its scope. Slots ``0 .. len(chance)-1``
+    hold the chance nodes' flattened rows (scope: parents, then the node),
+    slot ``len(chance)`` the values, and each summed product appends one
+    slot. The value table starts the *pair*: a total table, the values
+    times every probability factor multiplied into it, and a reach table,
+    the same product without the values (tracked only in a diagram with
+    decisions). ``steps`` sum out the variables after the last decision in
+    the sum/max order, last first: each multiplies the factors that hold
+    its variable, placed last in the product's scope, and sums runs of
+    ``k`` entries. ``head`` multiplies what is left over the variables up
+    to the last decision, ``levels``, which are then reduced as one block
+    of :func:`point_solve` is (``group_offsets``, ``bases``)."""
+
+    chance: tuple[tuple[str, int, int], ...]  # (name, rows, outcomes)
+    value_rows: int
+    steps: tuple[tuple[int, _Product], ...]  # (k, product)
+    head: _Product
+    levels: tuple[_Level, ...]
+    group_offsets: tuple[tuple[int, ...] | None, ...]
+    bases: tuple[int, ...]
+    ones: tuple[float, ...] | None  # the reach table before any product
+
+
+def _product(names, card, scopes, inputs, pair_scope) -> _Product:
+    """The product over the scope ``names`` of the probability factors in
+    slots ``inputs`` (``scopes[slot]`` each) and, unless ``pair_scope`` is
+    None, of the pair."""
+    cards = [card[n] for n in names]
+    size = config_count(cards)
+    if size > _MAX_LEAVES:
+        raise CombinatorialLimitExceeded(
+            f"variable elimination needs a table of {size} entries, past {_MAX_LEAVES}"
+        )
+
+    def gather(scope):
+        offsets = _offsets(names, cards, _steps(scope, [card[n] for n in scope]))
+        return None if offsets == list(range(size)) else _picker(offsets)
+
+    return _Product(
+        tuple(inputs), tuple(gather(scopes[slot]) for slot in inputs),
+        pair_scope is not None, None if pair_scope is None else gather(pair_scope),
+    )
+
+
+def _compile_elimination(diagram: InfluenceDiagram) -> _Elimination:
+    check_structure(diagram)  # a hand-built diagram gets typed errors
+    order = _sum_max_order(diagram)
+    rank = {name: i for i, name in enumerate(order)}
+    card = {name: diagram.card(name) for name in order}
+    chance, scopes = [], []
+    for name in diagram.names(NodeKind.CHANCE):
+        node = diagram.node(name)
+        chance.append((name, len(node.chance_table.rows), node.cardinality))
+        scopes.append((*node.parents, name))
+    value = diagram.value_node
+    pair_scope = value.parents
+    scopes.append(pair_scope)
+    live = list(range(len(chance)))  # probability factors not multiplied yet
+
+    decisions = diagram.decision_order
+    split = rank[decisions[-1]] + 1 if decisions else 0
+    steps = []
+    for name in reversed(order[split:]):
+        inputs = [slot for slot in live if name in scopes[slot]]
+        live = [slot for slot in live if slot not in inputs]
+        pair = name in pair_scope
+        held = {n for slot in inputs for n in scopes[slot]}
+        if pair:
+            held.update(pair_scope)
+        held.discard(name)
+        names = (*sorted(held, key=rank.__getitem__), name)
+        steps.append((card[name], _product(
+            names, card, scopes, inputs, pair_scope if pair else None)))
+        if pair:
+            pair_scope = names[:-1]
+        else:
+            live.append(len(scopes))
+            scopes.append(names[:-1])
+
+    head = order[:split]
+    # before the group offsets, so a head past the limit is refused first
+    head_product = _product(head, card, scopes, live, pair_scope)
+    levels, group_offsets = [], []
+    for q, name in enumerate(head):
+        node = diagram.node(name)
+        if node.kind is NodeKind.DECISION:
+            levels.append(_Level(name, card[name], decisions.index(name), ()))
+            info = _steps(node.parents, diagram.cards_of(node.parents))
+            group_offsets.append(
+                tuple(_offsets(head[:q], [card[n] for n in head[:q]], info))
+            )
+        else:
+            levels.append(_Level(name, card[name], -1, ()))
+            group_offsets.append(None)
+    return _Elimination(
+        chance=tuple(chance),
+        value_rows=len(value.value_table.rows),
+        steps=tuple(steps),
+        head=head_product,
+        levels=tuple(levels),
+        group_offsets=tuple(group_offsets),
+        bases=(0,) * len(decisions),
+        ones=(1.0,) * len(value.value_table.rows) if decisions else None,
+    )
+
+
+_ELIMINATIONS: dict[int, _Elimination] = {}
+
+
+def _elimination_of(diagram: InfluenceDiagram) -> _Elimination:
+    """The diagram's elimination plan (see :func:`_cached`), which checks
+    the diagram as :func:`_plan_of` does."""
+    return _cached(_ELIMINATIONS, _compile_elimination, diagram)
+
+
+def _multiply(product: _Product, tables, reach, total):
+    """The probability factors' product over ``product``'s scope, or, for a
+    pair product, the reach and total tables multiplied by it."""
+    weight = None
+    for slot, gather in zip(product.inputs, product.gathers):
+        column = tables[slot] if gather is None else gather(tables[slot])
+        weight = column if weight is None else list(map(mul, weight, column))
+    if not product.pair:
+        return weight
+    gather = product.pair_gather
+    if gather is not None:
+        total = gather(total)
+        reach = None if reach is None else gather(reach)
+    if weight is not None:
+        total = list(map(mul, weight, total))
+        reach = None if reach is None else list(map(mul, weight, reach))
+    return reach, total
+
+
+def eliminate(
+    diagram: InfluenceDiagram, realization: PointRealization
+) -> PointSolution:
+    """:func:`point_solve`'s expected value and policy by variable
+    elimination in a strong order (Jensen, Jensen & Dittmer 1994): the
+    variables after the last decision in the sum/max order are summed out
+    one factor product at a time, last first, and what is left is a table
+    over the variables up to the last decision, reduced level by level as
+    a block of ``point_solve`` is. Each decision is therefore maximized over
+    the same unnormalised reach and total at each information state, so
+    ties and ``reached`` mean the same; floats differ from ``point_solve``'s
+    in the last digits, as the sums run in another order.
+
+    The cost grows with the largest product's scope and the last decision's
+    information states, not with the joint, so a joint past the 2**64
+    leaves ``point_solve`` refuses is evaluated too."""
+    plan = _elimination_of(diagram)
+    tables = _tables(plan, realization)
+    reach, total = plan.ones, tables[len(plan.chance)]
+    for k, product in plan.steps:
+        if product.pair:
+            reach, total = _multiply(product, tables, reach, total)
+            total = _sum_groups(total, k)
+            reach = None if reach is None else _sum_groups(reach, k)
+        else:
+            tables.append(_sum_groups(_multiply(product, tables, None, None), k))
+    reach, total = _multiply(plan.head, tables, reach, total)
+    policy: dict[str, dict[int, PolicyEntry]] = {d: {} for d in diagram.decision_order}
+    if plan.levels:
+        _, total = _reduce(plan.levels, plan.group_offsets, plan.bases, policy, reach, total)
+    else:
+        total = total[0]
     return PointSolution(expected_value=total, policy=policy)
 
 
@@ -636,14 +869,24 @@ def soundness_check(
     """Solve once, then check per sampled member that (a) its exact optimal
     expected value lies inside the computed interval and (b) every optimal
     choice at every reachable information state is admissible. Violations
-    are counted, not raised."""
+    are counted, not raised. Members are evaluated by :func:`point_solve`
+    while the joint has at most ``_ELIMINATION_LEAVES`` leaves and by
+    :func:`eliminate` past that."""
     if samples < 0:
         raise MalformedSpec(f"sample count {samples} is negative")
     if report is None:
         report = solve(diagram)
     lo, hi = report.final_interval
     rng = Random(seed)
-    _plan_of(diagram)  # checks the diagram before the sampler reads its rows
+    joint = config_count([n.variable.cardinality for n in diagram.nodes.values()
+                          if n.variable is not None])
+    # either compile checks the diagram before the sampler reads its rows
+    if joint > _ELIMINATION_LEAVES:
+        _elimination_of(diagram)
+        evaluate = eliminate
+    else:
+        _plan_of(diagram)
+        evaluate = point_solve
     draw = _member_sampler(diagram)
 
     ev_violations = policy_violations = 0
@@ -655,7 +898,7 @@ def soundness_check(
     }
     for _ in range(samples):
         member = draw(rng)
-        solution = point_solve(diagram, member)
+        solution = evaluate(diagram, member)
         ev = solution.expected_value
         sampled_min = ev if sampled_min is None else min(sampled_min, ev)
         sampled_max = ev if sampled_max is None else max(sampled_max, ev)
@@ -687,9 +930,6 @@ def _admitted_by_state(diagram, name: str, admitted) -> list[tuple[int, ...]]:
     """The admissible set for every configuration of a decision's full
     parent set (the index ``point_solve`` keys its policy by), read through
     the (sub)set of parents the admissible table is keyed by."""
+    parents = diagram.node(name).parents
     steps = _steps(admitted.info_parents, admitted.info_cards)
-    index = [0]
-    for parent in diagram.node(name).parents:
-        step = steps.get(parent, 0)
-        index = [base + v * step for base in index for v in range(diagram.card(parent))]
-    return [admitted.sets[i] for i in index]
+    return [admitted.sets[i] for i in _offsets(parents, diagram.cards_of(parents), steps)]

@@ -69,10 +69,20 @@ def all_fixture_paths():
     return sorted(fixture_path("minimal").parent.glob("*.iid.json"))
 
 
-def golden_recorder():
-    """``scripts/record_golden.py`` as a module, for its diagram generators."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "record_golden.py"
-    spec = importlib.util.spec_from_file_location("record_golden", path)
+def _module_at(name, relative):
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def golden_recorder():
+    """``scripts/record_golden.py`` as a module, for its diagram generators."""
+    return _module_at("record_golden", "scripts/record_golden.py")
+
+
+def perfbench_corpus():
+    """``perfbench/corpus.py`` as a module: the benchmark's own diagram
+    generators, which import nothing from the package."""
+    return _module_at("perfbench_corpus", "perfbench/corpus.py")

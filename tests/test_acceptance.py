@@ -1,4 +1,5 @@
-"""Acceptance suite: the eight package-level criteria, one test each.
+"""Acceptance suite: the eight package-level criteria, one test each, and
+sampling soundness on the benchmark's largest ``reduce`` diagrams.
 
 Each test prints a single pass line (visible with ``pytest -s`` or ``-rA``)
 so a run reads as a checklist. Tolerances are fixed here, not configurable:
@@ -8,12 +9,13 @@ because the extremal members sit on grid endpoints.
 """
 
 import itertools
+import math
 import time
 from random import Random
 
 import pytest
 
-from iidiag import solver
+from iidiag import exact, solver
 from iidiag.cli import main
 from iidiag.diagram_io import fixture_path, load_diagram, parse_diagram, serialize_diagram
 from iidiag.exact import (
@@ -31,7 +33,7 @@ from iidiag.generate import (
     random_diagram,
     reversal_instance,
 )
-from iidiag.model import NodeKind, config_assignment, config_index
+from iidiag.model import NodeKind, build_diagram, config_assignment, config_index
 from iidiag.sensitivity import SensitivitySpec, inject_range, sweep
 from iidiag.solver import solve
 from iidiag.transforms import (
@@ -40,7 +42,7 @@ from iidiag.transforms import (
     remove_decision,
     reverse_arc,
 )
-from conftest import all_fixture_paths
+from conftest import all_fixture_paths, perfbench_corpus
 from oracles import (
     chance_removal_oracle,
     marginal_grid_min,
@@ -209,6 +211,25 @@ def test_criterion_2_soundness_suite():
         f"({len(all_fixture_paths())} fixtures + 100 random diagrams x 1000 samples, "
         f"{elapsed:.1f}s)"
     )
+
+
+def test_soundness_on_the_benchmark_families():
+    """Sampling soundness at the benchmark's scale: the ``reduce`` families'
+    largest sizes, whose joints point_solve walks block by block or (for
+    chain(40), 42 variables) refuses; members are evaluated by elimination."""
+    corpus = perfbench_corpus()
+    start = time.perf_counter()
+    for family, size in (("chain", 40), ("wide", 7), ("stages", 5)):
+        doc = getattr(corpus, family)(Random(f"soundness:{family}"), Random(11), size)
+        diagram = build_diagram(doc)
+        leaves = math.prod(n.variable.cardinality for n in diagram.nodes.values() if n.variable)
+        assert leaves > exact._ELIMINATION_LEAVES
+        assert (leaves > exact._MAX_LEAVES) == (family == "chain")
+        report = soundness_check(diagram, samples=200, seed=3)
+        assert report.passed, f"{family}({size}): {report}"
+    elapsed = time.perf_counter() - start
+    print(f"\n[acceptance] soundness at benchmark scale: PASS "
+          f"(chain(40), wide(7), stages(5) x 200 samples, {elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

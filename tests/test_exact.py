@@ -5,13 +5,16 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from iidiag import errors, exact
+from iidiag.diagram_io import load_diagram
 from iidiag.exact import (
     PointRealization,
+    eliminate,
     exact_envelope,
     point_solve,
     sample_member,
@@ -22,7 +25,7 @@ from iidiag.generate import _Doc, random_chain_diagram, random_diagram
 from iidiag.model import LowerCPT, Node, NodeKind, build_diagram
 from iidiag.sensitivity import SensitivitySpec, inject_range, sweep
 from iidiag.solver import solve
-from conftest import chain_data
+from conftest import all_fixture_paths, chain_data, perfbench_corpus
 from oracles import halfspace_vertices, recursive_point_solve, table_lookup
 
 
@@ -343,6 +346,146 @@ class TestPointSolveMatchesRecursiveWalk:
         for k in range(2):
             member = sample_member(diagram, k)
             self._assert_same(diagram, _one_hot_rows(member, rng) if k else member)
+
+
+@pytest.fixture(scope="module")
+def elimination_corpus():
+    """(label, diagram) for every diagram the eliminator is held to
+    ``point_solve`` on: the fixtures and golden diagrams, the diagrams of
+    acceptance criteria 4 and 5 (drawn as those tests draw them), 300 seeds
+    of each random generator, ladder rungs 1-7 and the benchmark's
+    ``observed`` and ``small`` families."""
+    golden = Path(__file__).parent / "golden"
+    paths = [*all_fixture_paths(), *sorted(golden.glob("*.iid.json")),
+             *sorted(golden.glob("*.diagram.json"))]
+    out = [(path.name, load_diagram(path)) for path in paths]
+    rng = Random(44001)
+    for i in range(100):
+        out.append((f"criterion 4, {i}", random_diagram(
+            rng, max_nodes=5, point=True, duplicate_alternative=(i % 4 == 0))))
+    rng = Random(55001)
+    while len(out) < len(paths) + 200:
+        done = len(out) - len(paths) - 100
+        base = (random_chain_diagram(rng, point=True) if done % 3 == 0
+                else random_diagram(rng, max_nodes=5, point=True))
+        chance = base.names(NodeKind.CHANCE)
+        if not chance:
+            continue
+        count = rng.randint(1, min(3, len(chance)))
+        picked = list(chance)
+        rng.shuffle(picked)
+        subset = tuple(sorted(picked[:count]))
+        out.append((f"criterion 5, {done}",
+                    inject_range(base, subset, rng.choice([0.01, 0.05, 0.1, 0.25]))))
+    for s in range(300):
+        out.append((f"random_diagram({s})", random_diagram(Random(s), max_nodes=8)))
+        out.append((f"random_chain_diagram({s})", random_chain_diagram(Random(s))))
+    for rung in range(1, 8):
+        out.append((f"ladder({rung})", _ladder(Random(700 + rung), rung)))
+    corpus = perfbench_corpus()
+    shape, values = Random("elimination:shape"), Random("elimination:values")
+    for length in (1, 2, 3, 4) * 3:
+        out.append((f"observed({length})",
+                    build_diagram(corpus.observed(shape, values, length))))
+    for n_chance, n_decision in ((2, 1), (3, 0), (3, 1), (4, 1), (4, 2)) * 3:
+        out.append((f"small({n_chance}, {n_decision})",
+                    build_diagram(corpus.small(shape, values, n_chance, n_decision))))
+    return out
+
+
+class TestEliminationMatchesPointSolve:
+    """``eliminate`` against ``point_solve``: the expected value within
+    1e-9, and the same tied set and the same ``reached`` at every state
+    ``point_solve`` reaches; and ``soundness_check`` gives the same verdicts
+    on either evaluator."""
+
+    def test_same_value_and_policy(self, elimination_corpus):
+        joints = set()
+        for label, diagram in elimination_corpus:
+            for seed in range(3):
+                member = sample_member(diagram, seed)
+                want = point_solve(diagram, member)
+                got = eliminate(diagram, member)
+                assert abs(got.expected_value - want.expected_value) <= 1e-9, (label, seed)
+                assert got.policy.keys() == want.policy.keys()
+                for name, entries in want.policy.items():
+                    assert got.policy[name].keys() == entries.keys(), (label, name)
+                    for info_idx, entry in entries.items():
+                        if entry.reached:
+                            mine = got.policy[name][info_idx]
+                            assert (mine.tied, mine.reached) == (entry.tied, True), (
+                                label, seed, name, info_idx)
+            joints.add(math.prod(
+                n.variable.cardinality for n in diagram.nodes.values() if n.variable
+            ) > exact._ELIMINATION_LEAVES)
+        assert joints == {False, True}
+
+    def test_unreached_states_and_ties(self):
+        """One-hot rows make states unreachable, and a duplicated
+        alternative ties: both as ``point_solve`` marks them."""
+        rng = Random(3010)
+        seen = {"unreached": 0, "tie": 0}
+        for i in range(60):
+            diagram = random_diagram(
+                rng, max_nodes=7, n_decisions=rng.choice([1, 2, 3]),
+                duplicate_alternative=i % 2 == 0,
+            )
+            member = _one_hot_rows(sample_member(diagram, i), rng)
+            want = point_solve(diagram, member)
+            got = eliminate(diagram, member)
+            assert abs(got.expected_value - want.expected_value) <= 1e-9
+            for name, entries in want.policy.items():
+                for info_idx, entry in entries.items():
+                    mine = got.policy[name][info_idx]
+                    assert mine.reached == entry.reached, (i, name, info_idx)
+                    if entry.reached:
+                        assert mine.tied == entry.tied, (i, name, info_idx)
+                    seen["unreached"] += not entry.reached
+                    seen["tie"] += entry.reached and len(entry.tied) > 1
+        assert all(seen.values()), seen
+
+    def test_soundness_check_either_way(self, elimination_corpus, monkeypatch):
+        for label, diagram in elimination_corpus:
+            report = solve(diagram)
+            checks = []
+            for boundary in (0, math.inf):  # elimination, then point_solve
+                monkeypatch.setattr(exact, "_ELIMINATION_LEAVES", boundary)
+                checks.append(soundness_check(diagram, samples=10, seed=5, report=report))
+            by_elimination, by_point_solve = checks
+            assert by_elimination.ev_violations == by_point_solve.ev_violations, label
+            assert by_elimination.policy_violations == by_point_solve.policy_violations, label
+            assert abs(by_elimination.sampled_min - by_point_solve.sampled_min) <= 1e-9, label
+            assert abs(by_elimination.sampled_max - by_point_solve.sampled_max) <= 1e-9, label
+
+    def test_elimination_path_checks_the_diagram_and_members(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exact, "check_structure", calls.append)
+        monkeypatch.setattr(exact, "_ELIMINATION_LEAVES", 0)
+        diagram = random_diagram(Random(7), max_nodes=6)
+        soundness_check(diagram, 4, report=solve(diagram))
+        assert calls == [diagram]
+        assert id(diagram) not in exact._PLANS  # no enumeration plan compiled
+        member = sample_member(diagram, 0)
+        name = diagram.names(NodeKind.CHANCE)[0]
+        short = PointRealization({**member.chance, name: member.chance[name][:-1]},
+                                 member.values)
+        with pytest.raises(errors.ShapeMismatch, match=f"{name}: wrong row count"):
+            eliminate(diagram, short)
+
+    def test_tables_past_the_limit_refused(self):
+        # D observes 70 children of a hidden H, so summing H out multiplies
+        # a table of 2**72 entries: refused before anything is tabulated
+        doc = _Doc(Random(3011))
+        doc.chance("H", 2, [])
+        children = [f"C{i}" for i in range(70)]
+        for child in children:
+            doc.chance(child, 2, ["H"])
+        doc.decision("D", 2, children)
+        doc.value(["D", "H"])
+        diagram = doc.build()
+        member = sample_member(diagram, 0)
+        with pytest.raises(errors.CombinatorialLimitExceeded, match=f"{2**72} entries"):
+            eliminate(diagram, member)
 
 
 class TestWildcatterRollout:

@@ -14,6 +14,8 @@ from iidiag.diagram_io import (
     parse_diagram,
     serialize_diagram,
 )
+from iidiag.exact import soundness_check
+from iidiag.model import build_diagram
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -335,6 +337,22 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_check_on_a_joint_past_the_limit(self, tmp_path, capsys):
+        # 2**70 leaves: soundness sampling evaluates members by variable
+        # elimination, which never enumerates the joint
+        data = chain_data(70)
+        report = soundness_check(build_diagram(data), samples=50, seed=7)
+        assert report.passed
+        assert report.sampled_min == pytest.approx(2 / 3, abs=1e-12)
+        assert report.sampled_max == pytest.approx(2 / 3, abs=1e-12)
+        chain = tmp_path / "chain.iid.json"
+        chain.write_text(json.dumps(data))
+        assert main(["check", str(chain), "--samples", "50", "--seed", "7", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is True
+        assert out["sampled_min"] == pytest.approx(2 / 3, abs=1e-12)
+        assert out["sampled_max"] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_fmt_idempotent(self, tmp_path, capsys):
         scratch = tmp_path / "scratch.iid.json"
