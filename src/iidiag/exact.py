@@ -134,33 +134,13 @@ class SoundnessReport:
 
 
 # ---------------------------------------------------------------------------
-# Classical evaluation
+# Classical evaluation by variable elimination
 # ---------------------------------------------------------------------------
 
-# The plan tabulates offsets for the innermost levels of the sum/max order
-# whose joint has at most this many leaves; the levels above them are walked
-# one configuration at a time. A plan and an evaluation's working lists are
-# therefore bounded by this constant, not by the size of the joint.
-_BLOCK_LEAVES = 1024
-
-# The largest joint a plan is compiled for. No joint past it could be walked
-# in any time, and as every variable has at least 2 outcomes the limit also
-# keeps the recursive walk to at most 64 outer levels, so a long chain is
-# refused with a typed error instead of overflowing the stack.
+# The largest table an evaluation tabulates. No table past it could be
+# filled in any time, so a diagram that needs one is refused with a typed
+# error before any row is read.
 _MAX_LEAVES = 2**64
-
-# A block reads a column through an itemgetter on the window of the table
-# that the column spans from the block's base. On CPython 3.11 (x86-64) the
-# copy costs about 3.5 ns per window entry and the itemgetter saves about
-# 120 ns per leaf over adding the base to each offset, so a column that
-# spans more than this many entries per leaf is read offset by offset.
-_WINDOW_SPAN = 8
-
-# soundness_check evaluates its members with point_solve while the joint fits
-# one block, so the sampled values of every such diagram stay point_solve's
-# floats, and by variable elimination past it, where point_solve walks the
-# joint one block at a time.
-_ELIMINATION_LEAVES = _BLOCK_LEAVES
 
 _ZERO = 0.0  # every sum starts here, so -0.0 terms add up to 0.0
 _NEGATIVE = -1e-9  # a realization's probability below this is rejected
@@ -168,45 +148,13 @@ _NEGATIVE = -1e-9  # a realization's probability below this is rejected
 
 @dataclass(frozen=True)
 class _Level:
-    """One variable of the sum/max order. ``steps[j]`` is how far outcome 1
-    of this variable moves target ``j``'s index (see :class:`_Plan`);
-    ``target`` is the decision's own target, -1 for a chance level."""
+    """One variable up to the last decision in the sum/max order. For a
+    decision, ``groups`` holds its information state at each configuration
+    of the levels above it (last fastest); for a chance level it is None."""
 
     name: str
     card: int
-    target: int
-    steps: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Everything about a diagram that ``point_solve`` needs besides the
-    numbers of a realization.
-
-    A *target* is an index that a joint assignment selects: for each chance
-    node (``names(CHANCE)`` order) the offset ``row * k + outcome`` into its
-    flattened rows, then the value row, then for each decision its
-    information state. Each is a sum of per-variable steps, so the outer
-    walk carries one base per target and the inner block adds its own
-    tabulated part: an offset per leaf for the chance and value targets,
-    ``group_offsets[q]`` per group for a decision at inner level ``q``
-    (``None`` at a chance level). Leaves and groups are in walk order, last
-    level fastest.
-
-    ``readers[j](table, base)`` reads target ``j``'s leaf column from its
-    flattened table (see :func:`_reader`). The first ``hoisted`` chance
-    targets move at no outer level, so their columns are the same in every
-    block.
-    """
-
-    chance: tuple[tuple[str, int, int], ...]  # (name, rows, outcomes)
-    value_rows: int
-    outer: tuple[_Level, ...]
-    inner: tuple[_Level, ...]
-    readers: tuple[Callable[[Sequence[float], int], Iterable[float]], ...]
-    hoisted: int
-    group_offsets: tuple[tuple[int, ...] | None, ...]
-    ones: tuple[float, ...]
+    groups: tuple[int, ...] | None
 
 
 def _sum_max_order(diagram: InfluenceDiagram) -> tuple[str, ...]:
@@ -253,262 +201,6 @@ def _picker(offsets: Sequence[int]) -> Callable[[Sequence[float]], Sequence[floa
     return itemgetter(*offsets)
 
 
-def _reader(offsets: Sequence[int]) -> Callable[[Sequence[float], int], Iterable[float]]:
-    """Reads a table's entries at ``offsets`` plus a base: with one
-    :func:`_picker` on the table at base 0, and on the window that the
-    offsets span from the base otherwise. A window longer than
-    ``_WINDOW_SPAN`` entries per offset is not copied; the base is added to
-    each offset instead."""
-    pick = _picker(offsets)
-    extent = max(offsets) + 1
-    if extent <= _WINDOW_SPAN * len(offsets):
-        return lambda table, base: pick(table[base:base + extent]) if base else pick(table)
-    return lambda table, base: (
-        map(table.__getitem__, map(base.__add__, offsets)) if base else pick(table)
-    )
-
-
-def _compile(diagram: InfluenceDiagram) -> _Plan:
-    check_structure(diagram)  # a hand-built diagram gets typed errors
-    chance, targets = [], []
-    for name in diagram.names(NodeKind.CHANCE):
-        node = diagram.node(name)
-        table = node.chance_table
-        chance.append((name, len(table.rows), node.cardinality))
-        steps = _steps(table.parents, table.cards, node.cardinality)
-        steps[name] = 1
-        targets.append(steps)
-    value = diagram.value_node
-    targets.append(_steps(value.parents, value.value_table.cards))
-    first_decision = len(targets)
-    for d in diagram.decision_order:
-        parents = diagram.node(d).parents
-        targets.append(_steps(parents, diagram.cards_of(parents)))
-
-    levels = []
-    for name in _sum_max_order(diagram):
-        node = diagram.node(name)
-        target = (
-            first_decision + diagram.decision_order.index(name)
-            if node.kind is NodeKind.DECISION
-            else -1
-        )
-        steps = tuple(t.get(name, 0) for t in targets)
-        levels.append(_Level(name, node.cardinality, target, steps))
-
-    if config_count([level.card for level in levels]) > _MAX_LEAVES:
-        raise CombinatorialLimitExceeded(
-            f"the joint of {len(levels)} variables exceeds {_MAX_LEAVES} leaves"
-        )
-
-    split, leaves = len(levels), 1
-    while split and leaves * levels[split - 1].card <= _BLOCK_LEAVES:
-        split -= 1
-        leaves *= levels[split].card
-    inner = levels[split:]
-
-    names = [level.name for level in inner]
-    cards = [level.card for level in inner]
-    group_offsets = [
-        tuple(_offsets(names[:q], cards[:q], targets[level.target]))
-        if level.target >= 0 else None
-        for q, level in enumerate(inner)
-    ]
-    outer = levels[:split]
-    hoisted = 0
-    while hoisted < len(chance) and not any(level.steps[hoisted] for level in outer):
-        hoisted += 1
-    return _Plan(
-        chance=tuple(chance),
-        value_rows=len(value.value_table.rows),
-        outer=tuple(outer),
-        inner=tuple(inner),
-        readers=tuple(
-            _reader(_offsets(names, cards, steps)) for steps in targets[:first_decision]
-        ),
-        hoisted=hoisted,
-        group_offsets=tuple(group_offsets),
-        ones=(1.0,) * leaves,
-    )
-
-
-_PLANS: dict[int, _Plan] = {}
-
-
-def _cached(cache: dict, compile_: Callable, diagram: InfluenceDiagram):
-    """``compile_(diagram)``, compiled on first use and dropped with the
-    diagram (diagrams are immutable, so a plan never goes stale)."""
-    key = id(diagram)
-    plan = cache.get(key)
-    if plan is None:
-        plan = cache[key] = compile_(diagram)
-        weakref.finalize(diagram, cache.pop, key, None)
-    return plan
-
-
-def _plan_of(diagram: InfluenceDiagram) -> _Plan:
-    """The diagram's plan (see :func:`_cached`). Compiling checks the
-    diagram, so every diagram is checked once, before any row is read."""
-    return _cached(_PLANS, _compile, diagram)
-
-
-def _check_shape(plan: _Plan | _Elimination, realization: PointRealization) -> None:
-    names = [name for name, _, _ in plan.chance]
-    if realization.chance.keys() != set(names):
-        raise ShapeMismatch(
-            f"realization covers {sorted(realization.chance)}, "
-            f"diagram has {sorted(names)}"
-        )
-    for name, n_rows, k in plan.chance:
-        rows = realization.chance[name]
-        if len(rows) != n_rows:
-            raise ShapeMismatch(f"{name}: wrong row count")
-        for r, row in enumerate(rows):
-            if len(row) != k:
-                raise ShapeMismatch(f"{name}: row {r} has wrong length")
-            # written so that a NaN entry fails too
-            if not abs(running_sum(row) - 1.0) <= 1e-9 or any(map(_NEGATIVE.__gt__, row)):
-                raise ShapeMismatch(f"{name}: row {r} is not a distribution")
-    if len(realization.values) != plan.value_rows:
-        raise ShapeMismatch("value row count mismatch")
-    if not all(map(isfinite, realization.values)):
-        raise ShapeMismatch("value rows must be finite")
-
-
-def _tables(plan: _Plan | _Elimination, realization: PointRealization) -> list:
-    """The realization's tables, checked against the plan's shapes: each
-    chance node's rows flattened (entry ``row * k + outcome``), in
-    ``names(CHANCE)`` order, then the values."""
-    _check_shape(plan, realization)
-    tables = [
-        list(itertools.chain.from_iterable(realization.chance[name]))
-        for name, _, _ in plan.chance
-    ]
-    tables.append(realization.values)
-    return tables
-
-
-def _decide(
-    entries: dict[int, PolicyEntry],
-    info_idx: int,
-    reaches: Sequence[float],
-    totals: Sequence[float],
-) -> tuple[float, float]:
-    """Maximize over one decision's alternatives at one information state.
-    Ties are detected with a tiny relative slack so alternatives that are
-    mathematically interchangeable (identical rows, value-irrelevant
-    decisions) stay tied despite float summation noise."""
-    best = max(totals)
-    slack = 1e-12 * max(1.0, abs(best))
-    tied = tuple(d for d, t in enumerate(totals) if best - t <= slack)
-    reach = reaches[tied[0]]
-    entries[info_idx] = PolicyEntry(tied[0], tied, reached=reach > 0.0)
-    return reach, best
-
-
-def _sum_groups(values: Sequence[float], k: int) -> list[float]:
-    """Sum of each run of ``k`` consecutive values, added left to right
-    from 0.0 as :func:`~iidiag.model.running_sum` adds them, for all runs at
-    once."""
-    acc = map(_ZERO.__add__, values[::k])
-    for i in range(1, k):
-        acc = map(add, acc, values[i::k])
-    return list(acc)
-
-
-def _reduce(levels, group_offsets, bases, policy, reach, total) -> tuple[float, float]:
-    """Reach and expected value of a block of ``levels``, from its leaves'
-    ``reach`` and ``total`` columns (in walk order, last level fastest),
-    summed (chance) or maximized (decision) level by level from the bottom.
-    Reach is only reduced in a diagram with decisions; without one nothing
-    reads it."""
-    track_reach = bool(policy)
-    for level, groups in zip(reversed(levels), reversed(group_offsets)):
-        k = level.card
-        if groups is None:
-            total = _sum_groups(total, k)
-            if track_reach:
-                reach = _sum_groups(reach, k)
-        else:
-            entries, base = policy[level.name], bases[level.target]
-            reduced = [
-                _decide(entries, base + off, reach[g:g + k], total[g:g + k])
-                for g, off in zip(range(0, len(total), k), groups)
-            ]
-            reach = [r for r, _ in reduced]
-            total = [t for _, t in reduced]
-    return reach[0], total[0]
-
-
-def _evaluate_block(plan: _Plan, tables, prefix, policy, bases) -> tuple[float, float]:
-    """Reach and expected value of the inner block below one outer
-    configuration. ``prefix`` holds the product of the hoisted columns."""
-    h = plan.hoisted
-    columns = [
-        read(table, base)
-        for table, base, read in zip(tables[h:], bases[h:], plan.readers[h:])
-    ]
-    # leaf weight: 1.0 times each chance node's probability in names(CHANCE)
-    # order, then times the leaf's value
-    reach = prefix
-    for column in columns[:-1]:
-        reach = list(map(mul, reach, column))
-    total = list(map(mul, reach, columns[-1]))
-    return _reduce(plan.inner, plan.group_offsets, bases, policy, reach, total)
-
-
-def _walk(plan: _Plan, tables, prefix, policy, pos: int, bases) -> tuple[float, float]:
-    """Depth-first over the outer levels, carrying each target's base."""
-    if pos == len(plan.outer):
-        return _evaluate_block(plan, tables, prefix, policy, bases)
-    level = plan.outer[pos]
-    results = [
-        _walk(plan, tables, prefix, policy, pos + 1,
-              [b + i * s for b, s in zip(bases, level.steps)])
-        for i in range(level.card)
-    ]
-    if level.target >= 0:
-        return _decide(
-            policy[level.name], bases[level.target],
-            [r for r, _ in results], [t for _, t in results],
-        )
-    reach = total = 0.0
-    for r, t in results:
-        reach += r
-        total += t
-    return reach, total
-
-
-def point_solve(
-    diagram: InfluenceDiagram, realization: PointRealization
-) -> PointSolution:
-    """Classical optimal expected value and argmax policy for one admitted
-    point model. Ties break to the lowest alternative index and every tied
-    optimum is recorded.
-
-    The diagram's structure is compiled once into a :class:`_Plan`; a call
-    flattens the realization's rows, multiplies each leaf's weight column by
-    column in ``names(CHANCE)`` order, and sums (chance) or maximizes
-    (decision) level by level in the sum/max order. The leading columns that
-    no outer level moves are multiplied once per call, the rest once per
-    block, so every leaf's weight is the same product in the same order.
-    Sums run left to right from 0.0, so the result is the same float a
-    depth-first walk gives."""
-    plan = _plan_of(diagram)
-    tables = _tables(plan, realization)
-    prefix = plan.ones
-    for table, read in zip(tables[:plan.hoisted], plan.readers):
-        prefix = list(map(mul, prefix, read(table, 0)))  # every base is 0
-    policy: dict[str, dict[int, PolicyEntry]] = {d: {} for d in diagram.decision_order}
-    bases = [0] * (len(tables) + len(diagram.decision_order))
-    _, total = _walk(plan, tables, prefix, policy, 0, bases)
-    return PointSolution(expected_value=total, policy=policy)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation by variable elimination
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class _Product:
     """Factors multiplied over one scope (its variables in sum/max order,
@@ -526,8 +218,8 @@ class _Product:
 
 @dataclass(frozen=True)
 class _Elimination:
-    """Everything about a diagram that :func:`eliminate` needs besides the
-    numbers of a realization.
+    """Everything about a diagram that :func:`point_solve` needs besides
+    the numbers of a realization.
 
     A factor is a flat table over its scope. Slots ``0 .. len(chance)-1``
     hold the chance nodes' flattened rows (scope: parents, then the node),
@@ -539,16 +231,14 @@ class _Elimination:
     the sum/max order, last first: each multiplies the factors that hold
     its variable, placed last in the product's scope, and sums runs of
     ``k`` entries. ``head`` multiplies what is left over the variables up
-    to the last decision, ``levels``, which are then reduced as one block
-    of :func:`point_solve` is (``group_offsets``, ``bases``)."""
+    to the last decision, ``levels``, which :func:`_reduce` then sums or
+    maximizes one by one from the bottom."""
 
     chance: tuple[tuple[str, int, int], ...]  # (name, rows, outcomes)
     value_rows: int
     steps: tuple[tuple[int, _Product], ...]  # (k, product)
     head: _Product
     levels: tuple[_Level, ...]
-    group_offsets: tuple[tuple[int, ...] | None, ...]
-    bases: tuple[int, ...]
     ones: tuple[float, ...] | None  # the reach table before any product
 
 
@@ -609,28 +299,22 @@ def _compile_elimination(diagram: InfluenceDiagram) -> _Elimination:
             scopes.append(names[:-1])
 
     head = order[:split]
-    # before the group offsets, so a head past the limit is refused first
+    # before the information states, so a head past the limit is refused first
     head_product = _product(head, card, scopes, live, pair_scope)
-    levels, group_offsets = [], []
+    levels = []
     for q, name in enumerate(head):
         node = diagram.node(name)
+        groups = None
         if node.kind is NodeKind.DECISION:
-            levels.append(_Level(name, card[name], decisions.index(name), ()))
             info = _steps(node.parents, diagram.cards_of(node.parents))
-            group_offsets.append(
-                tuple(_offsets(head[:q], [card[n] for n in head[:q]], info))
-            )
-        else:
-            levels.append(_Level(name, card[name], -1, ()))
-            group_offsets.append(None)
+            groups = tuple(_offsets(head[:q], [card[n] for n in head[:q]], info))
+        levels.append(_Level(name, card[name], groups))
     return _Elimination(
         chance=tuple(chance),
         value_rows=len(value.value_table.rows),
         steps=tuple(steps),
         head=head_product,
         levels=tuple(levels),
-        group_offsets=tuple(group_offsets),
-        bases=(0,) * len(decisions),
         ones=(1.0,) * len(value.value_table.rows) if decisions else None,
     )
 
@@ -639,9 +323,101 @@ _ELIMINATIONS: dict[int, _Elimination] = {}
 
 
 def _elimination_of(diagram: InfluenceDiagram) -> _Elimination:
-    """The diagram's elimination plan (see :func:`_cached`), which checks
-    the diagram as :func:`_plan_of` does."""
-    return _cached(_ELIMINATIONS, _compile_elimination, diagram)
+    """The diagram's plan, compiled on first use and dropped with the
+    diagram (diagrams are immutable, so a plan never goes stale). Compiling
+    checks the diagram, so every diagram is checked once, before any row is
+    read."""
+    key = id(diagram)
+    plan = _ELIMINATIONS.get(key)
+    if plan is None:
+        plan = _ELIMINATIONS[key] = _compile_elimination(diagram)
+        weakref.finalize(diagram, _ELIMINATIONS.pop, key, None)
+    return plan
+
+
+def _check_shape(plan: _Elimination, realization: PointRealization) -> None:
+    names = [name for name, _, _ in plan.chance]
+    if realization.chance.keys() != set(names):
+        raise ShapeMismatch(
+            f"realization covers {sorted(realization.chance)}, "
+            f"diagram has {sorted(names)}"
+        )
+    for name, n_rows, k in plan.chance:
+        rows = realization.chance[name]
+        if len(rows) != n_rows:
+            raise ShapeMismatch(f"{name}: wrong row count")
+        for r, row in enumerate(rows):
+            if len(row) != k:
+                raise ShapeMismatch(f"{name}: row {r} has wrong length")
+            # written so that a NaN entry fails too
+            if not abs(running_sum(row) - 1.0) <= 1e-9 or any(map(_NEGATIVE.__gt__, row)):
+                raise ShapeMismatch(f"{name}: row {r} is not a distribution")
+    if len(realization.values) != plan.value_rows:
+        raise ShapeMismatch("value row count mismatch")
+    if not all(map(isfinite, realization.values)):
+        raise ShapeMismatch("value rows must be finite")
+
+
+def _tables(plan: _Elimination, realization: PointRealization) -> list:
+    """The realization's tables, checked against the plan's shapes: each
+    chance node's rows flattened (entry ``row * k + outcome``), in
+    ``names(CHANCE)`` order, then the values."""
+    _check_shape(plan, realization)
+    tables = [
+        list(itertools.chain.from_iterable(realization.chance[name]))
+        for name, _, _ in plan.chance
+    ]
+    tables.append(realization.values)
+    return tables
+
+
+def _decide(
+    entries: dict[int, PolicyEntry],
+    info_idx: int,
+    reaches: Sequence[float],
+    totals: Sequence[float],
+) -> tuple[float, float]:
+    """Maximize over one decision's alternatives at one information state.
+    Ties are detected with a tiny relative slack so alternatives that are
+    mathematically interchangeable (identical rows, value-irrelevant
+    decisions) stay tied despite float summation noise."""
+    best = max(totals)
+    slack = 1e-12 * max(1.0, abs(best))
+    tied = tuple(d for d, t in enumerate(totals) if best - t <= slack)
+    reach = reaches[tied[0]]
+    entries[info_idx] = PolicyEntry(tied[0], tied, reached=reach > 0.0)
+    return reach, best
+
+
+def _sum_groups(values: Sequence[float], k: int) -> list[float]:
+    """Sum of each run of ``k`` consecutive values, added left to right
+    from 0.0 as :func:`~iidiag.model.running_sum` adds them, for all runs at
+    once."""
+    acc = map(_ZERO.__add__, values[::k])
+    for i in range(1, k):
+        acc = map(add, acc, values[i::k])
+    return list(acc)
+
+
+def _reduce(levels: Sequence[_Level], policy, reach, total) -> float:
+    """Expected value of the table over ``levels`` (last fastest), from its
+    ``reach`` and ``total`` entries, summed (chance) or maximized (decision)
+    level by level from the bottom; each decision's policy entries are
+    recorded in ``policy``."""
+    for level in reversed(levels):
+        k = level.card
+        if level.groups is None:
+            total = _sum_groups(total, k)
+            reach = _sum_groups(reach, k)
+        else:
+            entries = policy[level.name]
+            reduced = [
+                _decide(entries, info_idx, reach[g:g + k], total[g:g + k])
+                for g, info_idx in zip(range(0, len(total), k), level.groups)
+            ]
+            reach = [r for r, _ in reduced]
+            total = [t for _, t in reduced]
+    return total[0]
 
 
 def _multiply(product: _Product, tables, reach, total):
@@ -663,22 +439,26 @@ def _multiply(product: _Product, tables, reach, total):
     return reach, total
 
 
-def eliminate(
+def point_solve(
     diagram: InfluenceDiagram, realization: PointRealization
 ) -> PointSolution:
-    """:func:`point_solve`'s expected value and policy by variable
-    elimination in a strong order (Jensen, Jensen & Dittmer 1994): the
-    variables after the last decision in the sum/max order are summed out
-    one factor product at a time, last first, and what is left is a table
-    over the variables up to the last decision, reduced level by level as
-    a block of ``point_solve`` is. Each decision is therefore maximized over
-    the same unnormalised reach and total at each information state, so
-    ties and ``reached`` mean the same; floats differ from ``point_solve``'s
-    in the last digits, as the sums run in another order.
+    """Classical optimal expected value and argmax policy for one admitted
+    point model. Ties break to the lowest alternative index and every tied
+    optimum is recorded.
+
+    It evaluates by variable elimination in a strong order (Jensen, Jensen
+    & Dittmer 1994), compiled once per diagram object: the variables after
+    the last decision in the sum/max order are summed out one factor
+    product at a time, last first, and what is left is a table over the
+    variables up to the last decision, reduced level by level from the
+    bottom. Each decision is maximized over the unnormalised reach and
+    total at each information state, so a state the observations and
+    earlier choices cannot reach is marked unreached. Sums run left to
+    right from 0.0.
 
     The cost grows with the largest product's scope and the last decision's
-    information states, not with the joint, so a joint past the 2**64
-    leaves ``point_solve`` refuses is evaluated too."""
+    information states, not with the joint, so a joint past 2**64 leaves is
+    evaluated too; a table past ``_MAX_LEAVES`` entries is refused."""
     plan = _elimination_of(diagram)
     tables = _tables(plan, realization)
     reach, total = plan.ones, tables[len(plan.chance)]
@@ -691,11 +471,10 @@ def eliminate(
             tables.append(_sum_groups(_multiply(product, tables, None, None), k))
     reach, total = _multiply(plan.head, tables, reach, total)
     policy: dict[str, dict[int, PolicyEntry]] = {d: {} for d in diagram.decision_order}
-    if plan.levels:
-        _, total = _reduce(plan.levels, plan.group_offsets, plan.bases, policy, reach, total)
-    else:
-        total = total[0]
-    return PointSolution(expected_value=total, policy=policy)
+    value = _reduce(plan.levels, policy, reach, total) if plan.levels else total[0]
+    # a product of -0.0 payoffs that no later sum absorbs is -0.0; the
+    # expected value is a sum, so it is 0.0
+    return PointSolution(expected_value=_ZERO + value, policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +505,7 @@ def exact_envelope(
     information state, the union of optimal alternatives."""
     if cap < 0:
         raise MalformedSpec(f"cap {cap} is negative")
-    _plan_of(diagram)  # checks the diagram before its rows are read
+    _elimination_of(diagram)  # checks the diagram before its rows are read
     varied = list(varied_nodes)
     chance_names = diagram.names(NodeKind.CHANCE)
     for name in varied:
@@ -869,24 +648,14 @@ def soundness_check(
     """Solve once, then check per sampled member that (a) its exact optimal
     expected value lies inside the computed interval and (b) every optimal
     choice at every reachable information state is admissible. Violations
-    are counted, not raised. Members are evaluated by :func:`point_solve`
-    while the joint has at most ``_ELIMINATION_LEAVES`` leaves and by
-    :func:`eliminate` past that."""
+    are counted, not raised."""
     if samples < 0:
         raise MalformedSpec(f"sample count {samples} is negative")
     if report is None:
         report = solve(diagram)
     lo, hi = report.final_interval
     rng = Random(seed)
-    joint = config_count([n.variable.cardinality for n in diagram.nodes.values()
-                          if n.variable is not None])
-    # either compile checks the diagram before the sampler reads its rows
-    if joint > _ELIMINATION_LEAVES:
-        _elimination_of(diagram)
-        evaluate = eliminate
-    else:
-        _plan_of(diagram)
-        evaluate = point_solve
+    _elimination_of(diagram)  # checks the diagram before the sampler reads its rows
     draw = _member_sampler(diagram)
 
     ev_violations = policy_violations = 0
@@ -898,7 +667,7 @@ def soundness_check(
     }
     for _ in range(samples):
         member = draw(rng)
-        solution = evaluate(diagram, member)
+        solution = point_solve(diagram, member)
         ev = solution.expected_value
         sampled_min = ev if sampled_min is None else min(sampled_min, ev)
         sampled_max = ev if sampled_max is None else max(sampled_max, ev)

@@ -261,40 +261,12 @@ class InfluenceDiagram:
 
     def has_path(self, src: str, dst: str, skip_arc: tuple[str, str] | None = None) -> bool:
         """Directed reachability, optionally ignoring one specific arc."""
-        stack, seen = [src], set()
-        while stack:
-            cur = stack.pop()
-            if cur == dst:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for nxt in self.successors(cur):
-                if skip_arc is not None and (cur, nxt) == skip_arc:
-                    continue
-                stack.append(nxt)
-        return False
+        return reaches(self._successor_map, src, dst, skip_arc)
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's algorithm with declaration order breaking ties."""
-        # Each round places the earliest-declared node whose parents are all
-        # placed; a parent outside the diagram is never placed, so a node
-        # naming one counts as part of a cycle.
-        names = list(self.nodes)
-        position = {n: i for i, n in enumerate(names)}
-        indeg = {n: len(node.parents) for n, node in self.nodes.items()}
-        ready = [position[n] for n, d in indeg.items() if d == 0]
-        order: list[str] = []
-        while ready:
-            head = names[heapq.heappop(ready)]
-            order.append(head)
-            for succ in self.successors(head):
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    heapq.heappush(ready, position[succ])
-        if len(order) != len(names):
-            raise CycleDetected("arcs contain a directed cycle")
-        return tuple(order)
+        indegree = {n: len(node.parents) for n, node in self.nodes.items()}
+        return kahn_order(indegree, self._successor_map)
 
     # -- derived structure ---------------------------------------------------
 
@@ -317,6 +289,53 @@ class InfluenceDiagram:
             decision_order=tuple(d for d in self.decision_order if d not in dropped),
             added_information_arcs=self.added_information_arcs,
         )
+
+
+def reaches(
+    successors: Mapping[str, Sequence[str]], src: str, dst: str,
+    skip_arc: tuple[str, str] | None = None,
+) -> bool:
+    """Whether a directed path leads from ``src`` to ``dst`` along the
+    children lists ``successors`` (a name without an entry has none),
+    optionally ignoring one specific arc."""
+    stack, seen = [src], set()
+    while stack:
+        cur = stack.pop()
+        if cur == dst:
+            return True
+        if cur in seen:
+            continue
+        seen.add(cur)
+        for nxt in successors.get(cur, ()):
+            if skip_arc is not None and (cur, nxt) == skip_arc:
+                continue
+            stack.append(nxt)
+    return False
+
+
+def kahn_order(
+    indegree: Mapping[str, int], successors: Mapping[str, Sequence[str]]
+) -> tuple[str, ...]:
+    """The nodes of ``indegree`` (each node's parent count, in declaration
+    order) in topological order by Kahn's algorithm, along the children
+    lists ``successors``. Each round places the earliest-declared node
+    whose parents are all placed; a parent outside ``indegree`` is never
+    placed, so a node naming one counts as part of a cycle."""
+    names = list(indegree)
+    position = {n: i for i, n in enumerate(names)}
+    indeg = dict(indegree)
+    ready = [position[n] for n, d in indeg.items() if d == 0]
+    order: list[str] = []
+    while ready:
+        head = names[heapq.heappop(ready)]
+        order.append(head)
+        for succ in successors.get(head, ()):
+            indeg[succ] -= 1
+            if indeg[succ] == 0:
+                heapq.heappush(ready, position[succ])
+    if len(order) != len(names):
+        raise CycleDetected("arcs contain a directed cycle")
+    return tuple(order)
 
 
 # ---------------------------------------------------------------------------

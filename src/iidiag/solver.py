@@ -31,6 +31,7 @@ from .transforms import (  # apply_step is re-exported for step-by-step callers
     StepKind,
     StepShape,
     TransformStep,
+    _Graph,
     _barren_shape,
     _decision_shape,
     _fold_shape,
@@ -56,46 +57,55 @@ def next_step(diagram: InfluenceDiagram) -> StepShape:
     """The shape of the step :func:`solve` would apply next, ready for
     :func:`apply_step`; a pure function of the diagram's structure, so
     tables may be absent."""
-    value = diagram.value_node
-    if len(diagram.nodes) == 1:
+    return _first_step(_Graph(diagram))
+
+
+def _first_step(graph: _Graph) -> StepShape:
+    """The step the reduction rule picks on ``graph``."""
+    if len(graph.parents) == 1:
         raise Unsolvable("only the value node remains")
+    value, kinds, succs = graph.value, graph.kinds, graph.successors
+    # local names: an enum member read off its class costs a lookup per use
+    chance, decision, value_kind = NodeKind.CHANCE, NodeKind.DECISION, NodeKind.VALUE
 
-    for name, node in diagram.nodes.items():
-        if node.kind is not NodeKind.VALUE and not diagram.successors(name):
-            return _barren_shape(diagram, name)
+    # one pass finds a barren node, or else the first candidates of rules 3
+    # and 4, which apply only if rule 2 does not
+    into_value = [value]
+    fold = marginal = None
+    for name, children in succs.items():
+        if not children:
+            if kinds[name] is not value_kind:
+                return _barren_shape(graph, name)
+        elif kinds[name] is chance:
+            if children == into_value:
+                if fold is None:
+                    fold = name
+            elif marginal is None and len(children) == 1 and kinds[children[0]] is chance:
+                marginal = name
 
-    if diagram.decision_order:
-        last = diagram.decision_order[-1]
-        observed = set(diagram.node(last).parents)
-        if diagram.successors(last) == (value.name,) and all(
-            p in observed for p in value.parents if p != last
+    if graph.decisions:
+        last = graph.decisions[-1]
+        observed = set(graph.parents[last])
+        if succs[last] == into_value and all(
+            p in observed for p in graph.parents[value] if p != last
         ):
-            return _decision_shape(diagram, last)
+            return _decision_shape(graph, last)
+    if fold is not None:
+        return _fold_shape(graph, fold)
+    if marginal is not None:
+        return _marginal_shape(graph, marginal)
 
-    for name in diagram.names(NodeKind.CHANCE):
-        if diagram.successors(name) == (value.name,):
-            return _fold_shape(diagram, name)
-
-    for name in diagram.names(NodeKind.CHANCE):
-        succs = diagram.successors(name)
-        if len(succs) == 1 and diagram.node(succs[0]).kind is NodeKind.CHANCE:
-            return _marginal_shape(diagram, name)
-
-    topo = {n: i for i, n in enumerate(diagram.topological_order())}
-    for name in diagram.names(NodeKind.CHANCE):
-        if name not in value.parents:
+    topo = {n: i for i, n in enumerate(graph.topological_order())}
+    v_parents = graph.parents[value]
+    for name, kind in kinds.items():
+        if kind is not chance or name not in v_parents:
             continue
-        succs = diagram.successors(name)
-        kinds = [diagram.node(s).kind for s in succs]
-        if any(k is NodeKind.DECISION for k in kinds):
+        if any(kinds[s] is decision for s in succs[name]):
             continue  # cannot reach rule 3 until that decision goes
-        heads = sorted(
-            (s for s, k in zip(succs, kinds) if k is NodeKind.CHANCE),
-            key=topo.__getitem__,
-        )
+        heads = sorted((s for s in succs[name] if kinds[s] is chance), key=topo.__getitem__)
         for head in heads:
-            if not diagram.has_path(name, head, skip_arc=(name, head)):
-                return _reversal_shape(diagram, head, name)
+            if not graph.has_path(name, head, skip_arc=(name, head)):
+                return _reversal_shape(graph, head, name)
 
     raise Unsolvable("no reduction rule applies; invalid information structure")
 
@@ -119,17 +129,18 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
     reduction, in order. It holds no table entries and no outcome labels, so
     it serves every diagram with the same :func:`structure_key`.
 
-    :func:`next_step` is replayed on the structure alone. No table is read:
-    a produced node is rebuilt without one, and the nodes a step leaves in
-    place are never looked at past their arcs. The graph is not checked
-    again: each step keeps a valid graph valid."""
+    The reduction rule runs on one :class:`~iidiag.transforms._Graph` of
+    the structure, which each step updates in place from its shape; no
+    table is read. The graph is not checked again: each step keeps a valid
+    graph valid."""
+    graph = _Graph(diagram)
     shapes: list[StepShape] = []
     budget = 2 * (len(diagram.nodes) + len(diagram.arcs())) ** 2 + 10
-    while len(diagram.nodes) > 1:
+    while len(graph.parents) > 1:
         if len(shapes) > budget:
             raise Unsolvable("step budget exceeded; reduction is not converging")
-        shape = next_step(diagram)
-        diagram = shape.successor(diagram)
+        shape = _first_step(graph)
+        graph.apply(shape)
         shapes.append(shape)
     return tuple(shapes)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import ArcMissing, NotBarren, NotRemovable, WouldCreateCycle
+from .errors import ArcMissing, MalformedSpec, NotBarren, NotRemovable, WouldCreateCycle
 from .model import (
     InfluenceDiagram,
     IntervalValueTable,
@@ -28,6 +28,8 @@ from .model import (
     check_graph,
     check_table,
     check_table_rows,
+    kahn_order,
+    reaches,
     row_map,
     stride_of,
 )
@@ -249,6 +251,79 @@ def table_rows(diagram: InfluenceDiagram) -> dict[str, Rows]:
 
 
 # ---------------------------------------------------------------------------
+# The structure a step is planned on
+# ---------------------------------------------------------------------------
+
+class _Graph:
+    """The structure of a diagram as the reduction rules read it: per node,
+    in declaration order, its parents, its children (``successors``), kind
+    and outcome count (None without outcomes), plus the value node's name
+    and the decision order. It holds no table. No rule reads the order of
+    a node's children, so a child list keeps none.
+
+    ``solver.compile_plan`` plans every step of a reduction on one graph,
+    which :meth:`apply` updates in place from each step's shape; the
+    step-by-step entry points build one per call."""
+
+    def __init__(self, diagram: InfluenceDiagram):
+        self.parents = {name: node.parents for name, node in diagram.nodes.items()}
+        self.kinds = {name: node.kind for name, node in diagram.nodes.items()}
+        self.cards = {
+            name: None if node.variable is None else node.variable.cardinality
+            for name, node in diagram.nodes.items()
+        }
+        self.successors: dict[str, list[str]] = {name: [] for name in self.parents}
+        for name, parents in self.parents.items():
+            for p in parents:
+                if p in self.successors:  # a hand-built diagram can name others
+                    self.successors[p].append(name)
+        self.value = diagram.value_node.name
+        self.decisions = list(diagram.decision_order)
+
+    def kind(self, name: str) -> NodeKind:
+        kind = self.kinds.get(name)
+        if kind is None:
+            raise MalformedSpec(f"unknown node {name!r}")
+        return kind
+
+    def card(self, name: str) -> int:
+        card = self.cards.get(name)
+        if card is None:
+            self.kind(name)
+            raise MalformedSpec(f"node {name!r} has no outcomes")
+        return card
+
+    def cards_of(self, names: Sequence[str]) -> tuple[int, ...]:
+        return tuple([self.card(n) for n in names])
+
+    def has_path(self, src: str, dst: str, skip_arc: tuple[str, str] | None = None) -> bool:
+        return reaches(self.successors, src, dst, skip_arc)
+
+    def topological_order(self) -> tuple[str, ...]:
+        indegree = {name: len(parents) for name, parents in self.parents.items()}
+        return kahn_order(indegree, self.successors)
+
+    def apply(self, shape: StepShape) -> None:
+        """The graph after ``shape``: each produced node gets its new
+        parents, then the removed nodes go."""
+        for table in shape.produced:
+            name, old, new = table.name, self.parents[table.name], table.parents
+            for p in old:
+                if p not in new:
+                    self.successors[p].remove(name)
+            for p in new:
+                if p not in old:
+                    self.successors[p].append(name)
+            self.parents[name] = new
+        for name in shape.removed:
+            for p in self.parents.pop(name):
+                self.successors[p].remove(name)
+            del self.successors[name], self.kinds[name], self.cards[name]
+            if name in self.decisions:
+                self.decisions.remove(name)
+
+
+# ---------------------------------------------------------------------------
 # Step shapes. Which step runs, and every index it reads, depends on the
 # graph and the cardinalities alone; the numbers only enter in ``run``. A
 # shape is the only form a step has before it runs: ``solver.next_step``
@@ -451,120 +526,120 @@ class _Reversal(StepShape):
         return (marginal, tuple(posterior)), step
 
 
-def _fold_shape(diagram: InfluenceDiagram, name: str) -> _Fold:
-    node = diagram.node(name)
-    value = diagram.value_node
-    if node.kind is not NodeKind.CHANCE:
+def _fold_shape(graph: _Graph, name: str) -> _Fold:
+    value = graph.value
+    if graph.kind(name) is not NodeKind.CHANCE:
         raise NotRemovable(f"{name!r} is not a chance node")
-    if diagram.successors(name) != (value.name,):
+    if graph.successors[name] != [value]:
         raise NotRemovable(f"{name!r} has successors besides the value node")
 
-    v_cards = diagram.cards_of(value.parents)
-    new_parents = _merge_parents(value.parents, name, node.parents)
-    new_cards = diagram.cards_of(new_parents)
-    stride = stride_of(value.parents, v_cards, name)
+    parents, v_parents = graph.parents[name], graph.parents[value]
+    v_cards = graph.cards_of(v_parents)
+    new_parents = _merge_parents(v_parents, name, parents)
+    new_cards = graph.cards_of(new_parents)
+    stride = stride_of(v_parents, v_cards, name)
     return _Fold(
-        StepKind.REMOVE_CHANCE_INTO_VALUE, name, value.name, (name,),
-        (ProducedTable(value.name, new_parents, new_cards, None),),
-        b_map=tuple(row_map(new_parents, new_cards, node.parents, diagram.cards_of(node.parents))),
-        v_map=tuple(row_map(new_parents, new_cards, value.parents, v_cards)),
+        StepKind.REMOVE_CHANCE_INTO_VALUE, name, value, (name,),
+        (ProducedTable(value, new_parents, new_cards, None),),
+        b_map=tuple(row_map(new_parents, new_cards, parents, graph.cards_of(parents))),
+        v_map=tuple(row_map(new_parents, new_cards, v_parents, v_cards)),
         stride=stride,
-        span=node.cardinality * stride,
+        span=graph.card(name) * stride,
     )
 
 
-def _decision_shape(diagram: InfluenceDiagram, name: str) -> _Decision:
-    node = diagram.node(name)
-    value = diagram.value_node
-    if node.kind is not NodeKind.DECISION:
+def _decision_shape(graph: _Graph, name: str) -> _Decision:
+    value = graph.value
+    if graph.kind(name) is not NodeKind.DECISION:
         raise NotRemovable(f"{name!r} is not a decision node")
-    if diagram.successors(name) != (value.name,):
+    if graph.successors[name] != [value]:
         raise NotRemovable(f"{name!r} has successors besides the value node")
-    unobserved = [p for p in value.parents if p != name and p not in node.parents]
+    v_parents = graph.parents[value]
+    unobserved = [p for p in v_parents if p != name and p not in graph.parents[name]]
     if unobserved:
         raise NotRemovable(
             f"value parents not observed at {name!r}: {', '.join(unobserved)}"
         )
 
-    v_cards = diagram.cards_of(value.parents)
-    info_parents = tuple(p for p in value.parents if p != name)
-    info_cards = diagram.cards_of(info_parents)
-    stride = stride_of(value.parents, v_cards, name)
+    v_cards = graph.cards_of(v_parents)
+    info_parents = tuple(p for p in v_parents if p != name)
+    info_cards = graph.cards_of(info_parents)
+    stride = stride_of(v_parents, v_cards, name)
     return _Decision(
-        StepKind.REMOVE_DECISION, name, value.name, (name,),
-        (ProducedTable(value.name, info_parents, info_cards, None),),
-        v_map=tuple(row_map(info_parents, info_cards, value.parents, v_cards)),
+        StepKind.REMOVE_DECISION, name, value, (name,),
+        (ProducedTable(value, info_parents, info_cards, None),),
+        v_map=tuple(row_map(info_parents, info_cards, v_parents, v_cards)),
         stride=stride,
-        span=node.cardinality * stride,
+        span=graph.card(name) * stride,
     )
 
 
-def _marginal_shape(diagram: InfluenceDiagram, name: str) -> _Marginal:
-    node = diagram.node(name)
-    if node.kind is not NodeKind.CHANCE:
+def _marginal_shape(graph: _Graph, name: str) -> _Marginal:
+    if graph.kind(name) is not NodeKind.CHANCE:
         raise NotRemovable(f"{name!r} is not a chance node")
-    succs = diagram.successors(name)
-    if len(succs) != 1 or diagram.node(succs[0]).kind is not NodeKind.CHANCE:
+    succs = graph.successors[name]
+    if len(succs) != 1 or graph.kinds[succs[0]] is not NodeKind.CHANCE:
         raise NotRemovable(
-            f"{name!r} needs exactly one successor, a chance node; has {list(succs)}"
+            f"{name!r} needs exactly one successor, a chance node; has {succs}"
         )
-    x_node = diagram.node(succs[0])
+    x = succs[0]
 
-    x_cards = diagram.cards_of(x_node.parents)
-    new_parents = _merge_parents(x_node.parents, name, node.parents)
-    new_cards = diagram.cards_of(new_parents)
-    stride = stride_of(x_node.parents, x_cards, name)
+    parents, x_parents = graph.parents[name], graph.parents[x]
+    x_cards = graph.cards_of(x_parents)
+    new_parents = _merge_parents(x_parents, name, parents)
+    new_cards = graph.cards_of(new_parents)
+    stride = stride_of(x_parents, x_cards, name)
     return _Marginal(
-        StepKind.MARGINALIZE_CHANCE, name, x_node.name, (name,),
-        (ProducedTable(x_node.name, new_parents, new_cards, x_node.cardinality),),
-        b_map=tuple(row_map(new_parents, new_cards, node.parents, diagram.cards_of(node.parents))),
-        x_map=tuple(row_map(new_parents, new_cards, x_node.parents, x_cards)),
+        StepKind.MARGINALIZE_CHANCE, name, x, (name,),
+        (ProducedTable(x, new_parents, new_cards, graph.card(x)),),
+        b_map=tuple(row_map(new_parents, new_cards, parents, graph.cards_of(parents))),
+        x_map=tuple(row_map(new_parents, new_cards, x_parents, x_cards)),
         stride=stride,
-        span=node.cardinality * stride,
+        span=graph.card(name) * stride,
     )
 
 
-def _reversal_shape(diagram: InfluenceDiagram, x: str, y: str) -> _Reversal:
-    x_node, y_node = diagram.node(x), diagram.node(y)
-    if x_node.kind is not NodeKind.CHANCE or y_node.kind is not NodeKind.CHANCE:
+def _reversal_shape(graph: _Graph, x: str, y: str) -> _Reversal:
+    kinds = graph.kind(x), graph.kind(y)
+    if any(kind is not NodeKind.CHANCE for kind in kinds):
         raise NotRemovable("arc reversal applies to chance nodes only")
-    if y not in x_node.parents:
+    x_parents, y_parents = graph.parents[x], graph.parents[y]
+    if y not in x_parents:
         raise ArcMissing(f"no arc {y} -> {x}")
-    if diagram.has_path(y, x, skip_arc=(y, x)):
+    if graph.has_path(y, x, skip_arc=(y, x)):
         raise WouldCreateCycle(f"another directed path {y} -> {x} exists")
 
-    x_parents, y_parents = x_node.parents, y_node.parents
-    x_cards, y_cards = diagram.cards_of(x_parents), diagram.cards_of(y_parents)
+    x_cards, y_cards = graph.cards_of(x_parents), graph.cards_of(y_parents)
     new_x_parents = _merge_parents(x_parents, y, y_parents)
-    new_x_cards = diagram.cards_of(new_x_parents)
+    new_x_cards = graph.cards_of(new_x_parents)
     new_y_parents = (x,) + _merge_parents(y_parents, y, [p for p in x_parents if p != y])
-    new_y_cards = diagram.cards_of(new_y_parents)
+    new_y_cards = graph.cards_of(new_y_parents)
     rest, rest_cards = new_y_parents[1:], new_y_cards[1:]
     stride = stride_of(x_parents, x_cards, y)
     return _Reversal(
         StepKind.REVERSE_ARC, y, x, (),
         (
-            ProducedTable(x, new_x_parents, new_x_cards, x_node.cardinality),
-            ProducedTable(y, new_y_parents, new_y_cards, y_node.cardinality),
+            ProducedTable(x, new_x_parents, new_x_cards, graph.card(x)),
+            ProducedTable(y, new_y_parents, new_y_cards, graph.card(y)),
         ),
         b_map=tuple(row_map(new_x_parents, new_x_cards, y_parents, y_cards)),
         x_map=tuple(row_map(new_x_parents, new_x_cards, x_parents, x_cards)),
         rest_y_map=tuple(row_map(rest, rest_cards, y_parents, y_cards)),
         rest_x_map=tuple(row_map(rest, rest_cards, x_parents, x_cards)),
         stride=stride,
-        span=y_node.cardinality * stride,
+        span=graph.card(y) * stride,
     )
 
 
-def _barren_shape(diagram: InfluenceDiagram, name: str) -> _Barren:
-    node = diagram.node(name)
-    if node.kind is NodeKind.VALUE:
+def _barren_shape(graph: _Graph, name: str) -> _Barren:
+    kind = graph.kind(name)
+    if kind is NodeKind.VALUE:
         raise NotBarren("the value node is never barren")
-    if diagram.successors(name):
+    if graph.successors[name]:
         raise NotBarren(f"{name!r} has successors")
     return _Barren(
         StepKind.REMOVE_BARREN, name, None, (name,), (),
-        decision=node.kind is NodeKind.DECISION,
+        decision=kind is NodeKind.DECISION,
     )
 
 
@@ -600,7 +675,7 @@ def remove_chance_into_value(
     envelope of the conditional expectation over all admitted distributions
     and value functions.
     """
-    return apply_step(diagram, _fold_shape(diagram, name))
+    return apply_step(diagram, _fold_shape(_Graph(diagram), name))
 
 
 def _undominated(
@@ -656,7 +731,7 @@ def remove_decision(
     only successor. The new interval per state is the hull of the admissible
     alternatives' intervals.
     """
-    return apply_step(diagram, _decision_shape(diagram, name))
+    return apply_step(diagram, _decision_shape(_Graph(diagram), name))
 
 
 def marginalize_chance(
@@ -664,7 +739,7 @@ def marginalize_chance(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Remove chance node ``name`` by summing it out of its single chance
     successor, which inherits its parents."""
-    return apply_step(diagram, _marginal_shape(diagram, name))
+    return apply_step(diagram, _marginal_shape(_Graph(diagram), name))
 
 
 def reverse_arc(
@@ -678,7 +753,7 @@ def reverse_arc(
     distribution. Rows where conditioning is on an event of necessarily zero
     upper probability are stored as zero bounds and flagged on the step.
     """
-    return apply_step(diagram, _reversal_shape(diagram, x, y))
+    return apply_step(diagram, _reversal_shape(_Graph(diagram), x, y))
 
 
 def remove_barren(
@@ -686,4 +761,4 @@ def remove_barren(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Drop a chance or decision node with no successors; every other table
     is untouched."""
-    return apply_step(diagram, _barren_shape(diagram, name))
+    return apply_step(diagram, _barren_shape(_Graph(diagram), name))

@@ -65,6 +65,23 @@ def chain_data(n):
             "nodes": nodes}
 
 
+def hidden_cause_diagram():
+    """A hidden binary H with 70 binary children, all observed by a decision
+    D, and V(D, H): summing H out multiplies a table of 2**72 entries."""
+    from random import Random
+
+    from iidiag.generate import _Doc
+
+    doc = _Doc(Random(3011))
+    doc.chance("H", 2, [])
+    children = [f"C{i}" for i in range(70)]
+    for child in children:
+        doc.chance(child, 2, ["H"])
+    doc.decision("D", 2, children)
+    doc.value(["D", "H"])
+    return doc.build()
+
+
 def all_fixture_paths():
     return sorted(fixture_path("minimal").parent.glob("*.iid.json"))
 

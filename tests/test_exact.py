@@ -14,7 +14,6 @@ from iidiag import errors, exact
 from iidiag.diagram_io import load_diagram
 from iidiag.exact import (
     PointRealization,
-    eliminate,
     exact_envelope,
     point_solve,
     sample_member,
@@ -25,7 +24,7 @@ from iidiag.generate import _Doc, random_chain_diagram, random_diagram
 from iidiag.model import LowerCPT, Node, NodeKind, build_diagram
 from iidiag.sensitivity import SensitivitySpec, inject_range, sweep
 from iidiag.solver import solve
-from conftest import all_fixture_paths, chain_data, perfbench_corpus
+from conftest import all_fixture_paths, chain_data, hidden_cause_diagram, perfbench_corpus
 from oracles import halfspace_vertices, recursive_point_solve, table_lookup
 
 
@@ -95,11 +94,10 @@ class TestPointSolve:
             point_solve(minimal, PointRealization(chance={"C": chance}, values=values))
 
     def test_joint_past_the_limit_refused(self):
-        # 2**1100 leaves: refused before the walk, which would otherwise
-        # recurse once per outer level and overflow the stack
+        # 2**1100 leaves: elimination never tabulates the joint, so the
+        # chain is evaluated, to the value solve bounds it by
         d = build_diagram(chain_data(1100))
-        with pytest.raises(errors.CombinatorialLimitExceeded, match="1100 variables"):
-            point_solve(d, point_member(d))
+        assert point_solve(d, point_member(d)).expected_value == pytest.approx(2 / 3, rel=1e-12)
         assert solve(d).final_interval == pytest.approx((2 / 3, 2 / 3))
 
     def test_unreached_states_marked(self):
@@ -138,7 +136,7 @@ def _one_hot_rows(member: PointRealization, rng: Random) -> PointRealization:
 
 def _large_diagram(rng: Random):
     """Two observed decisions over seven three-outcome chance nodes: a joint
-    of 8748 leaves, more than one inner block of the compiled plan."""
+    of 8748 leaves."""
     def rows(n_rows):
         out = []
         for _ in range(n_rows):
@@ -191,14 +189,13 @@ def _digest_diagrams():
     yield "large", _large_diagram(Random(3002))
 
 
-# Recorded before point_solve multiplied block-invariant columns once per call.
+# Recorded when point_solve began to evaluate by variable elimination.
 POINT_SOLVE_DIGEST = "d62d0f413886e83abfe69efcd1aba2ea37c6aeb4e22bb2dc8369c35058fa8950"
 
 
 def test_point_solve_floats_are_pinned():
     """``repr`` of ``point_solve`` (float bits and policy dictionary order)
-    for three sampled members of each diagram, most of them joints of many
-    inner blocks, hashed into one digest."""
+    for three sampled members of each diagram, hashed into one digest."""
     h = hashlib.sha256()
     for label, diagram in _digest_diagrams():
         for seed in range(3):
@@ -207,16 +204,72 @@ def test_point_solve_floats_are_pinned():
     assert h.hexdigest() == POINT_SOLVE_DIGEST
 
 
+def _assert_value_close(got: float, want: float) -> None:
+    """Elimination sums in another order than the recursive walk, so the
+    last digits may differ."""
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+
+
+def _chain_below_a_decision(n: int):
+    """A root decision D, then an interval chain C0 -> ... -> C<n-1> of
+    binary nodes, V(D, C<n-1>): the sum/max order is D, C0, ..."""
+    doc = _Doc(Random(3003 + n))
+    doc.decision("D", 2, [])
+    doc.chance("C0", 2, [])
+    for i in range(1, n):
+        doc.chance(f"C{i}", 2, [f"C{i - 1}"])
+    doc.value(["D", f"C{n - 1}"])
+    return doc.build()
+
+
+def _wide_last_variable():
+    """C -> D, C -> B with B of 1100 outcomes, V(D, B): the last variable
+    of the sum/max order alone has more than 1024 outcomes."""
+    doc = _Doc(Random(3004))
+    doc.chance("C", 3, [])
+    doc.decision("D", 2, ["C"])
+    doc.chance("B", 1100, ["C"])
+    doc.value(["D", "B"])
+    return doc.build()
+
+
+def _parents_against_the_order():
+    """X's parents [A, B1..B13] run against the declaration order (A last),
+    so X's table is laid out against the sum/max order."""
+    doc = _Doc(Random(3006))
+    doc.decision("D", 2, [])
+    bs = [f"B{i}" for i in range(1, 14)]
+    for b in bs:
+        doc.chance(b, 2, [])
+    doc.chance("A", 2, [])
+    doc.chance("X", 2, ["A", *bs])
+    doc.value(["D", "X"])
+    return doc.build()
+
+
+# (diagram, seed of the one-hot rows, members, the members given one-hot rows)
+SHAPED_DIAGRAMS = {
+    "two decisions, 8748 leaves": (lambda: _large_diagram(Random(3002)), 3002, 4, (1, 3)),
+    "chain(10) below a decision": (lambda: _chain_below_a_decision(10), 3005, 3, (2,)),
+    "chain(11) below a decision": (lambda: _chain_below_a_decision(11), 3005, 3, (2,)),
+    "ladder(6)": (lambda: _ladder(Random(706), 6), 3005, 3, (2,)),
+    "1100 outcomes last": (_wide_last_variable, 3005, 3, (2,)),
+    "parents against the order": (_parents_against_the_order, 3007, 2, (1,)),
+}
+
+
 class TestPointSolveMatchesRecursiveWalk:
-    """The compiled point solver against the recursive walk it replaced:
-    the same floats and the same policy dictionaries, in the same order."""
+    """``point_solve`` against the recursive walk of ``tests/oracles.py``:
+    the expected value within 1e-12 relative, and the same policy
+    dictionaries, unreached entries and dictionary order included."""
 
     @staticmethod
     def _assert_same(diagram, member):
         got = point_solve(diagram, member)
         want = recursive_point_solve(diagram, member)
-        assert got == want
-        assert repr(got) == repr(want)  # float bits and dictionary order
+        _assert_value_close(got.expected_value, want.expected_value)
+        assert got.policy == want.policy
+        assert repr(got.policy) == repr(want.policy)  # dictionary order
         return got
 
     def test_random_members(self):
@@ -242,15 +295,18 @@ class TestPointSolveMatchesRecursiveWalk:
                 seen["root decision"] += 1
             for k in range(2):
                 member = sample_member(diagram, 100 * i + k)
+                negative_zero = k == 0 and i % 5 == 0
                 if k == 1:
                     member = _one_hot_rows(member, rng)
-                elif i % 5 == 0:
-                    # all-zero payoffs of negative sign: each sum starts
-                    # from 0.0, so the expected value is 0.0, never -0.0
+                elif negative_zero:
                     member = PointRealization(
                         chance=member.chance, values=(-0.0,) * len(member.values)
                     )
                 solution = self._assert_same(diagram, member)
+                if negative_zero:
+                    # all-zero payoffs of negative sign: each sum starts
+                    # from 0.0, so the expected value is 0.0, never -0.0
+                    assert repr(solution.expected_value) == "0.0"
                 solved += 1
                 entries = [e for per in solution.policy.values() for e in per.values()]
                 seen["unreached"] += any(not e.reached for e in entries)
@@ -258,100 +314,20 @@ class TestPointSolveMatchesRecursiveWalk:
         assert solved >= 200
         assert all(count > 0 for count in seen.values()), seen
 
-    def test_joint_larger_than_one_block(self):
-        rng = Random(3002)
-        diagram = _large_diagram(rng)
-        joint = math.prod(
-            diagram.card(n) for n in diagram.names() if diagram.node(n).variable is not None
-        )
-        assert joint > exact._BLOCK_LEAVES
-        plan = exact._plan_of(diagram)
-        assert plan.outer and any(level.target >= 0 for level in plan.outer)
-        assert any(level.target >= 0 for level in plan.inner)
-        for k in range(4):
+    @pytest.mark.parametrize("case", list(SHAPED_DIAGRAMS))
+    def test_shaped_diagrams(self, case):
+        build, seed, members, one_hot = SHAPED_DIAGRAMS[case]
+        diagram = build()
+        rng = Random(seed)
+        for k in range(members):
             member = sample_member(diagram, k)
-            self._assert_same(diagram, _one_hot_rows(member, rng) if k % 2 else member)
-
-
-    @staticmethod
-    def _chain(n: int):
-        """A root decision D, then an interval chain C0 -> ... -> C<n-1> of
-        binary nodes, V(D, C<n-1>). The sum/max order is D, C0, ..., so for
-        n = 10 the block is the whole chain below D, and for n = 11 C0 is
-        walked outside it."""
-        doc = _Doc(Random(3003 + n))
-        doc.decision("D", 2, [])
-        doc.chance("C0", 2, [])
-        for i in range(1, n):
-            doc.chance(f"C{i}", 2, [f"C{i - 1}"])
-        doc.value(["D", f"C{n - 1}"])
-        return doc.build()
-
-    @staticmethod
-    def _one_leaf_blocks():
-        """C -> D, C -> B with B of 1100 outcomes, V(D, B): the last level of
-        the sum/max order alone is past one block, so every block is a
-        single leaf."""
-        doc = _Doc(Random(3004))
-        doc.chance("C", 3, [])
-        doc.decision("D", 2, ["C"])
-        doc.chance("B", 1100, ["C"])
-        doc.value(["D", "B"])
-        return doc.build()
-
-    @pytest.mark.parametrize("case", ["all", "some", "none", "one-leaf blocks"])
-    def test_block_invariant_columns(self, case):
-        """The leading chance columns no outer level moves are multiplied
-        once per call: all of them, some, none, and none with one-leaf
-        blocks."""
-        diagram = {
-            "all": lambda: self._chain(10),
-            "some": lambda: _ladder(Random(706), 6),
-            "none": lambda: self._chain(11),
-            "one-leaf blocks": self._one_leaf_blocks,
-        }[case]()
-        plan = exact._plan_of(diagram)
-        assert plan.outer
-        hoisted = {"all": len(plan.chance), "none": 0, "one-leaf blocks": 0}
-        if case == "some":
-            assert 0 < plan.hoisted < len(plan.chance)
-        else:
-            assert plan.hoisted == hoisted[case]
-        assert (len(plan.ones) == 1) == (case == "one-leaf blocks")
-        rng = Random(3005)
-        for k in range(3):
-            member = sample_member(diagram, k)
-            self._assert_same(diagram, _one_hot_rows(member, rng) if k == 2 else member)
-
-    def test_column_spanning_a_wide_window(self):
-        """X's parents [A, B1..B13] run against the declaration order (A
-        last), so A is walked inside the block while B1..B5 are walked
-        outside it, and X's column spans far more entries than the block
-        has leaves: it is read offset by offset, not through a window."""
-        doc = _Doc(Random(3006))
-        doc.decision("D", 2, [])
-        bs = [f"B{i}" for i in range(1, 14)]
-        for b in bs:
-            doc.chance(b, 2, [])
-        doc.chance("A", 2, [])
-        doc.chance("X", 2, ["A", *bs])
-        doc.value(["D", "X"])
-        diagram = doc.build()
-        plan = exact._plan_of(diagram)
-        assert {"D", "B1", "B5"} <= {level.name for level in plan.outer}
-        assert "A" in {level.name for level in plan.inner}
-        span_of_a = 2 * 2**13  # X's step for A: 2 outcomes times 2**13 rows
-        assert span_of_a > exact._WINDOW_SPAN * len(plan.ones)
-        rng = Random(3007)
-        for k in range(2):
-            member = sample_member(diagram, k)
-            self._assert_same(diagram, _one_hot_rows(member, rng) if k else member)
+            self._assert_same(diagram, _one_hot_rows(member, rng) if k in one_hot else member)
 
 
 @pytest.fixture(scope="module")
 def elimination_corpus():
-    """(label, diagram) for every diagram the eliminator is held to
-    ``point_solve`` on: the fixtures and golden diagrams, the diagrams of
+    """(label, diagram) for every diagram ``point_solve`` is held to the
+    recursive walk on: the fixtures and golden diagrams, the diagrams of
     acceptance criteria 4 and 5 (drawn as those tests draw them), 300 seeds
     of each random generator, ladder rungs 1-7 and the benchmark's
     ``observed`` and ``small`` families."""
@@ -394,19 +370,18 @@ def elimination_corpus():
 
 
 class TestEliminationMatchesPointSolve:
-    """``eliminate`` against ``point_solve``: the expected value within
-    1e-9, and the same tied set and the same ``reached`` at every state
-    ``point_solve`` reaches; and ``soundness_check`` gives the same verdicts
-    on either evaluator."""
+    """``point_solve``, which evaluates by variable elimination, against
+    the recursive walk of ``tests/oracles.py``: the expected value within
+    1e-12 relative, and the same tied set and the same ``reached`` at every
+    state the walk reaches."""
 
     def test_same_value_and_policy(self, elimination_corpus):
-        joints = set()
         for label, diagram in elimination_corpus:
             for seed in range(3):
                 member = sample_member(diagram, seed)
-                want = point_solve(diagram, member)
-                got = eliminate(diagram, member)
-                assert abs(got.expected_value - want.expected_value) <= 1e-9, (label, seed)
+                want = recursive_point_solve(diagram, member)
+                got = point_solve(diagram, member)
+                _assert_value_close(got.expected_value, want.expected_value)
                 assert got.policy.keys() == want.policy.keys()
                 for name, entries in want.policy.items():
                     assert got.policy[name].keys() == entries.keys(), (label, name)
@@ -415,14 +390,10 @@ class TestEliminationMatchesPointSolve:
                             mine = got.policy[name][info_idx]
                             assert (mine.tied, mine.reached) == (entry.tied, True), (
                                 label, seed, name, info_idx)
-            joints.add(math.prod(
-                n.variable.cardinality for n in diagram.nodes.values() if n.variable
-            ) > exact._ELIMINATION_LEAVES)
-        assert joints == {False, True}
 
     def test_unreached_states_and_ties(self):
         """One-hot rows make states unreachable, and a duplicated
-        alternative ties: both as ``point_solve`` marks them."""
+        alternative ties: both as the walk marks them."""
         rng = Random(3010)
         seen = {"unreached": 0, "tie": 0}
         for i in range(60):
@@ -431,9 +402,9 @@ class TestEliminationMatchesPointSolve:
                 duplicate_alternative=i % 2 == 0,
             )
             member = _one_hot_rows(sample_member(diagram, i), rng)
-            want = point_solve(diagram, member)
-            got = eliminate(diagram, member)
-            assert abs(got.expected_value - want.expected_value) <= 1e-9
+            want = recursive_point_solve(diagram, member)
+            got = point_solve(diagram, member)
+            _assert_value_close(got.expected_value, want.expected_value)
             for name, entries in want.policy.items():
                 for info_idx, entry in entries.items():
                     mine = got.policy[name][info_idx]
@@ -444,48 +415,26 @@ class TestEliminationMatchesPointSolve:
                     seen["tie"] += entry.reached and len(entry.tied) > 1
         assert all(seen.values()), seen
 
-    def test_soundness_check_either_way(self, elimination_corpus, monkeypatch):
-        for label, diagram in elimination_corpus:
-            report = solve(diagram)
-            checks = []
-            for boundary in (0, math.inf):  # elimination, then point_solve
-                monkeypatch.setattr(exact, "_ELIMINATION_LEAVES", boundary)
-                checks.append(soundness_check(diagram, samples=10, seed=5, report=report))
-            by_elimination, by_point_solve = checks
-            assert by_elimination.ev_violations == by_point_solve.ev_violations, label
-            assert by_elimination.policy_violations == by_point_solve.policy_violations, label
-            assert abs(by_elimination.sampled_min - by_point_solve.sampled_min) <= 1e-9, label
-            assert abs(by_elimination.sampled_max - by_point_solve.sampled_max) <= 1e-9, label
-
     def test_elimination_path_checks_the_diagram_and_members(self, monkeypatch):
         calls = []
         monkeypatch.setattr(exact, "check_structure", calls.append)
-        monkeypatch.setattr(exact, "_ELIMINATION_LEAVES", 0)
         diagram = random_diagram(Random(7), max_nodes=6)
         soundness_check(diagram, 4, report=solve(diagram))
         assert calls == [diagram]
-        assert id(diagram) not in exact._PLANS  # no enumeration plan compiled
         member = sample_member(diagram, 0)
         name = diagram.names(NodeKind.CHANCE)[0]
         short = PointRealization({**member.chance, name: member.chance[name][:-1]},
                                  member.values)
         with pytest.raises(errors.ShapeMismatch, match=f"{name}: wrong row count"):
-            eliminate(diagram, short)
+            point_solve(diagram, short)
 
     def test_tables_past_the_limit_refused(self):
         # D observes 70 children of a hidden H, so summing H out multiplies
         # a table of 2**72 entries: refused before anything is tabulated
-        doc = _Doc(Random(3011))
-        doc.chance("H", 2, [])
-        children = [f"C{i}" for i in range(70)]
-        for child in children:
-            doc.chance(child, 2, ["H"])
-        doc.decision("D", 2, children)
-        doc.value(["D", "H"])
-        diagram = doc.build()
+        diagram = hidden_cause_diagram()
         member = sample_member(diagram, 0)
         with pytest.raises(errors.CombinatorialLimitExceeded, match=f"{2**72} entries"):
-            eliminate(diagram, member)
+            point_solve(diagram, member)
 
 
 class TestWildcatterRollout:

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_fixture_paths, chain_data
+from conftest import all_fixture_paths, chain_data, hidden_cause_diagram
 from iidiag import cli, errors
 from iidiag.cli import main
 from iidiag.diagram_io import (
     fixture_path,
     load_diagram,
     parse_diagram,
+    save_diagram,
     serialize_diagram,
 )
 from iidiag.exact import soundness_check
@@ -331,12 +332,14 @@ class TestCli:
             assert err == "error: integer literal has too many digits\n"
 
     def test_joint_past_the_limit_fails(self, tmp_path, capsys):
-        chain = tmp_path / "chain.iid.json"
-        chain.write_text(json.dumps(chain_data(1100)))
-        assert main(["exact", str(chain), "--nodes", "C0"]) == 1
+        # evaluating a member would multiply a table of 2**72 entries
+        path = tmp_path / "hidden.iid.json"
+        save_diagram(hidden_cause_diagram(), path)
+        assert main(["exact", str(path), "--nodes", "H"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{2**72} entries" in err
 
     def test_check_on_a_joint_past_the_limit(self, tmp_path, capsys):
         # 2**70 leaves: soundness sampling evaluates members by variable

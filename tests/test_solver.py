@@ -25,7 +25,7 @@ from iidiag.model import (
 )
 from iidiag.sensitivity import inject_range
 from iidiag.solver import apply_step, next_step, solve
-from iidiag.transforms import StepKind, remove_barren
+from iidiag.transforms import StepKind, _Graph, remove_barren
 from conftest import chain_data
 
 
@@ -611,7 +611,9 @@ class TestStepsKeepTheGraphValid:
     """compile_plan checks the input's graph only. Every step keeps a valid
     graph valid (one value node without successors, outcomes on the other
     nodes, acyclic arcs, a decision order covering the decisions), which
-    this checks on every intermediate structure of the corpus."""
+    this checks on every intermediate structure of the corpus. The plan is
+    made on one graph updated in place; each of its steps is the step
+    ``next_step`` picks on a graph built afresh from that structure."""
 
     @staticmethod
     def _corpus():
@@ -627,6 +629,7 @@ class TestStepsKeepTheGraphValid:
         for name, diagram in self._corpus():
             model.check_graph(diagram)
             for shape in solver.compile_plan(diagram):
+                assert solver.next_step(diagram) == shape, name
                 diagram = shape.successor(diagram)
                 model.check_graph(diagram)
                 kinds.add(shape.kind)
@@ -634,23 +637,26 @@ class TestStepsKeepTheGraphValid:
         assert kinds == set(StepKind)
 
     def test_compiling_a_chain_sorts_nothing(self, monkeypatch):
-        # rule 5, the only rule that sorts, never fires on a chain
+        # rule 5, the only rule that ranks nodes, never fires on a chain
         diagram = build_diagram(chain_data(200))
         calls = []
-        topological_order, check_graph = InfluenceDiagram.topological_order, model.check_graph
+        topological_order, check_graph = _Graph.topological_order, model.check_graph
 
-        def counting_sort(d):
+        def counting_rank(graph):
             calls.append("topological_order")
-            return topological_order(d)
+            return topological_order(graph)
 
         def counting_check(d):
             calls.append("check_graph")
             check_graph(d)
 
-        monkeypatch.setattr(InfluenceDiagram, "topological_order", counting_sort)
+        monkeypatch.setattr(_Graph, "topological_order", counting_rank)
         monkeypatch.setattr(model, "check_graph", counting_check)
         assert len(solver.compile_plan(diagram)) == 200
         assert calls == []
+        # the count sees a ranking where rule 5 fires: survey reverses an arc
+        solver.compile_plan(load_diagram(fixture_path("survey")))
+        assert calls == ["topological_order"]
 
 
 class TestNodesWithoutOutcomes:
