@@ -190,7 +190,7 @@ def _digest_diagrams():
 
 
 # Recorded when point_solve began to evaluate by variable elimination.
-POINT_SOLVE_DIGEST = "d62d0f413886e83abfe69efcd1aba2ea37c6aeb4e22bb2dc8369c35058fa8950"
+POINT_SOLVE_DIGEST = "3e9b1030def2c59f4a33eedcbf990c3de3657607d2e23d41c8a62ff86fdb0af2"
 
 
 def test_point_solve_floats_are_pinned():
