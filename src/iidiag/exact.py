@@ -648,7 +648,7 @@ def soundness_check(
     """Solve once, then check per sampled member that (a) its exact optimal
     expected value lies inside the computed interval and (b) every optimal
     choice at every reachable information state is admissible. Violations
-    are counted, not raised."""
+    are counted, not raised. Each member is evaluated by :func:`point_solve`."""
     if samples < 0:
         raise MalformedSpec(f"sample count {samples} is negative")
     if report is None:

@@ -256,11 +256,13 @@ def _sum_max_order(diagram: InfluenceDiagram) -> tuple[str, ...]:
 def recursive_point_solve(
     diagram: InfluenceDiagram, realization: PointRealization
 ) -> PointSolution:
-    """The package's original point solver, kept as the reference for its
-    compiled replacement: a depth-first walk over every joint assignment,
-    with the leaf weight and value looked up through per-leaf assignment
-    dictionaries. It must agree with ``exact.point_solve`` exactly, floats
-    and policy dictionary order included."""
+    """The package's original point solver, kept as the independent
+    reference for ``exact.point_solve``: a depth-first walk over every
+    joint assignment, with the leaf weight and value looked up through
+    per-leaf assignment dictionaries. ``point_solve`` evaluates by variable
+    elimination, which sums in another order, so the expected values agree
+    within 1e-12 relative; the policy dictionaries agree exactly, unreached
+    entries and dictionary order included."""
     order = _sum_max_order(diagram)
     value = diagram.value_node
     v_parents, v_cards = value.parents, value.value_table.cards

@@ -249,12 +249,12 @@ def _parents_against_the_order():
 
 # (diagram, seed of the one-hot rows, members, the members given one-hot rows)
 SHAPED_DIAGRAMS = {
-    "two decisions, 8748 leaves": (lambda: _large_diagram(Random(3002)), 3002, 4, (1, 3)),
-    "chain(10) below a decision": (lambda: _chain_below_a_decision(10), 3005, 3, (2,)),
-    "chain(11) below a decision": (lambda: _chain_below_a_decision(11), 3005, 3, (2,)),
+    "two decisions": (lambda: _large_diagram(Random(3002)), 3002, 4, (1, 3)),
+    "decision then chain(10)": (lambda: _chain_below_a_decision(10), 3005, 3, (2,)),
+    "decision then chain(11)": (lambda: _chain_below_a_decision(11), 3005, 3, (2,)),
     "ladder(6)": (lambda: _ladder(Random(706), 6), 3005, 3, (2,)),
     "1100 outcomes last": (_wide_last_variable, 3005, 3, (2,)),
-    "parents against the order": (_parents_against_the_order, 3007, 2, (1,)),
+    "parents against order": (_parents_against_the_order, 3007, 2, (1,)),
 }
 
 

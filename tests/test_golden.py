@@ -8,10 +8,11 @@ marginalization instances, multi-decision random diagrams), recorded by
 replaced the per-row assignment dictionaries. Any change to the transforms'
 arithmetic, tie-breaking or rendering shows up here as a diff.
 
-The reference layer is pinned the same way, recorded before the point solver
-was compiled into flat offset tables: ``check`` on every golden diagram,
-``exact`` on the fixtures and on widened generated diagrams, and the
-exhaustive wildcatter ``sweep --subsets --exact`` (``--json`` and text).
+The reference layer is pinned the same way, recorded again when the point
+solver began to evaluate by variable elimination: ``check`` on every golden
+diagram, ``exact`` on the fixtures and on widened generated diagrams, and
+the exhaustive wildcatter ``sweep --subsets --exact`` (``--json`` and
+text).
 ``tests/golden/commands.json`` lists each of these commands with the file its
 stdout is compared with.
 
