@@ -12,7 +12,9 @@ as it completes.
 
 Then, per end-to-end metric of ``BENCHMARK.json``, it prints each side's
 first quartile, median and third quartile, the change in the median, and
-the pairs the change won (a tie counts for neither side). ``gain`` says
+the pairs the change won (a tie counts for neither side), and the quartiles
+of the ratio change / parent taken within each pair, which cancels the
+machine's drift between pairs; that column informs only. ``gain`` says
 whether the change wins at least nine tenths of the pairs and its median is
 better than the parent's by more than the parent's interquartile range: the
 rule a claimed gain must meet. ``worse`` says whether the change's median is
@@ -52,6 +54,12 @@ def pair_wins(parent, change, better: str) -> int:
     """Pairs in which the change reads better than the parent."""
     sign = 1.0 if better == "higher" else -1.0
     return sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+
+
+def pair_ratios(parent, change) -> list[float]:
+    """change / parent within each pair, leaving out a pair whose parent
+    reads 0."""
+    return [c / p for p, c in zip(parent, change) if p]
 
 
 def is_gain(parent, change, better: str) -> bool:
@@ -122,16 +130,19 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':12s} {'better':6s} {'parent q1 / median / q3':>30s} "
-          f"{'change q1 / median / q3':>30s} {'median':>8s} {'wins':>6s}  gain  worse")
+          f"{'change q1 / median / q3':>30s} {'median':>8s} {'wins':>6s} "
+          f"{'ratio q1 / median / q3':>24s}  gain  worse")
     for metric in spec["end_to_end"]:
         name, better = metric["name"], metric["better"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         p, c = quartiles(parent), quartiles(change)
         moved = f"{(c[1] - p[1]) / p[1]:+.1%}" if p[1] else "n/a"
+        ratios = pair_ratios(parent, change)
+        ratio = " / ".join(f"{v:.3f}" for v in quartiles(ratios)) if ratios else "n/a"
         print(f"{name:12s} {better:6s} {' / '.join(f'{v:.4g}' for v in p):>30s} "
               f"{' / '.join(f'{v:.4g}' for v in c):>30s} {moved:>8s} "
-              f"{pair_wins(parent, change, better):>3d}/{args.pairs:<2d}  "
+              f"{pair_wins(parent, change, better):>3d}/{args.pairs:<2d} {ratio:>24s}  "
               f"{'yes' if is_gain(parent, change, better) else 'no':4s}  "
               f"{regression(parent, change, better, metric['bound'])}")
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}

@@ -699,10 +699,17 @@ def check_tables(diagram: InfluenceDiagram) -> None:
 def check_table(node: Node, parent_cards: tuple[int, ...]) -> None:
     """A chance or value node's table matches its arcs and its parents'
     cardinalities ``parent_cards`` and passes :func:`check_table_rows`."""
+    table = matched_table(node, parent_cards)
+    k = node.cardinality if node.kind is NodeKind.CHANCE else None
+    check_table_rows(node.name, table.rows, table.cards, k)
+
+
+def matched_table(node: Node, parent_cards: tuple[int, ...]) -> LowerCPT | IntervalValueTable:
+    """The table of chance or value node ``node``, once its parents match
+    the node's arcs and its cards ``parent_cards``; its rows are not read."""
     table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
     if table is None or table.parents != node.parents:
         raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
     if table.cards != parent_cards:
         raise ParentMismatch(f"{node.name}: table cards disagree with parents")
-    k = node.cardinality if node.kind is NodeKind.CHANCE else None
-    check_table_rows(node.name, table.rows, table.cards, k)
+    return table

@@ -38,22 +38,30 @@ from .transforms import AdmissibleSet, fmt
 def widen(point_row: Sequence[float], range_: float) -> tuple[float, ...]:
     """Lower-bound row with slack exactly ``range_``: every entry shrunk by
     the factor (1 - range_)."""
+    factor = _factor(range_)
+    return tuple([factor * p for p in point_row])
+
+
+def _factor(range_: float) -> float:
+    """The factor 1 - ``range_`` that :func:`widen` shrinks entries by."""
     if not 0.0 <= range_ < 1.0:
         raise MalformedSpec(f"range {range_} outside [0, 1)")
-    return tuple((1.0 - range_) * p for p in point_row)
+    return 1.0 - range_
 
 
 def inject_range(
     diagram: InfluenceDiagram, nodes: Iterable[str], range_: float
 ) -> InfluenceDiagram:
-    """Widen every row of the given chance nodes by ``range_``."""
+    """Widen every row of the given chance nodes by ``range_``, as
+    :func:`widen` does; the range is checked once, before any node."""
+    factor = _factor(range_)
     updates: dict[str, Node] = {}
     for name in nodes:
         node = diagram.node(name)
         if node.kind is not NodeKind.CHANCE:
             raise MalformedSpec(f"{name!r} is not a chance node")
         table = node.chance_table
-        rows = tuple(widen(row, range_) for row in table.rows)
+        rows = tuple([tuple([factor * p for p in row]) for row in table.rows])
         updates[name] = Node(
             name, NodeKind.CHANCE, node.variable, node.parents,
             chance_table=LowerCPT(table.parents, table.cards, rows),

@@ -25,7 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Unsolvable
-from .model import InfluenceDiagram, NodeKind, check_structure, check_tables
+from .model import (
+    InfluenceDiagram,
+    NodeKind,
+    check_structure,
+    check_table_rows,
+    matched_table,
+)
 from .transforms import (  # apply_step is re-exported for step-by-step callers
     AdmissibleSet,
     StepKind,
@@ -145,32 +151,87 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
     return tuple(shapes)
 
 
-# The plan of the most recently solved structure, as one (key, plan) tuple
-# so that threads read and replace it whole. Failed compiles are not kept.
-_cached_plan: tuple[tuple, tuple[StepShape, ...]] | None = None
+# The plan of the most recently solved structure, as one tuple (key, plan,
+# value node name, decision count, memo slot) so that threads read and
+# replace it whole. Failed compiles are not kept. The memo slot is a
+# one-item list that holds None until the plan's second solve fills it with
+# the memo (see _new_memo), so a cold solve keeps nothing beyond the plan.
+_cached_plan: tuple | None = None
 
 
 def clear_plan_cache() -> None:
-    """Forget the cached plan, so the next :func:`solve` compiles afresh."""
+    """Forget the cached plan and its memo, so the next :func:`solve`
+    compiles afresh."""
     global _cached_plan
     _cached_plan = None
 
 
-def _checked_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
-    """Check ``diagram`` and return its plan. The graph check reads nothing
-    outside :func:`structure_key`, so it runs only when a plan is compiled;
-    the tables are checked on every call."""
+def _new_memo(key: tuple, steps: int) -> tuple:
+    """What the solves of one plan remember, from its second solve on:
+
+    - per chance and value node, in declaration order, its key, its
+      parents' cardinalities and its outcome count (None for the value
+      node), read from the structure ``key``;
+    - the rows object each of those nodes' tables last admitted: checked,
+      and a tuple of tuples, so it cannot change;
+    - per step, the row objects and the decision ``Variable`` its last run
+      read, with the rows it produced and the step it completed.
+
+    The memo holds the objects themselves, never their ids, so no id is
+    reused while it is held, and they go with the plan. Threads fill and
+    read it without a lock: each entry is written whole and only after its
+    check passed, so a write one thread loses costs another a recomputation,
+    never a wrong reuse."""
+    nodes, _ = key
+    cards = {name: card for name, _, _, _, card in nodes}
+    specs = tuple(
+        (name, tuple([cards[p] for p in parents]), card)
+        for name, _, kind, parents, card in nodes
+        if kind is not NodeKind.DECISION
+    )
+    return specs, {}, [None] * steps
+
+
+def _checked_plan(diagram: InfluenceDiagram) -> tuple[tuple, dict, list | None]:
+    """Check ``diagram``; return its cache entry, its rows by node name and,
+    when its steps may be reused and recorded, the memo's step records.
+
+    The graph check reads nothing outside :func:`structure_key`, so it runs
+    only when a plan is compiled, before every table is checked. A warm call
+    checks each table's parents and cards against the memo, and its rows
+    only when they are not the very object the memo admitted. A table
+    whose rows can change (not a tuple of tuples) is checked on every call
+    and is never admitted; while one is read, no step is reused or
+    recorded."""
     global _cached_plan
     key = structure_key(diagram)
     entry = _cached_plan
-    if entry is not None and entry[0] == key:
-        check_tables(diagram)
-        return entry[1]
-    check_structure(diagram)
-    _cached_plan = None  # never hold two plans at once
-    plan = compile_plan(diagram)
-    _cached_plan = (key, plan)
-    return plan
+    if entry is None or entry[0] != key:
+        check_structure(diagram)
+        _cached_plan = None  # never hold two plans at once
+        plan = compile_plan(diagram)
+        entry = (key, plan, diagram.value_node.name,
+                 len(diagram.names(NodeKind.DECISION)), [None])
+        _cached_plan = entry
+        return entry, table_rows(diagram), None
+
+    slot = entry[4]
+    memo = slot[0]
+    if memo is None:
+        memo = slot[0] = _new_memo(key, len(entry[1]))
+    specs, admitted, records = memo
+    nodes = diagram.nodes
+    tables = {}
+    for name, cards, k in specs:
+        node = nodes[name]
+        rows = tables[name] = matched_table(node, cards).rows
+        if admitted.get(name) is not rows:
+            check_table_rows(node.name, rows, cards, k)
+            if type(rows) is tuple and all(type(row) is tuple for row in rows):
+                admitted[name] = rows
+            else:
+                records = None
+    return entry, tables, records
 
 
 def solve(diagram: InfluenceDiagram) -> SolveReport:
@@ -181,22 +242,36 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     its step reports every alternative admissible at the empty information
     state.
 
-    The input is validated in full first, so a hand-built diagram or one
-    derived without :func:`~iidiag.model.build_diagram` is held to the same
+    The input is validated first, so a hand-built diagram or one derived
+    without :func:`~iidiag.model.build_diagram` is held to the same
     invariants. The step sequence depends on structure only: it is compiled
     into a plan (:func:`compile_plan`, kept for the most recent structure,
     so a run of solves over one structure compiles once) and replayed over
     the input's tables, checking every table a step produces. The graph is
-    checked once per compiled plan, every input table on every call.
+    checked once per compiled plan, each table's rows once per rows object
+    (every call for rows that can change). From a plan's second solve on, a
+    step whose input rows and decision ``Variable`` are the very objects
+    its last run read takes that run's checked output and completed step
+    instead of running again: kernels are pure, so the report is the same.
     """
-    plan = _checked_plan(diagram)
-    tables = table_rows(diagram)
+    (_, plan, value, decisions, _), tables, records = _checked_plan(diagram)
+    nodes = diagram.nodes
     steps: list[TransformStep] = []
     policies: dict[str, AdmissibleSet] = {}
     notes: list[str] = []
 
-    for shape in plan:
-        produced, step = shape.run_checked(tables, diagram)
+    for i, shape in enumerate(plan):
+        if records is None:
+            produced, step = shape.run_checked(tables, diagram)
+        else:
+            a, b = tables.get(shape.node), tables.get(shape.into)
+            variable = nodes[shape.node].variable
+            last = records[i]
+            if last is not None and last[0] is a and last[1] is b and last[2] is variable:
+                produced, step = last[3], last[4]
+            else:
+                produced, step = shape.run_checked(tables, diagram)
+                records[i] = (a, b, variable, produced, step)
         for table, rows in zip(shape.produced, produced):
             tables[table.name] = rows
         steps.append(step)
@@ -218,14 +293,12 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
                 f"{ind} indeterminate posterior bounds stored as 0"
             )
 
-    final = tables[diagram.value_node.name]
+    final = tables[value]
     assert len(final) == 1
-    report = SolveReport(
+    assert len(policies) == decisions, f"decisions without a policy: {decisions - len(policies)}"
+    return SolveReport(
         final_interval=final[0],
         policies=policies,
         steps=tuple(steps),
         notes=tuple(notes),
     )
-    missing = [d for d in diagram.names(NodeKind.DECISION) if d not in report.policies]
-    assert not missing, f"decisions without a policy: {missing}"
-    return report

@@ -346,17 +346,20 @@ class ProducedTable:
 @dataclass(frozen=True)
 class StepShape:
     """One step as far as structure fixes it: kind, nodes, the nodes it
-    removes and the tables it produces. Each subclass adds the row maps its
-    arithmetic walks and a ``run(tables, diagram)`` that returns the rows of
-    each produced table, computed from ``tables`` (the current rows by node
-    name), and the completed step; ``diagram`` is read for decision
-    alternatives only."""
+    removes, the tables it produces and, when the rows cannot change what
+    the step reports (a fold, a marginalization, a dropped chance node),
+    the completed step, built once per shape (else None). Each subclass
+    adds the row maps its arithmetic walks and a ``run(tables, diagram)``
+    that returns the rows of each produced table, computed from ``tables``
+    (the current rows by node name), and the completed step; ``diagram``
+    is read for decision alternatives only."""
 
     kind: StepKind
     node: str
     into: str | None
     removed: tuple[str, ...]
     produced: tuple[ProducedTable, ...]
+    step: TransformStep | None
 
     def run_checked(self, tables, diagram):
         """:meth:`run`, then :func:`~iidiag.model.check_table_rows` on every
@@ -389,17 +392,15 @@ class StepShape:
 
 @dataclass(frozen=True)
 class _Barren(StepShape):
-    decision: bool
-
     def run(self, tables, diagram):
+        if self.step is not None:
+            return (), self.step
         # A dropped decision never influences value: every alternative is
         # admissible at the one, empty information state.
-        admissible = None
-        if self.decision:
-            alternatives = diagram.node(self.node).variable.outcomes
-            admissible = AdmissibleSet(
-                self.node, alternatives, (), (), (tuple(range(len(alternatives))),)
-            )
+        alternatives = diagram.node(self.node).variable.outcomes
+        admissible = AdmissibleSet(
+            self.node, alternatives, (), (), (tuple(range(len(alternatives))),)
+        )
         return (), TransformStep(self.kind, node=self.node, admissible=admissible)
 
 
@@ -416,7 +417,7 @@ class _Fold(StepShape):
         rows = []
         for b_idx, base in zip(self.b_map, self.v_map):
             rows.append(contraction_bounds(b_rows[b_idx], v_rows[base : base + span : stride]))
-        return (tuple(rows),), TransformStep(self.kind, node=self.node, into=self.into)
+        return (tuple(rows),), self.step
 
 
 @dataclass(frozen=True)
@@ -481,7 +482,7 @@ class _Marginal(StepShape):
             tables[self.node], tables[self.into], self.b_map, self.x_map,
             self.stride, self.span,
         )
-        return (rows,), TransformStep(self.kind, node=self.node, into=self.into)
+        return (rows,), self.step
 
 
 @dataclass(frozen=True)
@@ -538,9 +539,11 @@ def _fold_shape(graph: _Graph, name: str) -> _Fold:
     new_parents = _merge_parents(v_parents, name, parents)
     new_cards = graph.cards_of(new_parents)
     stride = stride_of(v_parents, v_cards, name)
+    kind = StepKind.REMOVE_CHANCE_INTO_VALUE
     return _Fold(
-        StepKind.REMOVE_CHANCE_INTO_VALUE, name, value, (name,),
+        kind, name, value, (name,),
         (ProducedTable(value, new_parents, new_cards, None),),
+        TransformStep(kind, node=name, into=value),
         b_map=tuple(row_map(new_parents, new_cards, parents, graph.cards_of(parents))),
         v_map=tuple(row_map(new_parents, new_cards, v_parents, v_cards)),
         stride=stride,
@@ -567,7 +570,7 @@ def _decision_shape(graph: _Graph, name: str) -> _Decision:
     stride = stride_of(v_parents, v_cards, name)
     return _Decision(
         StepKind.REMOVE_DECISION, name, value, (name,),
-        (ProducedTable(value, info_parents, info_cards, None),),
+        (ProducedTable(value, info_parents, info_cards, None),), None,
         v_map=tuple(row_map(info_parents, info_cards, v_parents, v_cards)),
         stride=stride,
         span=graph.card(name) * stride,
@@ -589,9 +592,11 @@ def _marginal_shape(graph: _Graph, name: str) -> _Marginal:
     new_parents = _merge_parents(x_parents, name, parents)
     new_cards = graph.cards_of(new_parents)
     stride = stride_of(x_parents, x_cards, name)
+    kind = StepKind.MARGINALIZE_CHANCE
     return _Marginal(
-        StepKind.MARGINALIZE_CHANCE, name, x, (name,),
+        kind, name, x, (name,),
         (ProducedTable(x, new_parents, new_cards, graph.card(x)),),
+        TransformStep(kind, node=name, into=x),
         b_map=tuple(row_map(new_parents, new_cards, parents, graph.cards_of(parents))),
         x_map=tuple(row_map(new_parents, new_cards, x_parents, x_cards)),
         stride=stride,
@@ -622,6 +627,7 @@ def _reversal_shape(graph: _Graph, x: str, y: str) -> _Reversal:
             ProducedTable(x, new_x_parents, new_x_cards, graph.card(x)),
             ProducedTable(y, new_y_parents, new_y_cards, graph.card(y)),
         ),
+        None,
         b_map=tuple(row_map(new_x_parents, new_x_cards, y_parents, y_cards)),
         x_map=tuple(row_map(new_x_parents, new_x_cards, x_parents, x_cards)),
         rest_y_map=tuple(row_map(rest, rest_cards, y_parents, y_cards)),
@@ -637,10 +643,9 @@ def _barren_shape(graph: _Graph, name: str) -> _Barren:
         raise NotBarren("the value node is never barren")
     if graph.successors[name]:
         raise NotBarren(f"{name!r} has successors")
-    return _Barren(
-        StepKind.REMOVE_BARREN, name, None, (name,), (),
-        decision=kind is NodeKind.DECISION,
-    )
+    # a dropped decision's step lists its alternatives, read at run time
+    step = None if kind is NodeKind.DECISION else TransformStep(StepKind.REMOVE_BARREN, node=name)
+    return _Barren(StepKind.REMOVE_BARREN, name, None, (name,), (), step)
 
 
 def apply_step(

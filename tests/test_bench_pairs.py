@@ -24,6 +24,16 @@ def test_pair_wins_count_neither_side_on_a_tie():
     assert bench_pairs.pair_wins(parent, change, "lower") == 1
 
 
+def test_pair_ratios_divide_within_each_pair():
+    # the parent drifts from 100 to 200 between pairs; the ratio does not
+    parent = [100.0, 150.0, 200.0, 0.0]
+    change = [125.0, 187.5, 250.0, 3.0]
+    assert bench_pairs.pair_ratios(parent, change) == [1.25, 1.25, 1.25]
+    ratios = bench_pairs.pair_ratios([4, 2, 4, 8], [2, 2, 6, 16])
+    assert ratios == [0.5, 1.0, 1.5, 2.0]
+    assert bench_pairs.quartiles(ratios) == (0.875, 1.25, 1.625)
+
+
 @pytest.mark.parametrize(
     "change, better, gain",
     [

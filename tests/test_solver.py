@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from iidiag import errors, model, solver, transforms
+from iidiag import errors, model, sensitivity, solver, transforms
 from iidiag.diagram_io import fixture_path, load_diagram
 from iidiag.exact import point_solve, soundness_check
 from iidiag.generate import random_chain_diagram, random_diagram
@@ -23,10 +23,11 @@ from iidiag.model import (
     config_assignment,
     config_index,
 )
-from iidiag.sensitivity import inject_range
+from iidiag.sensitivity import inject_range, report_to_dict, sweep
 from iidiag.solver import apply_step, next_step, solve
 from iidiag.transforms import StepKind, _Graph, remove_barren
 from conftest import chain_data
+from test_outputs_pinned import WILDCATTER_TARGETS, every_subset, wildcatter_sweep_spec
 
 
 class TestSolveValidatesItsInput:
@@ -318,6 +319,20 @@ def _cold_outcome(diagram):
 
 
 @pytest.fixture
+def runs(monkeypatch):
+    """A list that grows by one shape per step run, not per step reused."""
+    shapes = []
+    run_checked = transforms.StepShape.run_checked
+
+    def counting(shape, tables, diagram):
+        shapes.append(shape)
+        return run_checked(shape, tables, diagram)
+
+    monkeypatch.setattr(transforms.StepShape, "run_checked", counting)
+    return shapes
+
+
+@pytest.fixture
 def compiles(monkeypatch):
     """A list that grows by one entry per plan compiled."""
     calls = []
@@ -532,9 +547,14 @@ class TestWarmSolveStillChecks:
 
     def test_produced_tables_checked_cold_and_warm(self, minimal, monkeypatch, compiles):
         solve(minimal)  # compiles and keeps the plan
+        checked = solve(minimal)  # fills the memo
+        v_rows = minimal.node("V").value_table.rows
+        fresh = self._with_table(minimal, "V", tuple(tuple([*row]) for row in v_rows))
         monkeypatch.setattr(transforms, "contraction_bounds", lambda *a, **k: (1.0, 0.0))
+        # the very objects checked before: every step is reused, none runs
+        assert repr(solve(minimal)) == repr(checked)
         with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
-            solve(minimal)  # warm
+            solve(fresh)  # warm, new rows: the fold runs and its output is checked
         assert len(compiles) == 1
         solver.clear_plan_cache()
         with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
@@ -550,10 +570,12 @@ class TestWarmSolveStillChecks:
 
 
 class TestGraphCheckedOncePerStructure:
-    """A warm solve checks every input table but not the graph again: the
-    graph check reads nothing outside the plan's structure key."""
+    """A warm solve checks neither the graph again (the graph check reads
+    nothing outside the plan's structure key) nor a table's rows its memo
+    has admitted: it checks the rows objects new to the plan's entry and
+    the tables of the steps that run."""
 
-    def test_one_graph_check_per_structure(self, monkeypatch, compiles):
+    def test_one_graph_check_per_structure(self, monkeypatch, compiles, runs):
         diagrams = list(_golden_diagrams())
         plans = [solver.compile_plan(diagram) for _, diagram in diagrams]
         compiles.clear()
@@ -570,17 +592,28 @@ class TestGraphCheckedOncePerStructure:
 
         monkeypatch.setattr(model, "check_graph", counting_graph)
         monkeypatch.setattr(model, "check_rows", counting_rows)
-        previous, structures = None, 0
+        previous, structures, skipped = None, 0, 0
         for (name, diagram), plan in zip(diagrams, plans):
-            tables = [n for n in diagram.nodes.values() if n.kind is not NodeKind.DECISION]
             produced = sum(len(shape.produced) for shape in plan)
             chance = diagram.names(NodeKind.CHANCE)
+            key = solver.structure_key(diagram)
             graph_checks.clear()
             for range_ in (0.0, 0.03, 0.2, 0.6):
+                widened = inject_range(diagram, chance, range_)
+                rows = {n: (node.chance_table or node.value_table).rows
+                        for n, node in widened.nodes.items() if node.kind is not NodeKind.DECISION}
                 row_checks.clear()
-                solve(inject_range(diagram, chance, range_))
-                assert len(row_checks) == len(tables) + produced, name
-            key = solver.structure_key(diagram)
+                runs.clear()
+                solve(widened)
+                if range_ == 0.0 and key != previous:
+                    new = len(rows)  # cold: every table, and nothing is kept
+                    admitted = {}  # the rows the memo, made next, admits
+                else:
+                    new = sum(1 for n, r in rows.items() if admitted.get(n) is not r)
+                    admitted.update(rows)
+                ran = sum(len(shape.produced) for shape in runs)
+                assert len(row_checks) == new + ran, (name, range_)
+                skipped += len(rows) + produced - len(row_checks)
             if key == previous:  # some golden diagrams share a structure
                 assert graph_checks == [], name
             else:
@@ -591,6 +624,7 @@ class TestGraphCheckedOncePerStructure:
             previous = key
         assert len(compiles) == structures
         assert structures > len(diagrams) // 2
+        assert skipped > 0
 
     def test_value_node_named_apart_from_its_key(self, minimal, compiles):
         # the value node's Node.name names the chance node C; the graph check
@@ -746,3 +780,131 @@ class TestTablesMatchTheirNodes:
             calls.clear()
             solve(diagram)
             assert calls == [], name
+
+
+class TestWarmSolveReuse:
+    """From a plan's second solve on, a step whose input rows and decision
+    ``Variable`` are the very objects its last run read takes that run's
+    output instead of running again. Kernels are pure, so every report is
+    the one a cold solve gives."""
+
+    @staticmethod
+    def _corpus():
+        yield from _golden_diagrams()
+        for seed in range(300):
+            yield f"random_diagram {seed}", random_diagram(Random(seed), max_nodes=8)
+
+    def test_warm_reports_equal_cold_twins(self, runs):
+        steps = ran = 0
+        for name, diagram in self._corpus():
+            chance = diagram.names(NodeKind.CHANCE)
+            for range_ in (0.0, 0.03, 0.2):
+                for subset in (chance, chance[:1]):
+                    widened = inject_range(diagram, subset, range_)
+                    solver.clear_plan_cache()
+                    solve(diagram)  # compiles
+                    solve(diagram)  # fills the memo
+                    runs.clear()
+                    # reuses the steps the widened nodes do not reach, then all
+                    warm = [repr(solve(widened)), repr(solve(widened))]
+                    ran += len(runs)
+                    steps += 2 * len(solver.compile_plan(diagram))
+                    assert warm == [repr(_cold(widened))] * 2, (name, range_, subset)
+        assert ran < steps / 2
+
+    def test_rows_that_can_change_are_checked_every_call(self, minimal, compiles):
+        c, v = minimal.node("C"), minimal.node("V")
+        c_rows = [[0.5, 0.3]]  # a list of lists
+        v_rows = tuple([lo, hi] for lo, hi in v.value_table.rows)  # a tuple of lists
+        hand_built = minimal.replace_nodes({
+            "C": Node("C", NodeKind.CHANCE, c.variable, (), chance_table=LowerCPT((), (), c_rows)),
+            "V": Node("V", NodeKind.VALUE, None, v.parents, value_table=IntervalValueTable(
+                v.parents, v.value_table.cards, v_rows)),
+        })
+        reports = [repr(solve(hand_built)) for _ in range(3)]  # cold, memo filled, warm
+        assert reports == [repr(solve(minimal))] * 3
+        before = solve(hand_built).final_interval
+
+        c_rows[0][0] = 0.6  # still a valid row
+        moved = solve(hand_built)
+        assert moved.final_interval != before
+        assert len(compiles) == 1
+        assert repr(moved) == repr(_cold(hand_built))
+
+        solve(hand_built)
+        solve(hand_built)
+        v_rows[1][0] = 5.0  # above its high end
+        with pytest.raises(errors.IntervalInverted, match=r"V\.table\[1\]"):
+            solve(hand_built)
+        v_rows[1][0] = 0.0
+        c_rows[0][1] = 0.9  # the bounds sum to 1.5
+        with pytest.raises(errors.RowSumExceedsOne, match=r"C\.table\[0\]"):
+            solve(hand_built)
+        assert len(compiles) == 2
+
+    def test_reused_steps_carry_the_input_labels(self, minimal, compiles, runs):
+        # E is a barren decision: its step reads E's alternatives only
+        e = Node("E", NodeKind.DECISION, Variable("E", ("e1", "e2")), ())
+        base = InfluenceDiagram(
+            {**minimal.nodes, "E": e}, decision_order=minimal.decision_order + ("E",)
+        )
+        d_parents = minimal.node("D").parents
+        relabelled = base.replace_nodes({
+            "D": Node("D", NodeKind.DECISION, Variable("D", ("go", "stay")), d_parents),
+            "E": Node("E", NodeKind.DECISION, Variable("E", ("up", "down")), ()),
+        })
+        for _ in range(3):
+            solve(base)
+        runs.clear()
+        warm = solve(relabelled)
+        assert len(compiles) == 1
+        assert sorted(shape.node for shape in runs) == ["D", "E"]  # the fold of C is reused
+        assert warm.policies["D"].alternatives == ("go", "stay")
+        assert warm.policies["E"].alternatives == ("up", "down")
+        assert repr(warm) == repr(_cold(relabelled))
+
+    def test_threads_share_the_memo(self, wildcatter):
+        # threads solving widened copies of one structure at once overwrite
+        # each other's admissions and step records; each report must stay
+        # its cold twin's
+        cells = [wildcatter] + [
+            inject_range(wildcatter, subset, range_)
+            for subset in every_subset(WILDCATTER_TARGETS) for range_ in (0.01, 0.1)
+        ]
+        expected = {id(d): repr(_cold(d)) for d in cells}
+        wrong = []
+
+        def work(offset):
+            for j in range(120):
+                d = cells[(offset + j // 3) % len(cells)]
+                try:
+                    got = repr(solve(d))
+                except Exception as exc:  # a thread's error is lost otherwise
+                    got = exc
+                if got != expected[id(d)]:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(3 * i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_wildcatter_sweep_runs_fewer_kernels(self, wildcatter, monkeypatch, runs):
+        spec = wildcatter_sweep_spec(compare_exact=False)
+        assert len(solver.compile_plan(wildcatter)) == 7
+        with monkeypatch.context() as m:
+            m.setattr(sensitivity, "solve", _cold)
+            cold = report_to_dict(sweep(wildcatter, spec))
+        assert len(runs) == 22 * 7  # 22 computed cells, none reused
+        runs.clear()
+        solver.clear_plan_cache()
+        assert report_to_dict(sweep(wildcatter, spec)) == cold
+        assert len(runs) < 22 * 7
