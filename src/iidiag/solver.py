@@ -264,6 +264,8 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
         if records is None:
             produced, step = shape.run_checked(tables, diagram)
         else:
+            # all a kernel reads: the rows of its node and target, and the
+            # node's Variable for a decision's alternatives
             a, b = tables.get(shape.node), tables.get(shape.into)
             variable = nodes[shape.node].variable
             last = records[i]
