@@ -31,7 +31,7 @@ from .model import (
     check_structure,
     is_point_row,
 )
-from .solver import solve
+from .solver import StepMemo, solve
 from .transforms import AdmissibleSet, fmt
 
 
@@ -50,22 +50,35 @@ def _factor(range_: float) -> float:
 
 
 def inject_range(
-    diagram: InfluenceDiagram, nodes: Iterable[str], range_: float
+    diagram: InfluenceDiagram, nodes: Iterable[str], range_: float,
+    *, widened: dict[tuple[str, float], Node] | None = None,
 ) -> InfluenceDiagram:
     """Widen every row of the given chance nodes by ``range_``, as
-    :func:`widen` does; the range is checked once, before any node."""
+    :func:`widen` does; the range is checked once, before any node. Range 0
+    keeps each node as it is, since (1 - 0) * p == p for every float.
+
+    ``widened``, when given, keeps each widened node by (name, range) for
+    later calls on the same ``diagram``, which take the kept node instead
+    of widening it again: every subset that holds a node shares its rows."""
     factor = _factor(range_)
     updates: dict[str, Node] = {}
     for name in nodes:
+        if widened is not None and (name, range_) in widened:
+            updates[name] = widened[name, range_]
+            continue
         node = diagram.node(name)
         if node.kind is not NodeKind.CHANCE:
             raise MalformedSpec(f"{name!r} is not a chance node")
+        if factor == 1.0:
+            continue
         table = node.chance_table
         rows = tuple([tuple([factor * p for p in row]) for row in table.rows])
         updates[name] = Node(
             name, NodeKind.CHANCE, node.variable, node.parents,
             chance_table=LowerCPT(table.parents, table.cards, rows),
         )
+        if widened is not None:
+            widened[name, range_] = updates[name]
     return diagram.replace_nodes(updates)
 
 
@@ -180,17 +193,18 @@ def _require_point(diagram: InfluenceDiagram) -> None:
 
 def _run_cell(
     diagram: InfluenceDiagram, subset: tuple[str, ...], range_: float,
-    compare_exact: bool, exact_cap: int,
+    compare_exact: bool, exact_cap: int, *,
+    memo: StepMemo | None = None, widened: dict[tuple[str, float], Node] | None = None,
 ) -> SweepCell:
-    widened = inject_range(diagram, subset, range_)
+    cell_diagram = inject_range(diagram, subset, range_, widened=widened)
     start = time.perf_counter()
-    report = solve(widened)
+    report = solve(cell_diagram, memo=memo)
     elapsed = time.perf_counter() - start
     envelope = None
     skipped = False
     if compare_exact:
         try:
-            envelope = exact_envelope(widened, subset, cap=exact_cap)
+            envelope = exact_envelope(cell_diagram, subset, cap=exact_cap)
         except CombinatorialLimitExceeded:
             skipped = True
     return SweepCell(
@@ -210,7 +224,12 @@ def sweep(
     """Run the whole sweep, one cell after another in subset then range
     order. ``jobs`` accepts only 1: the cells are pure Python and hold the
     interpreter lock, so threads would not finish them sooner and would add
-    each other's time to every cell's ``solve_seconds``."""
+    each other's time to every cell's ``solve_seconds``.
+
+    The cells share what they have in common for the length of the call:
+    each (node, range) is widened once, into one node every subset that
+    holds it reads, and one :class:`~iidiag.solver.StepMemo` runs each
+    step once per distinct input. Both are dropped when the call returns."""
     if jobs != 1:  # the keyword stays only for callers that pass jobs=1
         raise MalformedSpec(f"jobs={jobs}: sweep runs its cells in order, jobs must be 1")
     check_structure(diagram)
@@ -230,12 +249,15 @@ def sweep(
     # the envelope is the one configuration it evaluates for any subset.
     cells = []
     shared = None
+    memo = StepMemo()
+    widened: dict[tuple[str, float], Node] = {}
     for subset in subsets:
         for r in spec.ranges:
             if r == 0.0 and shared is not None:
                 cells.append(replace(shared, subset=subset, range_=r))
                 continue
-            cell = _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap)
+            cell = _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap,
+                             memo=memo, widened=widened)
             if r == 0.0:
                 shared = cell
             cells.append(cell)

@@ -45,7 +45,6 @@ from .transforms import (  # apply_step is re-exported for step-by-step callers
     _reversal_shape,
     apply_step,
     fmt,
-    table_rows,
 )
 
 
@@ -152,89 +151,108 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
 
 
 # The plan of the most recently solved structure, as one tuple (key, plan,
-# value node name, decision count, memo slot) so that threads read and
-# replace it whole. Failed compiles are not kept. The memo slot is a
-# one-item list that holds None until the plan's second solve fills it with
-# the memo (see _new_memo), so a cold solve keeps nothing beyond the plan.
+# value node name, decision count, table specs) so that threads read and
+# replace it whole. Failed compiles are not kept. The entry holds no rows:
+# a plain solve records nothing, so a run of solves over one structure
+# keeps nothing but the plan.
 _cached_plan: tuple | None = None
 
 
 def clear_plan_cache() -> None:
-    """Forget the cached plan and its memo, so the next :func:`solve`
-    compiles afresh."""
+    """Forget the cached plan, so the next :func:`solve` compiles afresh."""
     global _cached_plan
     _cached_plan = None
 
 
-def _new_memo(key: tuple, steps: int) -> tuple:
-    """What the solves of one plan remember, from its second solve on:
-
-    - per chance and value node, in declaration order, its key, its
-      parents' cardinalities and its outcome count (None for the value
-      node), read from the structure ``key``;
-    - the rows object each of those nodes' tables last admitted: checked,
-      and a tuple of tuples, so it cannot change;
-    - per step, the row objects and the decision ``Variable`` its last run
-      read, with the rows it produced and the step it completed.
-
-    The memo holds the objects themselves, never their ids, so no id is
-    reused while it is held, and they go with the plan. Threads fill and
-    read it without a lock: each entry is written whole and only after its
-    check passed, so a write one thread loses costs another a recomputation,
-    never a wrong reuse."""
+def _table_specs(key: tuple) -> tuple:
+    """Per chance and value node of the structure ``key``, in declaration
+    order: its key, its parents' cardinalities and its outcome count (None
+    for the value node)."""
     nodes, _ = key
     cards = {name: card for name, _, _, _, card in nodes}
-    specs = tuple(
-        (name, tuple([cards[p] for p in parents]), card)
+    return tuple(
+        (name, tuple([cards[p] for p in parents]),
+         None if kind is NodeKind.VALUE else card)
         for name, _, kind, parents, card in nodes
         if kind is not NodeKind.DECISION
     )
-    return specs, {}, [None] * steps
 
 
-def _checked_plan(diagram: InfluenceDiagram) -> tuple[tuple, dict, list | None]:
+class StepMemo:
+    """What the solves given one memo remember of each other, for as long
+    as the caller holds it; :func:`~iidiag.sensitivity.sweep` holds one for
+    the length of a call. Per chance and value node, every rows object it
+    admitted: checked, and a tuple of tuples, so it cannot change. Per step,
+    one record for every distinct input it ran on: the rows of its node and
+    target and the decision ``Variable``, with the rows it produced and the
+    step it completed.
+
+    Records are looked up by the ids of their inputs and hold the objects
+    themselves, so no id is reused while the memo lives. A memo serves one
+    structure at a time: a solve of another structure empties it. It is not
+    for sharing between threads."""
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+        self._admitted: list[dict] = []
+        self._records: list[dict] = []
+
+    def _bind(self, entry: tuple) -> tuple[list[dict], list[dict]]:
+        """The admissions and step records for the plan ``entry``, emptied
+        first when the memo last served another structure."""
+        if self._key is not entry[0]:
+            # an equal key is the same structure compiled again, after
+            # another structure's solve replaced the cache: records hold
+            if self._key != entry[0]:
+                self._admitted = [{} for _ in entry[4]]
+                self._records = [{} for _ in entry[1]]
+            self._key = entry[0]
+        return self._admitted, self._records
+
+
+def _checked_plan(
+    diagram: InfluenceDiagram, memo: StepMemo | None
+) -> tuple[tuple, dict, list | None]:
     """Check ``diagram``; return its cache entry, its rows by node name and,
-    when its steps may be reused and recorded, the memo's step records.
+    when its steps may be reused and recorded, ``memo``'s step records.
 
     The graph check reads nothing outside :func:`structure_key`, so it runs
     only when a plan is compiled, before every table is checked. A warm call
-    checks each table's parents and cards against the memo, and its rows
-    only when they are not the very object the memo admitted. A table
-    whose rows can change (not a tuple of tuples) is checked on every call
-    and is never admitted; while one is read, no step is reused or
-    recorded."""
+    checks each table's parents and cards against the entry's specs, and
+    its rows unless ``memo`` admitted that very object. A table whose rows
+    can change (not a tuple of tuples) is checked on every call and is never
+    admitted; while one is read, no step is reused or recorded."""
     global _cached_plan
     key = structure_key(diagram)
     entry = _cached_plan
-    if entry is None or entry[0] != key:
+    cold = entry is None or entry[0] != key
+    if cold:
         check_structure(diagram)
         _cached_plan = None  # never hold two plans at once
-        plan = compile_plan(diagram)
-        entry = (key, plan, diagram.value_node.name,
-                 len(diagram.names(NodeKind.DECISION)), [None])
+        entry = (key, compile_plan(diagram), diagram.value_node.name,
+                 len(diagram.names(NodeKind.DECISION)), _table_specs(key))
         _cached_plan = entry
-        return entry, table_rows(diagram), None
 
-    slot = entry[4]
-    memo = slot[0]
-    if memo is None:
-        memo = slot[0] = _new_memo(key, len(entry[1]))
-    specs, admitted, records = memo
+    admitted, records = (None, None) if memo is None else memo._bind(entry)
     nodes = diagram.nodes
     tables = {}
-    for name, cards, k in specs:
+    for i, (name, cards, k) in enumerate(entry[4]):
         node = nodes[name]
         rows = tables[name] = matched_table(node, cards).rows
-        if admitted.get(name) is not rows:
+        seen = None if admitted is None else admitted[i]
+        if seen is not None and seen.get(id(rows)) is rows:
+            continue
+        if not cold:  # check_structure has checked every table
             check_table_rows(node.name, rows, cards, k)
+        if seen is not None:
             if type(rows) is tuple and all(type(row) is tuple for row in rows):
-                admitted[name] = rows
+                seen[id(rows)] = rows
             else:
                 records = None
     return entry, tables, records
 
 
-def solve(diagram: InfluenceDiagram) -> SolveReport:
+def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveReport:
     """Evaluate the diagram: bounded expected value plus admissible policies.
 
     Every decision of the input diagram appears exactly once in
@@ -248,13 +266,16 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
     into a plan (:func:`compile_plan`, kept for the most recent structure,
     so a run of solves over one structure compiles once) and replayed over
     the input's tables, checking every table a step produces. The graph is
-    checked once per compiled plan, each table's rows once per rows object
-    (every call for rows that can change). From a plan's second solve on, a
-    step whose input rows and decision ``Variable`` are the very objects
-    its last run read takes that run's checked output and completed step
-    instead of running again: kernels are pure, so the report is the same.
+    checked once per compiled plan, every table's rows on every call.
+
+    With a ``memo`` (a :class:`StepMemo`), the rows are checked once per
+    rows object the memo admitted (every call for rows that can change), and
+    a step whose input rows and decision ``Variable`` are the very objects
+    of a run the memo recorded takes that run's checked output and completed
+    step instead of running again: kernels are pure, so the report is the
+    same. Without one, nothing is recorded or reused.
     """
-    (_, plan, value, decisions, _), tables, records = _checked_plan(diagram)
+    (_, plan, value, decisions, _), tables, records = _checked_plan(diagram, memo)
     nodes = diagram.nodes
     steps: list[TransformStep] = []
     policies: dict[str, AdmissibleSet] = {}
@@ -268,12 +289,13 @@ def solve(diagram: InfluenceDiagram) -> SolveReport:
             # node's Variable for a decision's alternatives
             a, b = tables.get(shape.node), tables.get(shape.into)
             variable = nodes[shape.node].variable
-            last = records[i]
-            if last is not None and last[0] is a and last[1] is b and last[2] is variable:
-                produced, step = last[3], last[4]
-            else:
+            inputs = (id(a), id(b), id(variable))
+            record = records[i].get(inputs)
+            if record is None:
                 produced, step = shape.run_checked(tables, diagram)
-                records[i] = (a, b, variable, produced, step)
+                records[i][inputs] = (a, b, variable, produced, step)
+            else:
+                produced, step = record[3], record[4]
         for table, rows in zip(shape.produced, produced):
             tables[table.name] = rows
         steps.append(step)

@@ -537,7 +537,8 @@ def test_criterion_7_cost_claim(wildcatter, capsys):
     )
     # The gate times a cold solve: the plan cache is cleared inside every
     # timed call, so the solve compiles its step sequence as well as
-    # replaying it. The warm ratio (plan already compiled) is reported only.
+    # replaying it. The warm ratio (plan already compiled) is reported only;
+    # a plain solve reuses no step, so it times a full replay of the plan.
     def cold_solve():
         solver.clear_plan_cache()
         solve(wildcatter)

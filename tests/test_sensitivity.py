@@ -221,17 +221,19 @@ class TestSharedRangeZero:
     @pytest.mark.parametrize("compare_exact", [False, True])
     def test_inject_range_and_solve_run_in_lockstep(self, wildcatter, monkeypatch, compare_exact):
         # every computed cell widens, then solves, once each: 1 range-0
-        # cell and 7 subsets x 3 nonzero ranges
+        # cell and 7 subsets x 3 nonzero ranges. The positional arguments
+        # are (diagram, nodes, range_) and (diagram,); the sweep's shared
+        # state goes by keyword.
         calls = []
         inject, solve = sensitivity.inject_range, sensitivity.solve
 
-        def traced_inject(diagram, nodes, range_):
+        def traced_inject(diagram, nodes, range_, **kwargs):
             calls.append(("inject_range", tuple(nodes), range_))
-            return inject(diagram, nodes, range_)
+            return inject(diagram, nodes, range_, **kwargs)
 
-        def traced_solve(diagram):
+        def traced_solve(diagram, **kwargs):
             calls.append(("solve",))
-            return solve(diagram)
+            return solve(diagram, **kwargs)
 
         monkeypatch.setattr(sensitivity, "inject_range", traced_inject)
         monkeypatch.setattr(sensitivity, "solve", traced_solve)

@@ -1,8 +1,10 @@
 """End-to-end reduction: rule priority, determinism, termination, policies."""
 
+import gc
 import itertools
 import sys
 import threading
+import weakref
 from pathlib import Path
 from random import Random
 
@@ -23,7 +25,7 @@ from iidiag.model import (
     config_assignment,
     config_index,
 )
-from iidiag.sensitivity import inject_range, report_to_dict, sweep
+from iidiag.sensitivity import SensitivitySpec, inject_range, report_to_dict, sweep
 from iidiag.solver import apply_step, next_step, solve
 from iidiag.transforms import StepKind, _Graph, remove_barren
 from conftest import chain_data
@@ -318,6 +320,16 @@ def _cold_outcome(diagram):
     return _outcome(diagram)
 
 
+def _cold_sweep(diagram, spec, monkeypatch):
+    """``report_to_dict`` of the sweep with every cell widened afresh and
+    solved cold: nothing shared between cells but the code."""
+    with monkeypatch.context() as m:
+        m.setattr(sensitivity, "inject_range",
+                  lambda d, nodes, range_, widened: inject_range(d, nodes, range_))
+        m.setattr(sensitivity, "solve", lambda d, memo: _cold(d))
+        return report_to_dict(sweep(diagram, spec))
+
+
 @pytest.fixture
 def runs(monkeypatch):
     """A list that grows by one shape per step run, not per step reused."""
@@ -546,15 +558,17 @@ class TestWarmSolveStillChecks:
         assert len(compiles) == 2  # one warm-up, one after _cold cleared
 
     def test_produced_tables_checked_cold_and_warm(self, minimal, monkeypatch, compiles):
-        solve(minimal)  # compiles and keeps the plan
-        checked = solve(minimal)  # fills the memo
+        memo = solver.StepMemo()
+        checked = solve(minimal, memo=memo)  # compiles, records every step
         v_rows = minimal.node("V").value_table.rows
         fresh = self._with_table(minimal, "V", tuple(tuple([*row]) for row in v_rows))
         monkeypatch.setattr(transforms, "contraction_bounds", lambda *a, **k: (1.0, 0.0))
-        # the very objects checked before: every step is reused, none runs
-        assert repr(solve(minimal)) == repr(checked)
+        # the very objects the memo recorded: every step is reused, none runs
+        assert repr(solve(minimal, memo=memo)) == repr(checked)
         with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
-            solve(fresh)  # warm, new rows: the fold runs and its output is checked
+            solve(fresh, memo=memo)  # new rows: the fold runs and its output is checked
+        with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
+            solve(minimal)  # warm plan without a memo: every step runs
         assert len(compiles) == 1
         solver.clear_plan_cache()
         with pytest.raises(errors.IntervalInverted, match=r"V\.table\[0\]"):
@@ -570,10 +584,10 @@ class TestWarmSolveStillChecks:
 
 
 class TestGraphCheckedOncePerStructure:
-    """A warm solve checks neither the graph again (the graph check reads
-    nothing outside the plan's structure key) nor a table's rows its memo
-    has admitted: it checks the rows objects new to the plan's entry and
-    the tables of the steps that run."""
+    """A warm solve does not check the graph again (the graph check reads
+    nothing outside the plan's structure key). Without a memo it checks
+    every table's rows; with one, only the rows objects new to the memo.
+    Either way it checks the tables of the steps that run."""
 
     def test_one_graph_check_per_structure(self, monkeypatch, compiles, runs):
         diagrams = list(_golden_diagrams())
@@ -597,6 +611,8 @@ class TestGraphCheckedOncePerStructure:
             produced = sum(len(shape.produced) for shape in plan)
             chance = diagram.names(NodeKind.CHANCE)
             key = solver.structure_key(diagram)
+            if key != previous:
+                memo, admitted = solver.StepMemo(), {}  # admitted: what memo holds
             graph_checks.clear()
             for range_ in (0.0, 0.03, 0.2, 0.6):
                 widened = inject_range(diagram, chance, range_)
@@ -604,13 +620,18 @@ class TestGraphCheckedOncePerStructure:
                         for n, node in widened.nodes.items() if node.kind is not NodeKind.DECISION}
                 row_checks.clear()
                 runs.clear()
-                solve(widened)
-                if range_ == 0.0 and key != previous:
-                    new = len(rows)  # cold: every table, and nothing is kept
-                    admitted = {}  # the rows the memo, made next, admits
-                else:
-                    new = sum(1 for n, r in rows.items() if admitted.get(n) is not r)
-                    admitted.update(rows)
+                solve(widened)  # cold or warm, every table and every step
+                assert len(row_checks) == len(rows) + produced, (name, range_)
+                assert runs == list(plan), (name, range_)
+
+                row_checks.clear()
+                runs.clear()
+                solve(widened, memo=memo)
+                new = 0
+                for n, r in rows.items():
+                    if not any(r is seen for seen in admitted.setdefault(n, [])):
+                        admitted[n].append(r)
+                        new += 1
                 ran = sum(len(shape.produced) for shape in runs)
                 assert len(row_checks) == new + ran, (name, range_)
                 skipped += len(rows) + produced - len(row_checks)
@@ -783,10 +804,11 @@ class TestTablesMatchTheirNodes:
 
 
 class TestWarmSolveReuse:
-    """From a plan's second solve on, a step whose input rows and decision
-    ``Variable`` are the very objects its last run read takes that run's
-    output instead of running again. Kernels are pure, so every report is
-    the one a cold solve gives."""
+    """With a :class:`~iidiag.solver.StepMemo`, a step whose input rows and
+    decision ``Variable`` are the very objects of a run the memo recorded
+    takes that run's output instead of running again. Kernels are pure, so
+    every report is the one a cold solve gives. Without a memo nothing is
+    recorded or reused."""
 
     @staticmethod
     def _corpus():
@@ -801,12 +823,11 @@ class TestWarmSolveReuse:
             for range_ in (0.0, 0.03, 0.2):
                 for subset in (chance, chance[:1]):
                     widened = inject_range(diagram, subset, range_)
-                    solver.clear_plan_cache()
-                    solve(diagram)  # compiles
-                    solve(diagram)  # fills the memo
+                    memo = solver.StepMemo()
+                    solve(diagram, memo=memo)  # records every step
                     runs.clear()
                     # reuses the steps the widened nodes do not reach, then all
-                    warm = [repr(solve(widened)), repr(solve(widened))]
+                    warm = [repr(solve(widened, memo=memo)), repr(solve(widened, memo=memo))]
                     ran += len(runs)
                     steps += 2 * len(solver.compile_plan(diagram))
                     assert warm == [repr(_cold(widened))] * 2, (name, range_, subset)
@@ -821,25 +842,25 @@ class TestWarmSolveReuse:
             "V": Node("V", NodeKind.VALUE, None, v.parents, value_table=IntervalValueTable(
                 v.parents, v.value_table.cards, v_rows)),
         })
-        reports = [repr(solve(hand_built)) for _ in range(3)]  # cold, memo filled, warm
+        memo = solver.StepMemo()
+        reports = [repr(solve(hand_built, memo=memo)) for _ in range(3)]
         assert reports == [repr(solve(minimal))] * 3
-        before = solve(hand_built).final_interval
+        before = solve(hand_built, memo=memo).final_interval
 
         c_rows[0][0] = 0.6  # still a valid row
-        moved = solve(hand_built)
+        moved = solve(hand_built, memo=memo)
         assert moved.final_interval != before
         assert len(compiles) == 1
         assert repr(moved) == repr(_cold(hand_built))
 
-        solve(hand_built)
-        solve(hand_built)
+        solve(hand_built, memo=memo)
         v_rows[1][0] = 5.0  # above its high end
         with pytest.raises(errors.IntervalInverted, match=r"V\.table\[1\]"):
-            solve(hand_built)
+            solve(hand_built, memo=memo)
         v_rows[1][0] = 0.0
         c_rows[0][1] = 0.9  # the bounds sum to 1.5
         with pytest.raises(errors.RowSumExceedsOne, match=r"C\.table\[0\]"):
-            solve(hand_built)
+            solve(hand_built, memo=memo)
         assert len(compiles) == 2
 
     def test_reused_steps_carry_the_input_labels(self, minimal, compiles, runs):
@@ -853,58 +874,173 @@ class TestWarmSolveReuse:
             "D": Node("D", NodeKind.DECISION, Variable("D", ("go", "stay")), d_parents),
             "E": Node("E", NodeKind.DECISION, Variable("E", ("up", "down")), ()),
         })
-        for _ in range(3):
-            solve(base)
+        memo = solver.StepMemo()
+        solve(base, memo=memo)
         runs.clear()
-        warm = solve(relabelled)
+        warm = solve(relabelled, memo=memo)
         assert len(compiles) == 1
         assert sorted(shape.node for shape in runs) == ["D", "E"]  # the fold of C is reused
         assert warm.policies["D"].alternatives == ("go", "stay")
         assert warm.policies["E"].alternatives == ("up", "down")
         assert repr(warm) == repr(_cold(relabelled))
 
-    def test_threads_share_the_memo(self, wildcatter):
-        # threads solving widened copies of one structure at once overwrite
-        # each other's admissions and step records; each report must stay
-        # its cold twin's
-        cells = [wildcatter] + [
-            inject_range(wildcatter, subset, range_)
-            for subset in every_subset(WILDCATTER_TARGETS) for range_ in (0.01, 0.1)
-        ]
-        expected = {id(d): repr(_cold(d)) for d in cells}
-        wrong = []
+    def test_a_memo_follows_the_structure(self, minimal, survey, runs):
+        # a memo given solves of two structures empties itself on each
+        # switch; every report stays its cold twin's
+        memo = solver.StepMemo()
+        for diagram in (minimal, survey, minimal, minimal):
+            assert repr(solve(diagram, memo=memo)) == repr(_cold(diagram))
+        runs.clear()
+        solve(minimal, memo=memo)
+        assert runs == []
 
-        def work(offset):
-            for j in range(120):
-                d = cells[(offset + j // 3) % len(cells)]
+    def test_plain_solves_keep_no_rows(self, wildcatter, runs):
+        # a loop of solves over one structure, each on fresh rows, leaves
+        # the plan cache entry as small as the first solve left it
+        solver.clear_plan_cache()
+        diagrams = [
+            inject_range(wildcatter, WILDCATTER_TARGETS, 0.001 * (i + 1)) for i in range(200)
+        ]
+        solve(diagrams[0])
+        entry = solver._cached_plan
+        runs.clear()
+        for diagram in diagrams:
+            solve(diagram)
+        assert solver._cached_plan is entry
+        assert len(runs) == 200 * len(entry[1])  # every step ran
+        rows = {
+            id((node.chance_table or node.value_table).rows): node.name
+            for diagram in diagrams for node in diagram.nodes.values()
+            if node.kind is not NodeKind.DECISION
+        }
+        held = _reachable(entry)
+        assert not held.keys() & rows.keys()
+        # nothing in the entry can grow: it holds no list, dict or set
+        assert not [obj for obj in held.values() if isinstance(obj, (list, dict, set))]
+
+    def test_threads_sweep_with_their_own_memos(self, wildcatter, survey, monkeypatch):
+        # four threads sweep the wildcatter at once, each sweep with its own
+        # memo, while a fifth solves another structure: they all share the
+        # plan cache, which the fifth keeps replacing. Every report must
+        # stay its cold twin's.
+        spec = wildcatter_sweep_spec(compare_exact=False)
+        expected = repr(_cold_sweep(wildcatter, spec, monkeypatch))
+        survey_expected = repr(_cold(survey))
+        wrong = []
+        done = threading.Event()
+
+        def work():
+            for _ in range(3):
                 try:
-                    got = repr(solve(d))
+                    got = repr(report_to_dict(sweep(wildcatter, spec)))
                 except Exception as exc:  # a thread's error is lost otherwise
                     got = exc
-                if got != expected[id(d)]:
+                if got != expected:
+                    wrong.append(got)
+
+        def churn():
+            while not done.is_set():
+                got = repr(solve(survey))
+                if got != survey_expected:
                     wrong.append(got)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(3 * i,)) for i in range(4)]
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            other = threading.Thread(target=churn)
+            other.start()
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
+            done.set()
+            other.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        assert not any(t.is_alive() for t in (*threads, other))
         assert not wrong
 
     def test_wildcatter_sweep_runs_fewer_kernels(self, wildcatter, monkeypatch, runs):
         spec = wildcatter_sweep_spec(compare_exact=False)
         assert len(solver.compile_plan(wildcatter)) == 7
-        with monkeypatch.context() as m:
-            m.setattr(sensitivity, "solve", _cold)
-            cold = report_to_dict(sweep(wildcatter, spec))
+        inputs = set()  # (step, input rows, Variable) by value
+        counting = transforms.StepShape.run_checked
+
+        def keyed(shape, tables, diagram):
+            variable = diagram.nodes[shape.node].variable
+            inputs.add((shape, tables.get(shape.node), tables.get(shape.into), variable))
+            return counting(shape, tables, diagram)
+
+        monkeypatch.setattr(transforms.StepShape, "run_checked", keyed)
+        cold = _cold_sweep(wildcatter, spec, monkeypatch)
+        monkeypatch.setattr(transforms.StepShape, "run_checked", counting)
         assert len(runs) == 22 * 7  # 22 computed cells, none reused
         runs.clear()
         solver.clear_plan_cache()
         assert report_to_dict(sweep(wildcatter, spec)) == cold
-        assert len(runs) < 22 * 7
+        assert len(runs) == len(inputs) < 22 * 7  # 106 of 154
+
+
+def _reachable(root) -> dict[int, object]:
+    """Every object reachable from ``root`` through containers and instance
+    attributes, by id."""
+    seen: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return seen
+
+
+class TestSweepsEqualColdSolves:
+    """A sweep's shared widened nodes and memo change no number: every
+    report equals the same sweep with each cell solved cold."""
+
+    @staticmethod
+    def _corpus():
+        # random diagrams bring barren decisions; they seldom reverse an
+        # arc, so chains bring reversals and marginalizations
+        for seed in range(30):
+            yield f"random_diagram {seed}", random_diagram(Random(seed), max_nodes=8, point=True)
+            yield f"random_chain_diagram {seed}", random_chain_diagram(Random(seed), point=True)
+
+    def test_random_diagrams(self, monkeypatch):
+        kinds = set()
+        barren_decisions = 0
+        for name, diagram in self._corpus():
+            targets = diagram.names(NodeKind.CHANCE)[:3]
+            spec = SensitivitySpec(targets, (0.0, 0.01, 0.1), subsets=every_subset(targets))
+            kinds.update(shape.kind for shape in solver.compile_plan(diagram))
+            cold = _cold_sweep(diagram, spec, monkeypatch)
+            solver.clear_plan_cache()
+            assert report_to_dict(sweep(diagram, spec)) == cold, name
+            barren_decisions += any(
+                step.kind is StepKind.REMOVE_BARREN and step.admissible is not None
+                for step in solve(diagram).steps
+            )
+        assert kinds == set(StepKind)
+        assert barren_decisions > 0
+
+    def test_the_memo_goes_with_the_call(self, wildcatter, monkeypatch):
+        memos = []
+        solve_ = sensitivity.solve
+
+        def keeping(diagram, *, memo):
+            memos.append(weakref.ref(memo))
+            return solve_(diagram, memo=memo)
+
+        monkeypatch.setattr(sensitivity, "solve", keeping)
+        sweep(wildcatter, wildcatter_sweep_spec(compare_exact=False))
+        assert len(memos) == 22 and len({ref() for ref in memos}) == 1
+        gc.collect()
+        assert memos[0]() is None
