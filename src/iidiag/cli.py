@@ -60,9 +60,9 @@ def _range_list(raw: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"bad range {piece!r}") from None
         if not 0.0 <= r < 1.0:
             raise argparse.ArgumentTypeError(f"range {r} outside [0, 1)")
+        if r in out:  # == holds between 0.0 and -0.0
+            raise argparse.ArgumentTypeError(f"range given twice: {piece}")
         out.append(r)
-    if not out:
-        raise argparse.ArgumentTypeError(f"no ranges in {raw!r}")
     return tuple(out)
 
 

@@ -621,11 +621,15 @@ def check_rows(rows: Sequence[Sequence[float]], k: int | None, where: str) -> No
     not finite, which finite entries can cause by overflowing.
     """
     if k is None:
-        for r, (lo, hi) in enumerate(rows):
-            if not isfinite(lo + hi) and not (isfinite(lo) and isfinite(hi)):
-                raise MalformedSpec(f"{where}[{r}]: non-finite number")
-            if lo > hi + TOL:
-                raise IntervalInverted(f"{where}[{r}]: low {lo} > high {hi}")
+        try:
+            for r, (lo, hi) in enumerate(rows):
+                if not isfinite(lo + hi) and not (isfinite(lo) and isfinite(hi)):
+                    raise MalformedSpec(f"{where}[{r}]: non-finite number")
+                if lo > hi + TOL:
+                    raise IntervalInverted(f"{where}[{r}]: low {lo} > high {hi}")
+        except ValueError:  # only unpacking a row that is not a pair raises it
+            r = next(r for r, row in enumerate(rows) if len(row) != 2)
+            raise ParentMismatch(f"{where}[{r}]: expected a [low, high] pair") from None
         return
     for r, row in enumerate(rows):
         if len(row) != k:
@@ -663,6 +667,9 @@ def check_graph(diagram: InfluenceDiagram) -> None:
 
     if set(diagram.decision_order) != set(diagram.names(NodeKind.DECISION)):
         raise MalformedSpec("decision_order out of sync with the node set")
+    for key, node in diagram.nodes.items():
+        if node.name != key:
+            raise MalformedSpec(f"node {key!r} is named {node.name!r}")
 
 
 def check_table_rows(

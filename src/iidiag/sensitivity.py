@@ -100,9 +100,11 @@ class SensitivitySpec:
     def __post_init__(self) -> None:
         if self.exact_cap < 0:
             raise MalformedSpec(f"exact_cap {self.exact_cap} is negative")
-        for r in self.ranges:
+        for i, r in enumerate(self.ranges):
             if not 0.0 <= r < 1.0:
                 raise MalformedSpec(f"range {r} outside [0, 1)")
+            if r in self.ranges[:i]:  # == holds between 0.0 and -0.0
+                raise MalformedSpec(f"range {r} given twice")
 
     def effective_subsets(self) -> tuple[tuple[str, ...], ...]:
         if self.subsets is not None:

@@ -18,6 +18,9 @@ order, so identical diagrams always produce identical reports and step logs:
 runs one on the diagram's tables, and :func:`solve` runs a compiled plan of
 them. Every policy, including the all-admissible one of a dropped barren
 decision, comes from the completed step.
+
+The module keeps no state: a plain :func:`solve` compiles its plan and drops
+it; a :class:`StepMemo`, held by the caller, keeps one structure's plan.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .transforms import (  # apply_step is re-exported for step-by-step callers
     _reversal_shape,
     apply_step,
     fmt,
+    table_rows,
 )
 
 
@@ -150,20 +154,6 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
     return tuple(shapes)
 
 
-# The plan of the most recently solved structure, as one tuple (key, plan,
-# value node name, decision count, table specs) so that threads read and
-# replace it whole. Failed compiles are not kept. The entry holds no rows:
-# a plain solve records nothing, so a run of solves over one structure
-# keeps nothing but the plan.
-_cached_plan: tuple | None = None
-
-
-def clear_plan_cache() -> None:
-    """Forget the cached plan, so the next :func:`solve` compiles afresh."""
-    global _cached_plan
-    _cached_plan = None
-
-
 def _table_specs(key: tuple) -> tuple:
     """Per chance and value node of the structure ``key``, in declaration
     order: its key, its parents' cardinalities and its outcome count (None
@@ -181,75 +171,68 @@ def _table_specs(key: tuple) -> tuple:
 class StepMemo:
     """What the solves given one memo remember of each other, for as long
     as the caller holds it; :func:`~iidiag.sensitivity.sweep` holds one for
-    the length of a call. Per chance and value node, every rows object it
+    the length of a call. It serves one structure at a time: that
+    structure's :func:`structure_key`, plan, table specs, value node name
+    and decision count. Per chance and value node, every rows object it
     admitted: checked, and a tuple of tuples, so it cannot change. Per step,
     one record for every distinct input it ran on: the rows of its node and
     target and the decision ``Variable``, with the rows it produced and the
     step it completed.
 
     Records are looked up by the ids of their inputs and hold the objects
-    themselves, so no id is reused while the memo lives. A memo serves one
-    structure at a time: a solve of another structure empties it. It is not
-    for sharing between threads."""
+    themselves, so no id is reused while the memo lives. A solve of another
+    structure checks and compiles it and empties the memo; a failed one
+    leaves the memo serving no structure. It is not for sharing between
+    threads."""
 
     def __init__(self) -> None:
         self._key: tuple | None = None
+        self._plan: tuple[StepShape, ...] = ()
+        self._specs: tuple = ()
+        self._value = ""
+        self._decisions = 0
         self._admitted: list[dict] = []
         self._records: list[dict] = []
 
-    def _bind(self, entry: tuple) -> tuple[list[dict], list[dict]]:
-        """The admissions and step records for the plan ``entry``, emptied
-        first when the memo last served another structure."""
-        if self._key is not entry[0]:
-            # an equal key is the same structure compiled again, after
-            # another structure's solve replaced the cache: records hold
-            if self._key != entry[0]:
-                self._admitted = [{} for _ in entry[4]]
-                self._records = [{} for _ in entry[1]]
-            self._key = entry[0]
-        return self._admitted, self._records
+    def _tables(self, diagram: InfluenceDiagram) -> tuple[dict, list[dict] | None]:
+        """Check ``diagram``; return its rows by node name and, when its
+        steps may be reused and recorded, the step records.
 
+        The graph check reads nothing outside :func:`structure_key`, so it
+        runs only when the memo takes a new structure, before every table
+        is checked. Otherwise each table's parents and cards are checked
+        against the specs, and its rows unless the memo admitted that very
+        object. A table whose rows can change (not a tuple of tuples) is
+        checked on every call and is never admitted; while one is read, no
+        step is reused or recorded."""
+        key = structure_key(diagram)
+        cold = key != self._key
+        if cold:
+            self._key = None  # serves no structure until the compile succeeds
+            check_structure(diagram)
+            self._plan = compile_plan(diagram)
+            self._specs = _table_specs(key)
+            self._value = diagram.value_node.name
+            self._decisions = len(diagram.names(NodeKind.DECISION))
+            self._admitted = [{} for _ in self._specs]
+            self._records = [{} for _ in self._plan]
+            self._key = key
 
-def _checked_plan(
-    diagram: InfluenceDiagram, memo: StepMemo | None
-) -> tuple[tuple, dict, list | None]:
-    """Check ``diagram``; return its cache entry, its rows by node name and,
-    when its steps may be reused and recorded, ``memo``'s step records.
-
-    The graph check reads nothing outside :func:`structure_key`, so it runs
-    only when a plan is compiled, before every table is checked. A warm call
-    checks each table's parents and cards against the entry's specs, and
-    its rows unless ``memo`` admitted that very object. A table whose rows
-    can change (not a tuple of tuples) is checked on every call and is never
-    admitted; while one is read, no step is reused or recorded."""
-    global _cached_plan
-    key = structure_key(diagram)
-    entry = _cached_plan
-    cold = entry is None or entry[0] != key
-    if cold:
-        check_structure(diagram)
-        _cached_plan = None  # never hold two plans at once
-        entry = (key, compile_plan(diagram), diagram.value_node.name,
-                 len(diagram.names(NodeKind.DECISION)), _table_specs(key))
-        _cached_plan = entry
-
-    admitted, records = (None, None) if memo is None else memo._bind(entry)
-    nodes = diagram.nodes
-    tables = {}
-    for i, (name, cards, k) in enumerate(entry[4]):
-        node = nodes[name]
-        rows = tables[name] = matched_table(node, cards).rows
-        seen = None if admitted is None else admitted[i]
-        if seen is not None and seen.get(id(rows)) is rows:
-            continue
-        if not cold:  # check_structure has checked every table
-            check_table_rows(node.name, rows, cards, k)
-        if seen is not None:
+        records = self._records
+        nodes = diagram.nodes
+        tables = {}
+        for (name, cards, k), seen in zip(self._specs, self._admitted):
+            node = nodes[name]
+            rows = tables[name] = matched_table(node, cards).rows
+            if seen.get(id(rows)) is rows:
+                continue
+            if not cold:  # check_structure has checked every table
+                check_table_rows(node.name, rows, cards, k)
             if type(rows) is tuple and all(type(row) is tuple for row in rows):
                 seen[id(rows)] = rows
             else:
                 records = None
-    return entry, tables, records
+        return tables, records
 
 
 def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveReport:
@@ -263,19 +246,26 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
     The input is validated first, so a hand-built diagram or one derived
     without :func:`~iidiag.model.build_diagram` is held to the same
     invariants. The step sequence depends on structure only: it is compiled
-    into a plan (:func:`compile_plan`, kept for the most recent structure,
-    so a run of solves over one structure compiles once) and replayed over
-    the input's tables, checking every table a step produces. The graph is
-    checked once per compiled plan, every table's rows on every call.
+    into a plan (:func:`compile_plan`) and replayed over the input's tables,
+    checking every table a step produces. Without a ``memo`` the call checks
+    the whole diagram, compiles and replays, and keeps nothing.
 
-    With a ``memo`` (a :class:`StepMemo`), the rows are checked once per
-    rows object the memo admitted (every call for rows that can change), and
-    a step whose input rows and decision ``Variable`` are the very objects
-    of a run the memo recorded takes that run's checked output and completed
-    step instead of running again: kernels are pure, so the report is the
-    same. Without one, nothing is recorded or reused.
+    A ``memo`` (a :class:`StepMemo`) keeps the plan of the structure it
+    serves, so a run of solves over one structure checks the graph and
+    compiles once. It checks a table's rows once per rows object it
+    admitted (every call for rows that can change), and a step whose input
+    rows and decision ``Variable`` are the very objects of a run the memo
+    recorded takes that run's checked output and completed step instead of
+    running again: kernels are pure, so the report is the same.
     """
-    (_, plan, value, decisions, _), tables, records = _checked_plan(diagram, memo)
+    if memo is None:
+        check_structure(diagram)
+        plan = compile_plan(diagram)
+        value, decisions = diagram.value_node.name, len(diagram.names(NodeKind.DECISION))
+        tables, records = table_rows(diagram), None
+    else:
+        tables, records = memo._tables(diagram)
+        plan, value, decisions = memo._plan, memo._value, memo._decisions
     nodes = diagram.nodes
     steps: list[TransformStep] = []
     policies: dict[str, AdmissibleSet] = {}

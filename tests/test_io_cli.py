@@ -241,6 +241,16 @@ class TestCli:
         assert "node named twice: " in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("ranges", ["0.1,0.1", "0,0.05,0.0", "0.0, -0.0", "0.01,0.1,.1"])
+    def test_duplicate_ranges_usage_error(self, ranges, capsys):
+        # a repeated range would print the same cell twice
+        argv = ["sweep", str(fixture_path("wildcatter")), "--nodes", "OIL", "--ranges", ranges]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--ranges" in captured.err
+        assert "range given twice: " in captured.err
+        assert captured.out == ""
+
     def test_reused_parser_keeps_no_state(self, monkeypatch, capsys):
         # one process, one parser: a flag or a failed parse must not carry
         # over to the next call

@@ -404,6 +404,25 @@ class TestCheckStructure:
         with pytest.raises(errors.MalformedSpec, match=r"V\.table\[2\]: non-finite"):
             solve(minimal.replace_nodes({"V": bad_v}))
 
+    @pytest.mark.parametrize("row", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_hand_built_value_row_of_wrong_length(self, minimal, row):
+        v = minimal.node("V")
+        rows = list(v.value_table.rows)
+        rows[1] = row
+        bad_v = Node("V", NodeKind.VALUE, None, v.parents,
+                     value_table=IntervalValueTable(v.parents, v.value_table.cards, tuple(rows)))
+        with pytest.raises(errors.ParentMismatch, match=r"V\.table\[1\]: expected a \[low, high\] pair"):
+            solve(minimal.replace_nodes({"V": bad_v}))
+
+    @pytest.mark.parametrize("key", ["C", "D", "V"])
+    def test_node_named_apart_from_its_key(self, minimal, key):
+        # compile_plan reads nodes by key, the checks by Node.name
+        node = minimal.node(key)
+        odd = minimal.replace_nodes({key: Node("ghost", node.kind, node.variable, node.parents,
+                                               node.chance_table, node.value_table)})
+        with pytest.raises(errors.MalformedSpec, match=f"^node '{key}' is named 'ghost'$"):
+            check_structure(odd)
+
 
 class TestEachTableCheckedOnce:
     """The parser checks each input table once and ``build_diagram`` adds

@@ -198,6 +198,12 @@ class TestSweep:
         with pytest.raises(errors.MalformedSpec, match="exact_cap -1 is negative"):
             SensitivitySpec(target_nodes=("C",), ranges=(0.05,), exact_cap=-1)
 
+    @pytest.mark.parametrize("ranges", [(0.1, 0.1), (0.0, 0.05, -0.0), (0, 0.0)])
+    def test_repeated_range_is_malformed(self, ranges):
+        # a repeated range would give the same cell twice
+        with pytest.raises(errors.MalformedSpec, match=r"^range .* given twice$"):
+            SensitivitySpec(target_nodes=("C",), ranges=ranges)
+
     def test_every_subset_names_chance_nodes(self, wildcatter):
         # TEST's range-0 cell would share OIL's solve, so the check cannot
         # wait for TEST's own widening
