@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isfinite
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import (
     CycleDetected,
@@ -31,6 +31,9 @@ from .errors import (
     RowSumExceedsOne,
     UnorderedDecisions,
 )
+
+if TYPE_CHECKING:  # transforms imports this module
+    from .transforms import StepShape
 
 # Absolute tolerance for row-sum and interval checks; all arithmetic is
 # double precision.
@@ -241,33 +244,6 @@ class InfluenceDiagram:
     def cards_of(self, names: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.card(n) for n in names)
 
-    @cached_property
-    def _successor_map(self) -> dict[str, tuple[str, ...]]:
-        # Built on first use and kept: a diagram's nodes never change.
-        succs: dict[str, list[str]] = {}
-        for n, node in self.nodes.items():
-            for p in node.parents:
-                succs.setdefault(p, []).append(n)
-        return {p: tuple(children) for p, children in succs.items()}
-
-    def successors(self, name: str) -> tuple[str, ...]:
-        """Children of ``name`` in declaration order."""
-        return self._successor_map.get(name, ())
-
-    def arcs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (p, n) for n, node in self.nodes.items() for p in node.parents
-        )
-
-    def has_path(self, src: str, dst: str, skip_arc: tuple[str, str] | None = None) -> bool:
-        """Directed reachability, optionally ignoring one specific arc."""
-        return reaches(self._successor_map, src, dst, skip_arc)
-
-    def topological_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm with declaration order breaking ties."""
-        indegree = {n: len(node.parents) for n, node in self.nodes.items()}
-        return kahn_order(indegree, self._successor_map)
-
     # -- derived structure ---------------------------------------------------
 
     def replace_nodes(
@@ -291,51 +267,126 @@ class InfluenceDiagram:
         )
 
 
-def reaches(
-    successors: Mapping[str, Sequence[str]], src: str, dst: str,
-    skip_arc: tuple[str, str] | None = None,
-) -> bool:
-    """Whether a directed path leads from ``src`` to ``dst`` along the
-    children lists ``successors`` (a name without an entry has none),
-    optionally ignoring one specific arc."""
-    stack, seen = [src], set()
-    while stack:
-        cur = stack.pop()
-        if cur == dst:
-            return True
-        if cur in seen:
-            continue
-        seen.add(cur)
-        for nxt in successors.get(cur, ()):
-            if skip_arc is not None and (cur, nxt) == skip_arc:
+class _Graph:
+    """The structure of a diagram as the graph check and the reduction rules
+    read it: per node, in declaration order, its parents, its children
+    (``successors``), kind and outcome count (None without outcomes), plus
+    the value node's name and the decision order. It holds no table. No
+    rule reads the order of a node's children, so a child list keeps none;
+    a parent that is no node gets a child list too, which
+    :func:`check_graph` refuses as part of a cycle.
+
+    :func:`check_graph` builds one and returns it once every graph
+    invariant holds. ``solver.solve`` plans every step of a reduction on
+    the graph its check returned, and :meth:`apply` updates it in place
+    from each step's shape; ``solver.next_step`` and the public transforms
+    plan one step on it."""
+
+    def __init__(self, diagram: InfluenceDiagram):
+        nodes = diagram.nodes
+        self.parents = {name: node.parents for name, node in nodes.items()}
+        self.kinds = {name: node.kind for name, node in nodes.items()}
+        self.cards = {
+            name: None if node.variable is None else node.variable.cardinality
+            for name, node in nodes.items()
+        }
+        self.successors: dict[str, list[str]] = {name: [] for name in nodes}
+        for name, parents in self.parents.items():
+            for p in parents:
+                try:
+                    self.successors[p].append(name)
+                except KeyError:
+                    self.successors[p] = [name]
+        self.value = diagram.value_node.name  # NoValueNode if missing
+        self.decisions = list(diagram.decision_order)
+
+    def kind(self, name: str) -> NodeKind:
+        kind = self.kinds.get(name)
+        if kind is None:
+            raise MalformedSpec(f"unknown node {name!r}")
+        return kind
+
+    def card(self, name: str) -> int:
+        card = self.cards.get(name)
+        if card is None:
+            self.kind(name)
+            raise MalformedSpec(f"node {name!r} has no outcomes")
+        return card
+
+    def cards_of(self, names: Sequence[str]) -> tuple[int, ...]:
+        return tuple([self.card(n) for n in names])
+
+    def has_path(self, src: str, dst: str, skip_arc: tuple[str, str] | None = None) -> bool:
+        """Whether a directed path leads from ``src`` to ``dst``, optionally
+        ignoring one specific arc."""
+        successors = self.successors
+        stack, seen = [src], set()
+        while stack:
+            cur = stack.pop()
+            if cur == dst:
+                return True
+            if cur in seen:
                 continue
-            stack.append(nxt)
-    return False
+            seen.add(cur)
+            for nxt in successors.get(cur, ()):
+                if skip_arc is not None and (cur, nxt) == skip_arc:
+                    continue
+                stack.append(nxt)
+        return False
 
+    def topological_order(self) -> tuple[str, ...]:
+        """The nodes in topological order by Kahn's algorithm: each round
+        places the earliest-declared node whose parents are all placed. A
+        parent that is no node is never placed, so a node naming one counts
+        as part of a cycle."""
+        names = list(self.parents)
+        position = {n: i for i, n in enumerate(names)}
+        indeg = {n: len(parents) for n, parents in self.parents.items()}
+        ready = [position[n] for n, d in indeg.items() if d == 0]
+        order: list[str] = []
+        while ready:
+            head = names[heapq.heappop(ready)]
+            order.append(head)
+            for succ in self.successors[head]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    heapq.heappush(ready, position[succ])
+        if len(order) != len(names):
+            raise CycleDetected("arcs contain a directed cycle")
+        return tuple(order)
 
-def kahn_order(
-    indegree: Mapping[str, int], successors: Mapping[str, Sequence[str]]
-) -> tuple[str, ...]:
-    """The nodes of ``indegree`` (each node's parent count, in declaration
-    order) in topological order by Kahn's algorithm, along the children
-    lists ``successors``. Each round places the earliest-declared node
-    whose parents are all placed; a parent outside ``indegree`` is never
-    placed, so a node naming one counts as part of a cycle."""
-    names = list(indegree)
-    position = {n: i for i, n in enumerate(names)}
-    indeg = dict(indegree)
-    ready = [position[n] for n, d in indeg.items() if d == 0]
-    order: list[str] = []
-    while ready:
-        head = names[heapq.heappop(ready)]
-        order.append(head)
-        for succ in successors.get(head, ()):
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                heapq.heappush(ready, position[succ])
-    if len(order) != len(names):
-        raise CycleDetected("arcs contain a directed cycle")
-    return tuple(order)
+    def ordered_decisions(self, topo: Sequence[str]) -> tuple[str, ...]:
+        """The decisions in the order of ``topo``, this graph's topological
+        order: the one order the arcs allow. Raises when no directed path
+        leads from one decision to the next."""
+        kinds, parents, decision = self.kinds, self.parents, NodeKind.DECISION
+        ordered = tuple([n for n in topo if kinds[n] is decision])
+        for earlier, later in zip(ordered, ordered[1:]):
+            # an arc is the usual path: build_diagram adds the no-forgetting arcs
+            if earlier not in parents[later] and not self.has_path(earlier, later):
+                raise UnorderedDecisions(
+                    f"no directed path orders decisions {earlier!r} and {later!r}"
+                )
+        return ordered
+
+    def apply(self, shape: StepShape) -> None:
+        """The graph after ``shape``: each produced node gets its new
+        parents, then the removed nodes go."""
+        for table in shape.produced:
+            name, old, new = table.name, self.parents[table.name], table.parents
+            for p in old:
+                if p not in new:
+                    self.successors[p].remove(name)
+            for p in new:
+                if p not in old:
+                    self.successors[p].append(name)
+            self.parents[name] = new
+        for name in shape.removed:
+            for p in self.parents.pop(name):
+                self.successors[p].remove(name)
+            del self.successors[name], self.kinds[name], self.cards[name]
+            if name in self.decisions:
+                self.decisions.remove(name)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +548,8 @@ def build_diagram(data: Mapping[str, Any]) -> InfluenceDiagram:
             nodes[name] = Node(name, kind, None, parents, value_table=table)
 
     diagram = InfluenceDiagram(nodes=nodes, decision_order=())
-    diagram.topological_order()  # raises CycleDetected on a cycle
-
-    order = _decision_order(diagram)
+    graph = _Graph(diagram)
+    order = graph.ordered_decisions(graph.topological_order())  # CycleDetected on a cycle
     diagram, added = _add_no_forgetting(diagram, order)
     # No closing check_structure: each table was checked as it was parsed
     # and every graph invariant above. An added information arc makes no
@@ -570,22 +620,6 @@ def _parse_value_rows(raw: Any, n_rows: int, where: str) -> tuple[tuple[float, f
     return tuple(rows)
 
 
-def _decision_order(diagram: InfluenceDiagram) -> tuple[str, ...]:
-    """Total order of decisions via directed paths; raises when two decisions
-    are incomparable."""
-    decisions = diagram.names(NodeKind.DECISION)
-    if len(decisions) <= 1:
-        return decisions
-    topo = diagram.topological_order()
-    ordered = tuple(n for n in topo if n in set(decisions))
-    for earlier, later in zip(ordered, ordered[1:]):
-        if not diagram.has_path(earlier, later):
-            raise UnorderedDecisions(
-                f"no directed path orders decisions {earlier!r} and {later!r}"
-            )
-    return ordered
-
-
 def _add_no_forgetting(
     diagram: InfluenceDiagram, order: tuple[str, ...]
 ) -> tuple[InfluenceDiagram, tuple[tuple[str, str], ...]]:
@@ -650,26 +684,38 @@ def check_rows(rows: Sequence[Sequence[float]], k: int | None, where: str) -> No
             raise RowSumExceedsOne(f"{where}[{r}]: bounds sum to {total} > 1")
 
 
-def check_graph(diagram: InfluenceDiagram) -> None:
-    """Whole-diagram invariants that involve no table: one value node and
+def check_graph(diagram: InfluenceDiagram) -> _Graph:
+    """Whole-diagram invariants that involve no table, checked on one
+    :class:`_Graph` of the diagram, which is returned: one value node and
     no successors of it, outcomes on every other node, acyclic arcs between
-    known nodes (an unknown parent reads as a cycle), and a decision order
-    covering exactly the decisions."""
-    value = diagram.value_node  # NoValueNode if missing
-    if len(diagram.names(NodeKind.VALUE)) > 1:
+    known nodes (an unknown parent reads as a cycle), a decision order
+    covering exactly the decisions, every node named as its key, and a
+    decision order that follows the arcs."""
+    graph = _Graph(diagram)  # NoValueNode if missing
+    # local names: an enum member read off its class costs a lookup per use
+    kinds, value, decision = graph.kinds, NodeKind.VALUE, NodeKind.DECISION
+    if [*kinds.values()].count(value) > 1:
         raise MultipleValueNodes("more than one value node")
-    if diagram.successors(value.name):
+    if graph.successors.get(graph.value):
         raise MalformedSpec("the value node cannot have successors")
-    for node in diagram.nodes.values():
-        if node.variable is None and node.kind is not NodeKind.VALUE:
-            raise MalformedSpec(f"node {node.name!r} has no outcomes")
-    diagram.topological_order()
+    for name, card in graph.cards.items():
+        if card is None and kinds[name] is not value:
+            raise MalformedSpec(f"node {diagram.nodes[name].name!r} has no outcomes")
+    topo = graph.topological_order()
 
-    if set(diagram.decision_order) != set(diagram.names(NodeKind.DECISION)):
+    order = diagram.decision_order
+    if set(order) != {n for n, kind in kinds.items() if kind is decision}:
         raise MalformedSpec("decision_order out of sync with the node set")
     for key, node in diagram.nodes.items():
         if node.name != key:
             raise MalformedSpec(f"node {key!r} is named {node.name!r}")
+    arcs_order = graph.ordered_decisions(topo)  # UnorderedDecisions if no path orders two
+    if tuple(order) != arcs_order:
+        raise MalformedSpec(
+            f"decision_order {list(order)} does not follow the arcs, "
+            f"which order the decisions {list(arcs_order)}"
+        )
+    return graph
 
 
 def check_table_rows(
@@ -682,11 +728,13 @@ def check_table_rows(
     check_rows(rows, k, f"{name}.table")
 
 
-def check_structure(diagram: InfluenceDiagram) -> None:
-    """Full invariant sweep: :func:`check_graph`, then :func:`check_tables`.
-    Run on every diagram a solve compiles a plan for."""
-    check_graph(diagram)
+def check_structure(diagram: InfluenceDiagram) -> _Graph:
+    """Full invariant sweep: :func:`check_graph`, then :func:`check_tables`;
+    returns the graph :func:`check_graph` built. Run on every diagram a
+    solve compiles a plan for."""
+    graph = check_graph(diagram)
     check_tables(diagram)
+    return graph
 
 
 def check_tables(diagram: InfluenceDiagram) -> None:

@@ -31,6 +31,8 @@ from .errors import Unsolvable
 from .model import (
     InfluenceDiagram,
     NodeKind,
+    _Graph,
+    check_graph,
     check_structure,
     check_table_rows,
     matched_table,
@@ -40,7 +42,6 @@ from .transforms import (  # apply_step is re-exported for step-by-step callers
     StepKind,
     StepShape,
     TransformStep,
-    _Graph,
     _barren_shape,
     _decision_shape,
     _fold_shape,
@@ -64,9 +65,10 @@ class SolveReport:
 
 def next_step(diagram: InfluenceDiagram) -> StepShape:
     """The shape of the step :func:`solve` would apply next, ready for
-    :func:`apply_step`; a pure function of the diagram's structure, so
-    tables may be absent."""
-    return _first_step(_Graph(diagram))
+    :func:`apply_step`, planned on the graph
+    :func:`~iidiag.model.check_graph` returns; a pure function of the
+    diagram's structure, so tables may be absent."""
+    return _first_step(check_graph(diagram))
 
 
 def _first_step(graph: _Graph) -> StepShape:
@@ -120,11 +122,10 @@ def _first_step(graph: _Graph) -> StepShape:
 
 
 def structure_key(diagram: InfluenceDiagram) -> tuple:
-    """Everything a plan and the graph half of
-    :func:`~iidiag.model.check_structure` depend on: per node in declaration
-    order its key, its ``Node.name`` (a hand-built diagram can set the two
-    apart), kind, parents and cardinality (None for a node without
-    outcomes), plus the decision order."""
+    """Everything a plan and :func:`~iidiag.model.check_graph` depend on:
+    per node in declaration order its key, its ``Node.name`` (a hand-built
+    diagram can set the two apart), kind, parents and cardinality (None for
+    a node without outcomes), plus the decision order."""
     nodes = tuple(
         (name, node.name, node.kind, node.parents,
          None if node.variable is None else len(node.variable.outcomes))
@@ -138,13 +139,18 @@ def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
     reduction, in order. It holds no table entries and no outcome labels, so
     it serves every diagram with the same :func:`structure_key`.
 
-    The reduction rule runs on one :class:`~iidiag.transforms._Graph` of
-    the structure, which each step updates in place from its shape; no
-    table is read. The graph is not checked again: each step keeps a valid
-    graph valid."""
-    graph = _Graph(diagram)
+    The structure's graph is checked (:func:`~iidiag.model.check_graph`)
+    and the plan is made on the graph the check returns."""
+    return _compile(check_graph(diagram))
+
+
+def _compile(graph: _Graph) -> tuple[StepShape, ...]:
+    """The plan made on the checked ``graph``: the reduction rule runs on
+    it, and each step updates it in place from its shape; no table is read.
+    The graph is not checked again: each step keeps a valid graph valid."""
     shapes: list[StepShape] = []
-    budget = 2 * (len(diagram.nodes) + len(diagram.arcs())) ** 2 + 10
+    arcs = sum(len(parents) for parents in graph.parents.values())
+    budget = 2 * (len(graph.parents) + arcs) ** 2 + 10
     while len(graph.parents) > 1:
         if len(shapes) > budget:
             raise Unsolvable("step budget exceeded; reduction is not converging")
@@ -200,17 +206,16 @@ class StepMemo:
 
         The graph check reads nothing outside :func:`structure_key`, so it
         runs only when the memo takes a new structure, before every table
-        is checked. Otherwise each table's parents and cards are checked
-        against the specs, and its rows unless the memo admitted that very
-        object. A table whose rows can change (not a tuple of tuples) is
+        is checked, and the plan is made on the graph it returns. Otherwise
+        each table's parents and cards are checked against the specs, and
+        its rows unless the memo admitted that very object. A table whose rows can change (not a tuple of tuples) is
         checked on every call and is never admitted; while one is read, no
         step is reused or recorded."""
         key = structure_key(diagram)
         cold = key != self._key
         if cold:
             self._key = None  # serves no structure until the compile succeeds
-            check_structure(diagram)
-            self._plan = compile_plan(diagram)
+            self._plan = _compile(check_structure(diagram))
             self._specs = _table_specs(key)
             self._value = diagram.value_node.name
             self._decisions = len(diagram.names(NodeKind.DECISION))
@@ -248,7 +253,8 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
     invariants. The step sequence depends on structure only: it is compiled
     into a plan (:func:`compile_plan`) and replayed over the input's tables,
     checking every table a step produces. Without a ``memo`` the call checks
-    the whole diagram, compiles and replays, and keeps nothing.
+    the whole diagram, compiles a plan on the graph its check returns,
+    replays, and keeps nothing.
 
     A ``memo`` (a :class:`StepMemo`) keeps the plan of the structure it
     serves, so a run of solves over one structure checks the graph and
@@ -259,8 +265,7 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
     running again: kernels are pure, so the report is the same.
     """
     if memo is None:
-        check_structure(diagram)
-        plan = compile_plan(diagram)
+        plan = _compile(check_structure(diagram))
         value, decisions = diagram.value_node.name, len(diagram.names(NodeKind.DECISION))
         tables, records = table_rows(diagram), None
     else:

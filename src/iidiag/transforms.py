@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import ArcMissing, MalformedSpec, NotBarren, NotRemovable, WouldCreateCycle
+from .errors import ArcMissing, NotBarren, NotRemovable, WouldCreateCycle
 from .model import (
     InfluenceDiagram,
     IntervalValueTable,
@@ -25,11 +25,10 @@ from .model import (
     Node,
     NodeKind,
     TOL,
+    _Graph,
     check_graph,
     check_table,
     check_table_rows,
-    kahn_order,
-    reaches,
     row_map,
     stride_of,
 )
@@ -248,79 +247,6 @@ def table_rows(diagram: InfluenceDiagram) -> dict[str, Rows]:
         if table is not None:
             out[name] = table.rows
     return out
-
-
-# ---------------------------------------------------------------------------
-# The structure a step is planned on
-# ---------------------------------------------------------------------------
-
-class _Graph:
-    """The structure of a diagram as the reduction rules read it: per node,
-    in declaration order, its parents, its children (``successors``), kind
-    and outcome count (None without outcomes), plus the value node's name
-    and the decision order. It holds no table. No rule reads the order of
-    a node's children, so a child list keeps none.
-
-    ``solver.compile_plan`` plans every step of a reduction on one graph,
-    which :meth:`apply` updates in place from each step's shape; the
-    step-by-step entry points build one per call."""
-
-    def __init__(self, diagram: InfluenceDiagram):
-        self.parents = {name: node.parents for name, node in diagram.nodes.items()}
-        self.kinds = {name: node.kind for name, node in diagram.nodes.items()}
-        self.cards = {
-            name: None if node.variable is None else node.variable.cardinality
-            for name, node in diagram.nodes.items()
-        }
-        self.successors: dict[str, list[str]] = {name: [] for name in self.parents}
-        for name, parents in self.parents.items():
-            for p in parents:
-                if p in self.successors:  # a hand-built diagram can name others
-                    self.successors[p].append(name)
-        self.value = diagram.value_node.name
-        self.decisions = list(diagram.decision_order)
-
-    def kind(self, name: str) -> NodeKind:
-        kind = self.kinds.get(name)
-        if kind is None:
-            raise MalformedSpec(f"unknown node {name!r}")
-        return kind
-
-    def card(self, name: str) -> int:
-        card = self.cards.get(name)
-        if card is None:
-            self.kind(name)
-            raise MalformedSpec(f"node {name!r} has no outcomes")
-        return card
-
-    def cards_of(self, names: Sequence[str]) -> tuple[int, ...]:
-        return tuple([self.card(n) for n in names])
-
-    def has_path(self, src: str, dst: str, skip_arc: tuple[str, str] | None = None) -> bool:
-        return reaches(self.successors, src, dst, skip_arc)
-
-    def topological_order(self) -> tuple[str, ...]:
-        indegree = {name: len(parents) for name, parents in self.parents.items()}
-        return kahn_order(indegree, self.successors)
-
-    def apply(self, shape: StepShape) -> None:
-        """The graph after ``shape``: each produced node gets its new
-        parents, then the removed nodes go."""
-        for table in shape.produced:
-            name, old, new = table.name, self.parents[table.name], table.parents
-            for p in old:
-                if p not in new:
-                    self.successors[p].remove(name)
-            for p in new:
-                if p not in old:
-                    self.successors[p].append(name)
-            self.parents[name] = new
-        for name in shape.removed:
-            for p in self.parents.pop(name):
-                self.successors[p].remove(name)
-            del self.successors[name], self.kinds[name], self.cards[name]
-            if name in self.decisions:
-                self.decisions.remove(name)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +584,13 @@ def apply_step(
     other table is carried over unread. A step keeps a valid graph valid,
     so the output's graph is not checked again; its produced tables are."""
     check_graph(diagram)
+    return _run_step(diagram, shape)
+
+
+def _run_step(
+    diagram: InfluenceDiagram, shape: StepShape
+) -> tuple[InfluenceDiagram, TransformStep]:
+    """:func:`apply_step` on a diagram whose graph is checked."""
     for name in (shape.node, shape.into):
         node = diagram.nodes.get(name)
         if node is not None and node.kind is not NodeKind.DECISION:
@@ -667,7 +600,8 @@ def apply_step(
 
 
 # ---------------------------------------------------------------------------
-# Transformations
+# Transformations. Each plans its step on the graph check_graph returns for
+# its input, and runs it as apply_step does.
 # ---------------------------------------------------------------------------
 
 def remove_chance_into_value(
@@ -680,7 +614,7 @@ def remove_chance_into_value(
     envelope of the conditional expectation over all admitted distributions
     and value functions.
     """
-    return apply_step(diagram, _fold_shape(_Graph(diagram), name))
+    return _run_step(diagram, _fold_shape(check_graph(diagram), name))
 
 
 def _undominated(
@@ -736,7 +670,7 @@ def remove_decision(
     only successor. The new interval per state is the hull of the admissible
     alternatives' intervals.
     """
-    return apply_step(diagram, _decision_shape(_Graph(diagram), name))
+    return _run_step(diagram, _decision_shape(check_graph(diagram), name))
 
 
 def marginalize_chance(
@@ -744,7 +678,7 @@ def marginalize_chance(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Remove chance node ``name`` by summing it out of its single chance
     successor, which inherits its parents."""
-    return apply_step(diagram, _marginal_shape(_Graph(diagram), name))
+    return _run_step(diagram, _marginal_shape(check_graph(diagram), name))
 
 
 def reverse_arc(
@@ -758,7 +692,7 @@ def reverse_arc(
     distribution. Rows where conditioning is on an event of necessarily zero
     upper probability are stored as zero bounds and flagged on the step.
     """
-    return apply_step(diagram, _reversal_shape(_Graph(diagram), x, y))
+    return _run_step(diagram, _reversal_shape(check_graph(diagram), x, y))
 
 
 def remove_barren(
@@ -766,4 +700,4 @@ def remove_barren(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Drop a chance or decision node with no successors; every other table
     is untouched."""
-    return apply_step(diagram, _barren_shape(_Graph(diagram), name))
+    return _run_step(diagram, _barren_shape(check_graph(diagram), name))

@@ -99,6 +99,12 @@ def golden_recorder():
     return _module_at("record_golden", "scripts/record_golden.py")
 
 
+def wildcatter_tables():
+    """``scripts/wildcatter_tables.py`` as a module: the paper's wildcatter
+    study as three report tables."""
+    return _module_at("wildcatter_tables", "scripts/wildcatter_tables.py")
+
+
 def perfbench_corpus():
     """``perfbench/corpus.py`` as a module: the benchmark's own diagram
     generators, which import nothing from the package."""

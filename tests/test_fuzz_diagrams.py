@@ -9,8 +9,12 @@ short), an entry made non-finite or out of range, a ``Node.name`` set apart
 from its key, a variable's outcomes changed, a table dropped. Every entry
 point either returns or raises a ``DiagramError``. A solve given a memo that
 has just solved the unmutated diagram (so the warm checks run) ends as a
-plain solve does. Seeds and counts are fixed, so a run takes a few seconds
-and a failure names the seed and the edits that caused it.
+plain solve does. A second, separately seeded loop edits each base's
+``decision_order`` instead (an entry repeated or dropped, the order
+reversed, an unknown name added): every entry point refuses an order that
+is not the base's, the one order its arcs allow. Seeds and counts are
+fixed, so a run takes a few seconds and a failure names the seed and the
+edits that caused it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from iidiag import errors, solver
 from iidiag.diagram_io import fixture_path, load_diagram
 from iidiag.exact import exact_envelope, point_solve, sample_member, soundness_check
 from iidiag.generate import random_chain_diagram, random_diagram
-from iidiag.model import NodeKind, Variable
+from iidiag.model import InfluenceDiagram, NodeKind, Variable
 from iidiag.sensitivity import SensitivitySpec, sweep
 from iidiag.solver import apply_step, next_step, solve
 
 MUTANTS_PER_BASE = 150
+ORDER_EDITS_PER_BASE = 40
 
 
 def _bases():
@@ -158,14 +163,74 @@ def test_every_mutant_ends_typed(base_name):
             "soundness_check": lambda: soundness_check(mutant, 3, seed=seed),
             "sweep": lambda: sweep(mutant, spec),
             "apply_step": lambda: apply_step(mutant, shape),
+            "next_step": lambda: next_step(mutant),
         }
-        got = {}
-        for what, call in calls.items():
-            try:
-                got[what] = _outcome(call)
-            except Exception as exc:  # the promise is broken: report the input
-                pytest.fail(f"{what} raised {exc!r} on {where}")
+        got = _outcomes(calls, where)
         assert got["warm solve"] == got["second warm solve"] == got["solve"], where
         outcomes.add(isinstance(got["solve"], tuple))
     # the mutants reach both ends: some solve and some are refused
     assert outcomes == {True, False}
+
+
+def _outcomes(calls, where):
+    """Each call's :func:`_outcome` by name; any other exception fails the
+    test and names the input."""
+    got = {}
+    for what, call in calls.items():
+        try:
+            got[what] = _outcome(call)
+        except Exception as exc:  # the promise is broken: report the input
+            pytest.fail(f"{what} raised {exc!r} on {where}")
+    return got
+
+
+def _edit_order(order, rng: Random):
+    """One edit to a decision order: the new order, and what the edit was."""
+    op = rng.choice(("repeat", "reverse", "drop", "unknown"))
+    if not order:
+        op = "unknown"
+    if op == "reverse":
+        return order[::-1], op
+    i = rng.randrange(len(order) + (op == "unknown"))
+    if op == "repeat":
+        return order[:i + 1] + order[i:], f"repeat {order[i]}"
+    if op == "drop":
+        return order[:i] + order[i + 1:], f"drop {order[i]}"
+    return order[:i] + ("ghost",) + order[i:], f"ghost at {i}"
+
+
+@pytest.mark.parametrize("base_name", list(BASES))
+def test_every_decision_order_but_the_arcs_is_refused(base_name):
+    base = BASES[base_name]
+    varied = base.names(NodeKind.CHANCE)[:2]
+    spec = SensitivitySpec(varied, (0.0, 0.05))
+    member = sample_member(base, 0)
+    shape = next_step(base)
+    edits = [_edit_order(base.decision_order, Random(f"order {base_name}:{seed}"))
+             for seed in range(ORDER_EDITS_PER_BASE)]
+    # reversed, the wildcatter's order once solved to a wrong value
+    edits.append((base.decision_order[::-1], "reverse"))
+    kept = 0
+    for seed, (order, edit) in enumerate(edits):
+        edited = InfluenceDiagram(base.nodes, order, base.added_information_arcs)
+        where = f"base {base_name}, seed {seed}, edit {edit}: {order}"
+        memo = solver.StepMemo()
+        solve(base, memo=memo)
+        got = _outcomes({
+            "solve": lambda: repr(solve(edited)),
+            "warm solve": lambda: repr(solve(edited, memo=memo)),
+            "point_solve": lambda: point_solve(edited, member),
+            "exact_envelope": lambda: exact_envelope(edited, varied, cap=500),
+            "soundness_check": lambda: soundness_check(edited, 3, seed=seed),
+            "sweep": lambda: sweep(edited, spec),
+            "apply_step": lambda: apply_step(edited, shape),
+            "next_step": lambda: next_step(edited),
+        }, where)
+        if order == base.decision_order:  # a one-decision order reversed
+            kept += 1
+            assert got["solve"] == got["warm solve"] == repr(solve(base)), where
+            continue
+        for what, outcome in got.items():
+            assert isinstance(outcome, tuple), f"{what} returned on {where}"
+    if len(base.decision_order) > 1:
+        assert kept == 0

@@ -16,6 +16,11 @@ text).
 ``tests/golden/commands.json`` lists each of these commands with the file its
 stdout is compared with.
 
+``scripts/wildcatter_tables.py`` (the paper's wildcatter study as three
+tables) is pinned by ``tests/golden/wildcatter_tables.out``, its stdout with
+no arguments; record it with ``python scripts/wildcatter_tables.py >
+tests/golden/wildcatter_tables.out``.
+
 The generators are pinned too: regenerating the golden diagrams with the
 recorder's own calls, and a few diagrams with a duplicated alternative
 (``tests/golden/duplicate_<seed>.diagram.json``), must give the stored text.
@@ -32,7 +37,7 @@ from pathlib import Path
 import pytest
 
 import iidiag
-from conftest import golden_recorder
+from conftest import golden_recorder, wildcatter_tables
 from iidiag import cli
 from iidiag.diagram_io import fixture_path, serialize_diagram
 from iidiag.model import running_sum
@@ -87,6 +92,12 @@ def test_solve_stdout_is_byte_identical(name, flag, suffix, capsys):
 @pytest.mark.parametrize("case", COMMANDS, ids=[case["out"] for case in COMMANDS])
 def test_reference_layer_stdout_is_byte_identical(case, capsys):
     _check_reference(case, capsys)
+
+
+def test_wildcatter_tables_stdout_is_byte_identical(capsys):
+    assert wildcatter_tables().main([]) == 0
+    expected = (GOLDEN / "wildcatter_tables.out").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_generators_reproduce_the_golden_diagrams():

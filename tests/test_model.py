@@ -11,22 +11,27 @@ from hypothesis import given, strategies as st
 
 from conftest import all_fixture_paths, golden_recorder
 from iidiag import errors, model
-from iidiag.diagram_io import diagram_to_data, load_diagram
+from iidiag.diagram_io import diagram_to_data, fixture_path, load_diagram
+from iidiag.exact import exact_envelope, point_solve, sample_member, soundness_check
 from iidiag.generate import random_diagram
 from iidiag.model import (
+    InfluenceDiagram,
     IntervalValueTable,
     LowerCPT,
     Node,
     NodeKind,
     build_diagram,
+    check_graph,
     check_structure,
     config_assignment,
     config_count,
     config_index,
     implied_upper,
     row_map,
+    Variable,
     stride_of,
 )
+from iidiag.sensitivity import inject_range
 from iidiag.solver import compile_plan, solve
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -424,6 +429,58 @@ class TestCheckStructure:
             check_structure(odd)
 
 
+class TestDecisionOrderFollowsTheArcs:
+    """A hand-built diagram's ``decision_order`` is the one order the arcs
+    allow, as ``build_diagram`` derives it; every entry point refuses
+    another, where it once solved the decisions in the wrong order."""
+
+    @staticmethod
+    def _reordered(diagram, order):
+        return InfluenceDiagram(nodes=diagram.nodes, decision_order=order)
+
+    def test_order_against_the_arcs(self, wildcatter):
+        assert wildcatter.decision_order == ("TEST", "DRILL")
+        bad = self._reordered(wildcatter, ("DRILL", "TEST"))
+        member = sample_member(wildcatter, 0)
+        assert round(point_solve(wildcatter, member).expected_value, 2) == 32.99
+        message = (r"^decision_order \['DRILL', 'TEST'\] does not follow the arcs, "
+                   r"which order the decisions \['TEST', 'DRILL'\]$")
+        for call in (check_structure, solve, lambda d: point_solve(d, member)):
+            with pytest.raises(errors.MalformedSpec, match=message):
+                call(bad)
+
+    def test_envelope_of_the_reordered_wildcatter(self, wildcatter):
+        widened = inject_range(wildcatter, ("OIL",), 0.05)
+        report = exact_envelope(widened, ("OIL",))
+        assert (round(report.ev_min, 2), round(report.ev_max, 2)) == (29.86, 40.54)
+        with pytest.raises(errors.MalformedSpec, match="does not follow the arcs"):
+            exact_envelope(self._reordered(widened, ("DRILL", "TEST")), ("OIL",))
+
+    @pytest.mark.parametrize("call", [
+        solve,
+        lambda d: soundness_check(d, 3),
+        lambda d: point_solve(d, sample_member(load_diagram(fixture_path("minimal")), 0)),
+    ], ids=["solve", "soundness_check", "point_solve"])
+    def test_repeated_decision(self, minimal, call):
+        with pytest.raises(errors.MalformedSpec, match=r"^decision_order \['D', 'D'\]"):
+            call(self._reordered(minimal, ("D", "D")))
+
+    def test_decisions_no_path_orders(self):
+        d1 = Node("D1", NodeKind.DECISION, Variable("D1", ("a", "b")), ())
+        d2 = Node("D2", NodeKind.DECISION, Variable("D2", ("a", "b")), ())
+        v = Node("V", NodeKind.VALUE, None, ("D1", "D2"), value_table=IntervalValueTable(
+            ("D1", "D2"), (2, 2), ((0.0, 0.0),) * 4))
+        hand_built = InfluenceDiagram({"D1": d1, "D2": d2, "V": v}, ("D1", "D2"))
+        with pytest.raises(errors.UnorderedDecisions, match="'D1' and 'D2'"):
+            check_structure(hand_built)
+
+    @pytest.mark.parametrize("order", [(), ("D", "E")])
+    def test_a_set_mismatch_keeps_its_message(self, minimal, order):
+        with pytest.raises(errors.MalformedSpec,
+                           match="^decision_order out of sync with the node set$"):
+            check_structure(self._reordered(minimal, order))
+
+
 class TestEachTableCheckedOnce:
     """The parser checks each input table once and ``build_diagram`` adds
     no closing pass; ``solve`` checks its input again, then every table a
@@ -551,12 +608,12 @@ class TestRowFastPath:
 
 class TestDiagramHelpers:
     def test_successors_in_declaration_order(self, minimal):
-        assert minimal.successors("C") == ("V",)
-        assert minimal.successors("D") == ("V",)
-        assert minimal.successors("V") == ()
+        graph = check_graph(minimal)
+        assert graph.successors == {"C": ["V"], "D": ["V"], "V": []}
 
     def test_arcs(self, minimal):
-        assert set(minimal.arcs()) == {("D", "V"), ("C", "V")}
+        parents = check_graph(minimal).parents
+        assert {(p, n) for n, ps in parents.items() for p in ps} == {("D", "V"), ("C", "V")}
 
     def test_replace_nodes_preserves_order(self, minimal):
         out = minimal.replace_nodes(remove=["C"])

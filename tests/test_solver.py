@@ -5,6 +5,7 @@ import itertools
 import sys
 import threading
 import weakref
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -21,13 +22,14 @@ from iidiag.model import (
     Node,
     NodeKind,
     Variable,
+    _Graph,
     build_diagram,
     config_assignment,
     config_index,
 )
 from iidiag.sensitivity import SensitivitySpec, inject_range, report_to_dict, sweep
 from iidiag.solver import apply_step, next_step, solve
-from iidiag.transforms import StepKind, _Graph, remove_barren
+from iidiag.transforms import StepKind, remove_barren
 from conftest import chain_data
 from test_outputs_pinned import WILDCATTER_TARGETS, every_subset, wildcatter_sweep_spec
 
@@ -46,7 +48,7 @@ class TestSolveValidatesItsInput:
         )
         with pytest.raises(errors.NegativeBound, match=r"B\.table\[0\]"):
             solve(hand_built)
-        monkeypatch.setattr(solver, "check_structure", lambda diagram: None)
+        monkeypatch.setattr(model, "check_tables", lambda diagram: None)
         assert solve(hand_built).final_interval == solve(minimal).final_interval
 
 
@@ -202,7 +204,8 @@ class TestSolveProperties:
         rng = Random(12)
         for i in range(60):
             d = random_chain_diagram(rng) if i % 2 else random_diagram(rng)
-            n_nodes, n_arcs = len(d.nodes), len(d.arcs())
+            n_nodes = len(d.nodes)
+            n_arcs = sum(len(node.parents) for node in d.nodes.values())
             report = solve(d)
             removals = sum(
                 1 for s in report.steps if s.kind is not StepKind.REVERSE_ARC
@@ -340,13 +343,13 @@ def runs(monkeypatch):
 def compiles(monkeypatch):
     """A list that grows by one entry per plan compiled."""
     calls = []
-    original = solver.compile_plan
+    original = solver._compile
 
-    def counting(diagram):
-        calls.append(diagram)
-        return original(diagram)
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
 
-    monkeypatch.setattr(solver, "compile_plan", counting)
+    monkeypatch.setattr(solver, "_compile", counting)
     return calls
 
 
@@ -483,6 +486,20 @@ def _two_decisions(order):
     return InfluenceDiagram({"D1": d1, "D2": d2, "V": v}, decision_order=order)
 
 
+def _forgetful():
+    """D2 sees D1 only through C, and forgets it: the arcs order the
+    decisions and the graph check passes, but no reduction rule applies
+    (build_diagram would add the arc D1 -> D2)."""
+    d1 = Node("D1", NodeKind.DECISION, Variable("D1", ("x", "y")), ())
+    c = Node("C", NodeKind.CHANCE, Variable("C", ("c1", "c2")), ("D1",),
+             chance_table=LowerCPT(("D1",), (2,), ((0.5, 0.5), (0.2, 0.7))))
+    d2 = Node("D2", NodeKind.DECISION, Variable("D2", ("u", "v")), ("C",))
+    v = Node("V", NodeKind.VALUE, None, ("D1", "D2"), value_table=IntervalValueTable(
+        ("D1", "D2"), (2, 2), ((0.0, 1.0), (2.0, 2.5), (1.0, 3.0), (0.5, 0.5))
+    ))
+    return InfluenceDiagram({"D1": d1, "C": c, "D2": d2, "V": v}, decision_order=("D1", "D2"))
+
+
 class TestPlanKeyCompleteness:
     """Diagrams that differ in one structural detail never share a memo's
     plan, in either solve order, and each result equals a plain solve's."""
@@ -512,16 +529,18 @@ class TestPlanKeyCompleteness:
         assert [s.describe() for s in a.steps] != [s.describe() for s in b.steps]
 
     def test_decision_order(self, compiles):
+        # the order against the arcs is refused before any compile, warm
+        # as cold
         good, bad = _two_decisions(("D1", "D2")), _two_decisions(("D2", "D1"))
         for a, b in ((good, bad), (bad, good)):
             memo = solver.StepMemo()
             compiles.clear()
             _outcome(a, memo)
             got = _outcome(b, memo)
-            assert len(compiles) == 2
+            assert len(compiles) == 1
             assert got == _outcome(b)
         assert isinstance(solve(good), solver.SolveReport)
-        with pytest.raises(errors.Unsolvable):
+        with pytest.raises(errors.MalformedSpec, match="does not follow the arcs"):
             solve(bad)
 
 
@@ -567,7 +586,7 @@ class TestWarmSolveStillChecks:
 
     def test_unsolvable_is_not_cached(self, compiles):
         # a failed compile leaves the memo serving no structure
-        bad = _two_decisions(("D2", "D1"))
+        bad = _forgetful()
         memo = solver.StepMemo()
         for expected_compiles in (1, 2):
             with pytest.raises(errors.Unsolvable):
@@ -590,7 +609,7 @@ class TestGraphCheckedOncePerStructure:
 
         def counting_graph(diagram):
             graph_checks.append(solver.structure_key(diagram))
-            check_graph(diagram)
+            return check_graph(diagram)
 
         def counting_rows(rows, k, where):
             row_checks.append(where)
@@ -658,6 +677,31 @@ class TestGraphCheckedOncePerStructure:
         assert _outcome(odd, memo) == cold
         assert _outcome(minimal, memo) == repr(solve(minimal))
 
+    def test_one_graph_per_cold_solve(self, wildcatter, monkeypatch):
+        # the graph check builds the graph the plan is made on; a warm
+        # solve builds none
+        built = []
+        init = _Graph.__init__
+
+        def counting(graph, diagram):
+            built.append(diagram)
+            init(graph, diagram)
+
+        monkeypatch.setattr(_Graph, "__init__", counting)
+        solve(wildcatter)
+        assert built == [wildcatter]
+        memo = solver.StepMemo()
+        solve(wildcatter, memo=memo)  # a memo taking a new structure
+        assert built == [wildcatter] * 2
+        solve(wildcatter, memo=memo)
+        assert built == [wildcatter] * 2
+
+    def test_next_step_checks_the_graph(self, minimal):
+        v = minimal.node("V")
+        ghost = minimal.replace_nodes({"V": replace(v, name="ghost")})
+        with pytest.raises(errors.MalformedSpec, match="^node 'V' is named 'ghost'$"):
+            next_step(ghost)
+
 
 class TestStepsKeepTheGraphValid:
     """compile_plan checks the input's graph only. Every step keeps a valid
@@ -689,26 +733,24 @@ class TestStepsKeepTheGraphValid:
         assert kinds == set(StepKind)
 
     def test_compiling_a_chain_sorts_nothing(self, monkeypatch):
-        # rule 5, the only rule that ranks nodes, never fires on a chain
+        # rule 5, the only rule that ranks nodes, never fires on a chain;
+        # the graph check ranks the input once, and planning uses its graph
         diagram = build_diagram(chain_data(200))
         calls = []
-        topological_order, check_graph = _Graph.topological_order, model.check_graph
+        topological_order = _Graph.topological_order
 
         def counting_rank(graph):
-            calls.append("topological_order")
+            calls.append(graph)
             return topological_order(graph)
 
-        def counting_check(d):
-            calls.append("check_graph")
-            check_graph(d)
-
         monkeypatch.setattr(_Graph, "topological_order", counting_rank)
-        monkeypatch.setattr(model, "check_graph", counting_check)
         assert len(solver.compile_plan(diagram)) == 200
-        assert calls == []
+        assert len(calls) == 1  # the graph check's
         # the count sees a ranking where rule 5 fires: survey reverses an arc
-        solver.compile_plan(load_diagram(fixture_path("survey")))
-        assert calls == ["topological_order"]
+        survey = load_diagram(fixture_path("survey"))
+        calls.clear()
+        solver.compile_plan(survey)
+        assert len(calls) == 2 and calls[0] is calls[1]  # on the checked graph
 
 
 class TestNodesWithoutOutcomes:
@@ -717,7 +759,7 @@ class TestNodesWithoutOutcomes:
 
     @pytest.fixture
     def bare_e(self, minimal):
-        e = Node("E", NodeKind.DECISION, None, ())
+        e = Node("E", NodeKind.DECISION, None, ("D",))
         return InfluenceDiagram(
             {**minimal.nodes, "E": e}, decision_order=minimal.decision_order + ("E",)
         )
@@ -736,7 +778,7 @@ class TestNodesWithoutOutcomes:
         # a warm solve skips the graph check, so the key must tell a node
         # without outcomes from one with them
         named = bare_e.replace_nodes(
-            {"E": Node("E", NodeKind.DECISION, Variable("E", ("e1", "e2")), ())}
+            {"E": Node("E", NodeKind.DECISION, Variable("E", ("e1", "e2")), ("D",))}
         )
         assert solver.structure_key(named) != solver.structure_key(bare_e)
         memo = solver.StepMemo()
@@ -867,14 +909,14 @@ class TestWarmSolveReuse:
 
     def test_reused_steps_carry_the_input_labels(self, minimal, compiles, runs):
         # E is a barren decision: its step reads E's alternatives only
-        e = Node("E", NodeKind.DECISION, Variable("E", ("e1", "e2")), ())
+        e = Node("E", NodeKind.DECISION, Variable("E", ("e1", "e2")), ("D",))
         base = InfluenceDiagram(
             {**minimal.nodes, "E": e}, decision_order=minimal.decision_order + ("E",)
         )
         d_parents = minimal.node("D").parents
         relabelled = base.replace_nodes({
             "D": Node("D", NodeKind.DECISION, Variable("D", ("go", "stay")), d_parents),
-            "E": Node("E", NodeKind.DECISION, Variable("E", ("up", "down")), ()),
+            "E": Node("E", NodeKind.DECISION, Variable("E", ("up", "down")), ("D",)),
         })
         memo = solver.StepMemo()
         solve(base, memo=memo)
