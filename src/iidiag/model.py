@@ -16,6 +16,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from math import isfinite
 from typing import TYPE_CHECKING, Any
 
@@ -101,40 +102,36 @@ def config_assignment(index: int, cards: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _strides(cards: Sequence[int]) -> tuple[int, ...]:
-    """Row-index step of each parent: the product of the cards after it."""
-    out = [0] * len(cards)
+def strides(parents: Sequence[str], cards: Sequence[int]) -> dict[str, int]:
+    """Row-index step of each parent of a table over ``parents`` (``cards``
+    outcomes each): the product of the cards after it, so the rows for its
+    outcomes 0, 1, ... sit that far apart."""
+    out = {}
     step = 1
-    for i in range(len(cards) - 1, -1, -1):
-        out[i] = step
-        step *= cards[i]
-    return tuple(out)
+    for parent, card in zip(reversed(parents), reversed(cards)):
+        out[parent] = step
+        step *= card
+    return out
 
 
-def stride_of(parents: Sequence[str], cards: Sequence[int], name: str) -> int:
-    """Row-index step of parent ``name`` in a table over ``parents``; the
-    rows for its outcomes 0, 1, ... sit that far apart."""
-    return _strides(cards)[parents.index(name)]
+def row_map(parents: Sequence[str], cards: Sequence[int], steps: Mapping[str, int]) -> list[int]:
+    """For every row of a table over ``parents`` (``cards`` outcomes each),
+    in mixed-radix order, the index of the matching row of a source table
+    whose :func:`strides` are ``steps``.
 
-
-def row_map(
-    parents: Sequence[str],
-    cards: Sequence[int],
-    src_parents: Sequence[str],
-    src_cards: Sequence[int],
-) -> list[int]:
-    """For every row of a table over ``parents``, in mixed-radix order, the
-    index of the matching row of a table over ``src_parents``.
-
-    A parent the source lacks has stride 0 there; a source parent missing
-    from ``parents`` is held at outcome 0, so adding ``k * stride_of(...)``
-    to an entry selects its outcome ``k``.
+    A parent the source lacks has no stride there, so each source row
+    repeats once per outcome of it; a source parent missing from
+    ``parents`` is held at outcome 0, so adding ``k * steps[name]`` to an
+    entry selects its outcome ``k``.
     """
-    src_stride = dict(zip(src_parents, _strides(src_cards)))
     rows = [0]
     for parent, card in zip(parents, cards):
-        step = src_stride.get(parent, 0)
-        rows = [base + v * step for base in rows for v in range(card)]
+        step = steps.get(parent)
+        if step is None:
+            rows = list(chain.from_iterable(zip(*[rows] * card)))
+        else:
+            offsets = range(0, card * step, step)
+            rows = [base + offset for base in rows for offset in offsets]
     return rows
 
 
@@ -252,7 +249,15 @@ class InfluenceDiagram:
         remove: Iterable[str] = (),
     ) -> "InfluenceDiagram":
         """New diagram with some nodes swapped out and/or dropped; declaration
-        order of the survivors is preserved."""
+        order of the survivors is preserved. An update whose key names no
+        node is ignored."""
+        if not remove and (not updates or self.nodes.keys() >= updates.keys()):
+            # every key is already in place, so the merge keeps the order
+            nodes = dict(self.nodes)
+            nodes.update(updates)
+            return InfluenceDiagram(
+                nodes, tuple(self.decision_order), self.added_information_arcs
+            )
         dropped = set(remove)
         updates = dict(updates)
         nodes = {
@@ -306,15 +311,11 @@ class _Graph:
             raise MalformedSpec(f"unknown node {name!r}")
         return kind
 
-    def card(self, name: str) -> int:
-        card = self.cards.get(name)
-        if card is None:
-            self.kind(name)
-            raise MalformedSpec(f"node {name!r} has no outcomes")
-        return card
-
-    def cards_of(self, names: Sequence[str]) -> tuple[int, ...]:
-        return tuple([self.card(n) for n in names])
+    def strides_of(self, parents: Sequence[str]) -> dict[str, int]:
+        """:func:`strides` of a table over ``parents``, with their cards read
+        off this graph; every parent must have outcomes."""
+        cards = self.cards
+        return strides(parents, [cards[p] for p in parents])
 
     def has_path(self, src: str, dst: str, skip_arc: tuple[str, str] | None = None) -> bool:
         """Whether a directed path leads from ``src`` to ``dst``, optionally

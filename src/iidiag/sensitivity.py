@@ -17,7 +17,7 @@ cell is solved once and shared by every subset.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CombinatorialLimitExceeded, MalformedSpec, NonPointResidual
@@ -63,8 +63,9 @@ def inject_range(
     factor = _factor(range_)
     updates: dict[str, Node] = {}
     for name in nodes:
-        if widened is not None and (name, range_) in widened:
-            updates[name] = widened[name, range_]
+        kept = None if widened is None else widened.get((name, range_))
+        if kept is not None:
+            updates[name] = kept
             continue
         node = diagram.node(name)
         if node.kind is not NodeKind.CHANCE:
@@ -230,11 +231,12 @@ def sweep(
 
     The cells share what they have in common for the length of the call:
     each (node, range) is widened once, into one node every subset that
-    holds it reads, and one :class:`~iidiag.solver.StepMemo` runs each
-    step once per distinct input. Both are dropped when the call returns."""
+    holds it reads, and one :class:`~iidiag.solver.StepMemo`, which takes
+    the structure this call checks, runs each step once per distinct
+    input. Both are dropped when the call returns."""
     if jobs != 1:  # the keyword stays only for callers that pass jobs=1
         raise MalformedSpec(f"jobs={jobs}: sweep runs its cells in order, jobs must be 1")
-    check_structure(diagram)
+    graph = check_structure(diagram)
     _require_point(diagram)
     subsets = spec.effective_subsets()
     for name in (*spec.target_nodes, *(name for subset in subsets for name in subset)):
@@ -252,11 +254,17 @@ def sweep(
     cells = []
     shared = None
     memo = StepMemo()
+    if subsets and spec.ranges:
+        # inject_range changes no arc: every cell has the input's structure,
+        # checked above, so the memo takes it and checks no cell's graph
+        memo._serve(diagram, graph)
     widened: dict[tuple[str, float], Node] = {}
     for subset in subsets:
         for r in spec.ranges:
             if r == 0.0 and shared is not None:
-                cells.append(replace(shared, subset=subset, range_=r))
+                cells.append(SweepCell(subset, r, shared.interval, shared.policies,
+                                       shared.envelope, shared.exact_skipped,
+                                       shared.solve_seconds))
                 continue
             cell = _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap,
                              memo=memo, widened=widened)

@@ -30,6 +30,9 @@ from dataclasses import dataclass
 from .errors import Unsolvable
 from .model import (
     InfluenceDiagram,
+    IntervalValueTable,
+    LowerCPT,
+    Node,
     NodeKind,
     _Graph,
     check_graph,
@@ -126,12 +129,16 @@ def structure_key(diagram: InfluenceDiagram) -> tuple:
     per node in declaration order its key, its ``Node.name`` (a hand-built
     diagram can set the two apart), kind, parents and cardinality (None for
     a node without outcomes), plus the decision order."""
-    nodes = tuple(
-        (name, node.name, node.kind, node.parents,
-         None if node.variable is None else len(node.variable.outcomes))
-        for name, node in diagram.nodes.items()
-    )
+    nodes = tuple([_node_entry(name, node) for name, node in diagram.nodes.items()])
     return nodes, diagram.decision_order
+
+
+def _node_entry(name: str, node: Node) -> tuple:
+    """The entry of :func:`structure_key` for ``node``, kept under ``name``;
+    parents a hand-built node holds in a list are copied, so a kept entry
+    cannot change with them."""
+    return (name, node.name, node.kind, tuple(node.parents),
+            None if node.variable is None else len(node.variable.outcomes))
 
 
 def compile_plan(diagram: InfluenceDiagram) -> tuple[StepShape, ...]:
@@ -161,82 +168,130 @@ def _compile(graph: _Graph) -> tuple[StepShape, ...]:
 
 
 def _table_specs(key: tuple) -> tuple:
-    """Per chance and value node of the structure ``key``, in declaration
-    order: its key, its parents' cardinalities and its outcome count (None
+    """Per node of the structure ``key``, in declaration order: None for a
+    decision, else its parents' cardinalities and its outcome count (None
     for the value node)."""
     nodes, _ = key
     cards = {name: card for name, _, _, _, card in nodes}
     return tuple(
-        (name, tuple([cards[p] for p in parents]),
-         None if kind is NodeKind.VALUE else card)
-        for name, _, kind, parents, card in nodes
-        if kind is not NodeKind.DECISION
+        None if kind is NodeKind.DECISION
+        else (tuple([cards[p] for p in parents]), None if kind is NodeKind.VALUE else card)
+        for _, _, kind, parents, card in nodes
     )
+
+
+_FROZEN_TABLES = (type(None), LowerCPT, IntervalValueTable)  # a decision has no table
 
 
 class StepMemo:
     """What the solves given one memo remember of each other, for as long
     as the caller holds it; :func:`~iidiag.sensitivity.sweep` holds one for
     the length of a call. It serves one structure at a time: that
-    structure's :func:`structure_key`, plan, table specs, value node name
-    and decision count. Per chance and value node, every rows object it
-    admitted: checked, and a tuple of tuples, so it cannot change. Per step,
-    one record for every distinct input it ran on: the rows of its node and
+    structure's node keys, decision order, plan, value node name and
+    decision count, and per node its :func:`structure_key` entry and table
+    spec. Per node, every ``Node`` object it admitted, with its rows, and
+    per chance and value node every rows object it admitted: checked, and
+    unable to change (rows a tuple of tuples; a ``Node`` with tuple parents
+    and outcomes and a table of the model's frozen types). Per step, one
+    record for every distinct input it ran on: the rows of its node and
     target and the decision ``Variable``, with the rows it produced and the
     step it completed.
 
-    Records are looked up by the ids of their inputs and hold the objects
-    themselves, so no id is reused while the memo lives. A solve of another
-    structure checks and compiles it and empties the memo; a failed one
-    leaves the memo serving no structure. It is not for sharing between
-    threads."""
+    Admitted objects and records are looked up by the ids of their inputs
+    and hold the objects themselves, so no id is reused while the memo
+    lives. A solve of another structure checks it and, once the check
+    passes, compiles it and empties the memo; a failed compile leaves the
+    memo serving no structure. It is not for sharing between threads."""
 
     def __init__(self) -> None:
-        self._key: tuple | None = None
+        self._names: tuple[str, ...] | None = None  # None: serves no structure
+        self._order: tuple[str, ...] = ()
         self._plan: tuple[StepShape, ...] = ()
-        self._specs: tuple = ()
         self._value = ""
         self._decisions = 0
-        self._admitted: list[dict] = []
+        # per node: admitted Nodes by id, the structure_key entry, the
+        # table spec and admitted rows by id
+        self._slots: tuple[tuple[dict, tuple, tuple | None, dict], ...] = ()
         self._records: list[dict] = []
 
     def _tables(self, diagram: InfluenceDiagram) -> tuple[dict, list[dict] | None]:
         """Check ``diagram``; return its rows by node name and, when its
         steps may be reused and recorded, the step records.
 
-        The graph check reads nothing outside :func:`structure_key`, so it
-        runs only when the memo takes a new structure, before every table
-        is checked, and the plan is made on the graph it returns. Otherwise
-        each table's parents and cards are checked against the specs, and
-        its rows unless the memo admitted that very object. A table whose rows can change (not a tuple of tuples) is
-        checked on every call and is never admitted; while one is read, no
-        step is reused or recorded."""
-        key = structure_key(diagram)
-        cold = key != self._key
-        if cold:
-            self._key = None  # serves no structure until the compile succeeds
-            self._plan = _compile(check_structure(diagram))
-            self._specs = _table_specs(key)
-            self._value = diagram.value_node.name
-            self._decisions = len(diagram.names(NodeKind.DECISION))
-            self._admitted = [{} for _ in self._specs]
-            self._records = [{} for _ in self._plan]
-            self._key = key
-
-        records = self._records
+        A diagram with the served node keys and decision order whose nodes
+        the memo all admitted has the served structure and checked tables,
+        so it is not checked again. A node new to the memo is compared with
+        its entry of the served structure; when every new node matches, each
+        new node's table is checked against its spec, and its rows unless
+        the memo admitted that very object. Otherwise the structure is
+        another one: the diagram is checked in full and the plan is made on
+        the graph its check returns. A table whose rows can change is
+        checked on every call and never admitted; while one is read, no step
+        is reused or recorded."""
         nodes = diagram.nodes
-        tables = {}
-        for (name, cards, k), seen in zip(self._specs, self._admitted):
-            node = nodes[name]
-            rows = tables[name] = matched_table(node, cards).rows
-            if seen.get(id(rows)) is rows:
-                continue
-            if not cold:  # check_structure has checked every table
-                check_table_rows(node.name, rows, cards, k)
-            if type(rows) is tuple and all(type(row) is tuple for row in rows):
-                seen[id(rows)] = rows
-            else:
-                records = None
+        if tuple(nodes) == self._names and diagram.decision_order == self._order:
+            tables, fresh = {}, []
+            for (name, node), slot in zip(nodes.items(), self._slots):
+                admitted = slot[0].get(id(node))
+                if admitted is None:
+                    fresh.append((name, node, slot))
+                elif admitted[1] is not None:
+                    tables[name] = admitted[1]
+            if not fresh:
+                return tables, self._records
+            # the structure of every new node before any table, in the
+            # order check_structure checks them
+            if all(_node_entry(name, node) == slot[1] for name, node, slot in fresh):
+                return self._admit(tables, fresh, checked=False)
+        return self._serve(diagram, check_structure(diagram))
+
+    def _serve(self, diagram: InfluenceDiagram, graph: _Graph) -> tuple[dict, list[dict] | None]:
+        """Serve the structure of ``diagram``, which
+        :func:`~iidiag.model.check_structure` passed and returned ``graph``
+        for: compile the plan on ``graph`` and admit every node and rows
+        object of ``diagram`` that cannot change. Returns what
+        :meth:`_tables` returns."""
+        self._names = None  # serves no structure until the compile succeeds
+        value, decisions = graph.value, len(graph.decisions)
+        self._plan = _compile(graph)
+        key = structure_key(diagram)
+        self._slots = tuple(
+            ({}, entry, spec, {}) for entry, spec in zip(key[0], _table_specs(key))
+        )
+        self._records = [{} for _ in self._plan]
+        self._value, self._decisions = value, decisions
+        # a tuple: a decision order held in a list, which can change, never
+        # equals it, so such a diagram is checked in full on every call
+        self._order = tuple(key[1])
+        self._names = tuple(diagram.nodes)
+        fresh = [(name, node, slot) for (name, node), slot in zip(diagram.nodes.items(), self._slots)]
+        return self._admit({}, fresh, checked=True)
+
+    def _admit(self, tables: dict, fresh: list, *, checked: bool) -> tuple[dict, list[dict] | None]:
+        """Add the rows of every node in ``fresh`` (its key, node and slot,
+        in declaration order) to ``tables``; check its table against its
+        spec, and its rows unless ``checked`` or admitted; admit the rows
+        and the node when they cannot change. Returns ``tables`` and the
+        step records, or None for them when rows can change."""
+        records = self._records
+        for name, node, (nodes_seen, _, spec, rows_seen) in fresh:
+            table = rows = None
+            if spec is not None:
+                cards, k = spec
+                table = matched_table(node, cards)
+                rows = tables[name] = table.rows
+                if rows_seen.get(id(rows)) is not rows:
+                    if not checked:
+                        check_table_rows(node.name, rows, cards, k)
+                    if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
+                        records = None
+                        continue
+                    rows_seen[id(rows)] = rows
+            # frozen types only: a node read off its admission is not read again
+            if type(node) is Node and type(node.parents) is tuple and (
+                node.variable is None or type(node.variable.outcomes) is tuple
+            ) and type(table) in _FROZEN_TABLES:
+                nodes_seen[id(node)] = (node, rows)
         return tables, records
 
 
@@ -258,11 +313,12 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
 
     A ``memo`` (a :class:`StepMemo`) keeps the plan of the structure it
     serves, so a run of solves over one structure checks the graph and
-    compiles once. It checks a table's rows once per rows object it
-    admitted (every call for rows that can change), and a step whose input
-    rows and decision ``Variable`` are the very objects of a run the memo
-    recorded takes that run's checked output and completed step instead of
-    running again: kernels are pure, so the report is the same.
+    compiles once. It checks a node once per ``Node`` object and a table's
+    rows once per rows object it admitted (every call for rows that can
+    change), and a step whose input rows and decision ``Variable`` are the
+    very objects of a run the memo recorded takes that run's checked output
+    and completed step instead of running again: kernels are pure, so the
+    report is the same.
     """
     if memo is None:
         plan = _compile(check_structure(diagram))

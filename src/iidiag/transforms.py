@@ -30,7 +30,6 @@ from .model import (
     check_table,
     check_table_rows,
     row_map,
-    stride_of,
 )
 
 
@@ -453,6 +452,15 @@ class _Reversal(StepShape):
         return (marginal, tuple(posterior)), step
 
 
+def _row_maps(graph: _Graph, parents: Sequence[str], *sources: Mapping[str, int]) -> tuple:
+    """The cards of ``parents``, read off ``graph``, then for each stride
+    map in ``sources`` (:meth:`~iidiag.model._Graph.strides_of`) the row
+    map of a table over ``parents`` into the table with those strides."""
+    cards = graph.cards
+    own = tuple([cards[p] for p in parents])
+    return (own, *[tuple(row_map(parents, own, steps)) for steps in sources])
+
+
 def _fold_shape(graph: _Graph, name: str) -> _Fold:
     value = graph.value
     if graph.kind(name) is not NodeKind.CHANCE:
@@ -461,19 +469,19 @@ def _fold_shape(graph: _Graph, name: str) -> _Fold:
         raise NotRemovable(f"{name!r} has successors besides the value node")
 
     parents, v_parents = graph.parents[name], graph.parents[value]
-    v_cards = graph.cards_of(v_parents)
+    v_steps = graph.strides_of(v_parents)
     new_parents = _merge_parents(v_parents, name, parents)
-    new_cards = graph.cards_of(new_parents)
-    stride = stride_of(v_parents, v_cards, name)
+    new_cards, b_map, v_map = _row_maps(graph, new_parents, graph.strides_of(parents), v_steps)
+    stride = v_steps[name]
     kind = StepKind.REMOVE_CHANCE_INTO_VALUE
     return _Fold(
         kind, name, value, (name,),
         (ProducedTable(value, new_parents, new_cards, None),),
         TransformStep(kind, node=name, into=value),
-        b_map=tuple(row_map(new_parents, new_cards, parents, graph.cards_of(parents))),
-        v_map=tuple(row_map(new_parents, new_cards, v_parents, v_cards)),
+        b_map=b_map,
+        v_map=v_map,
         stride=stride,
-        span=graph.card(name) * stride,
+        span=graph.cards[name] * stride,
     )
 
 
@@ -490,16 +498,16 @@ def _decision_shape(graph: _Graph, name: str) -> _Decision:
             f"value parents not observed at {name!r}: {', '.join(unobserved)}"
         )
 
-    v_cards = graph.cards_of(v_parents)
+    v_steps = graph.strides_of(v_parents)
     info_parents = tuple(p for p in v_parents if p != name)
-    info_cards = graph.cards_of(info_parents)
-    stride = stride_of(v_parents, v_cards, name)
+    info_cards, v_map = _row_maps(graph, info_parents, v_steps)
+    stride = v_steps[name]
     return _Decision(
         StepKind.REMOVE_DECISION, name, value, (name,),
         (ProducedTable(value, info_parents, info_cards, None),), None,
-        v_map=tuple(row_map(info_parents, info_cards, v_parents, v_cards)),
+        v_map=v_map,
         stride=stride,
-        span=graph.card(name) * stride,
+        span=graph.cards[name] * stride,
     )
 
 
@@ -514,19 +522,19 @@ def _marginal_shape(graph: _Graph, name: str) -> _Marginal:
     x = succs[0]
 
     parents, x_parents = graph.parents[name], graph.parents[x]
-    x_cards = graph.cards_of(x_parents)
+    x_steps = graph.strides_of(x_parents)
     new_parents = _merge_parents(x_parents, name, parents)
-    new_cards = graph.cards_of(new_parents)
-    stride = stride_of(x_parents, x_cards, name)
+    new_cards, b_map, x_map = _row_maps(graph, new_parents, graph.strides_of(parents), x_steps)
+    stride = x_steps[name]
     kind = StepKind.MARGINALIZE_CHANCE
     return _Marginal(
         kind, name, x, (name,),
-        (ProducedTable(x, new_parents, new_cards, graph.card(x)),),
+        (ProducedTable(x, new_parents, new_cards, graph.cards[x]),),
         TransformStep(kind, node=name, into=x),
-        b_map=tuple(row_map(new_parents, new_cards, parents, graph.cards_of(parents))),
-        x_map=tuple(row_map(new_parents, new_cards, x_parents, x_cards)),
+        b_map=b_map,
+        x_map=x_map,
         stride=stride,
-        span=graph.card(name) * stride,
+        span=graph.cards[name] * stride,
     )
 
 
@@ -540,26 +548,25 @@ def _reversal_shape(graph: _Graph, x: str, y: str) -> _Reversal:
     if graph.has_path(y, x, skip_arc=(y, x)):
         raise WouldCreateCycle(f"another directed path {y} -> {x} exists")
 
-    x_cards, y_cards = graph.cards_of(x_parents), graph.cards_of(y_parents)
+    x_steps, y_steps = graph.strides_of(x_parents), graph.strides_of(y_parents)
     new_x_parents = _merge_parents(x_parents, y, y_parents)
-    new_x_cards = graph.cards_of(new_x_parents)
+    new_x_cards, b_map, x_map = _row_maps(graph, new_x_parents, y_steps, x_steps)
     new_y_parents = (x,) + _merge_parents(y_parents, y, [p for p in x_parents if p != y])
-    new_y_cards = graph.cards_of(new_y_parents)
-    rest, rest_cards = new_y_parents[1:], new_y_cards[1:]
-    stride = stride_of(x_parents, x_cards, y)
+    rest_cards, rest_y_map, rest_x_map = _row_maps(graph, new_y_parents[1:], y_steps, x_steps)
+    stride = x_steps[y]
     return _Reversal(
         StepKind.REVERSE_ARC, y, x, (),
         (
-            ProducedTable(x, new_x_parents, new_x_cards, graph.card(x)),
-            ProducedTable(y, new_y_parents, new_y_cards, graph.card(y)),
+            ProducedTable(x, new_x_parents, new_x_cards, graph.cards[x]),
+            ProducedTable(y, new_y_parents, (graph.cards[x], *rest_cards), graph.cards[y]),
         ),
         None,
-        b_map=tuple(row_map(new_x_parents, new_x_cards, y_parents, y_cards)),
-        x_map=tuple(row_map(new_x_parents, new_x_cards, x_parents, x_cards)),
-        rest_y_map=tuple(row_map(rest, rest_cards, y_parents, y_cards)),
-        rest_x_map=tuple(row_map(rest, rest_cards, x_parents, x_cards)),
+        b_map=b_map,
+        x_map=x_map,
+        rest_y_map=rest_y_map,
+        rest_x_map=rest_x_map,
         stride=stride,
-        span=graph.card(y) * stride,
+        span=graph.cards[y] * stride,
     )
 
 

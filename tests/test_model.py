@@ -29,7 +29,7 @@ from iidiag.model import (
     implied_upper,
     row_map,
     Variable,
-    stride_of,
+    strides,
 )
 from iidiag.sensitivity import inject_range
 from iidiag.solver import compile_plan, solve
@@ -352,20 +352,19 @@ def row_map_case(draw):
 class TestRowMap:
     def test_examples(self):
         # output (A, B) over source (B, A): the source runs A fastest
-        assert row_map(("A", "B"), (2, 3), ("B", "A"), (3, 2)) == [0, 2, 4, 1, 3, 5]
+        assert row_map(("A", "B"), (2, 3), strides(("B", "A"), (3, 2))) == [0, 2, 4, 1, 3, 5]
         # a parent the source lacks repeats each source row
-        assert row_map(("A", "B"), (2, 3), ("A",), (2,)) == [0, 0, 0, 1, 1, 1]
-        assert row_map((), (), (), ()) == [0]
-        assert row_map(("A",), (3,), (), ()) == [0, 0, 0]
-        assert stride_of(("A", "B", "C"), (2, 3, 4), "A") == 12
-        assert stride_of(("A", "B", "C"), (2, 3, 4), "C") == 1
+        assert row_map(("A", "B"), (2, 3), strides(("A",), (2,))) == [0, 0, 0, 1, 1, 1]
+        assert row_map((), (), strides((), ())) == [0]
+        assert row_map(("A",), (3,), strides((), ())) == [0, 0, 0]
+        assert strides(("A", "B", "C"), (2, 3, 4)) == {"A": 12, "B": 4, "C": 1}
 
     @given(row_map_case())
     def test_matches_config_index_definition(self, case):
         out_parents, src_parents, card = case
         out_cards = [card[p] for p in out_parents]
         src_cards = [card[p] for p in src_parents]
-        mapped = row_map(out_parents, out_cards, src_parents, src_cards)
+        mapped = row_map(out_parents, out_cards, strides(src_parents, src_cards))
         assert len(mapped) == config_count(out_cards)
         for idx, src_idx in enumerate(mapped):
             assignment = dict(zip(out_parents, config_assignment(idx, out_cards)))
@@ -375,7 +374,7 @@ class TestRowMap:
             for p in src_parents:
                 if p in assignment:
                     continue
-                step = stride_of(src_parents, src_cards, p)
+                step = strides(src_parents, src_cards)[p]
                 for k in range(card[p]):
                     shifted = [k if q == p else v for q, v in zip(src_parents, values)]
                     assert src_idx + k * step == config_index(shifted, src_cards)
@@ -618,3 +617,16 @@ class TestDiagramHelpers:
     def test_replace_nodes_preserves_order(self, minimal):
         out = minimal.replace_nodes(remove=["C"])
         assert list(out.nodes) == ["D", "V"]
+
+    def test_replace_nodes_without_removals(self, minimal):
+        # a swap keeps every key in place; a key naming no node is ignored
+        c = minimal.node("C")
+        moved = Node("C", NodeKind.CHANCE, c.variable, (),
+                     chance_table=LowerCPT((), (), ((0.5, 0.5),)))
+        for updates in ({"C": moved}, {"X": moved, "C": moved}):
+            out = minimal.replace_nodes(updates)
+            assert list(out.nodes) == ["C", "D", "V"]
+            assert out.node("C") is moved and out.node("D") is minimal.node("D")
+            assert out.decision_order == minimal.decision_order
+        assert minimal.node("C") is c
+        assert minimal.replace_nodes({"X": moved}).nodes == minimal.nodes

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from iidiag import errors, sensitivity
+from iidiag import errors, model, sensitivity
 from iidiag.cli import main
 from iidiag.diagram_io import fixture_path
 from iidiag.model import build_diagram
@@ -210,6 +210,22 @@ class TestSweep:
         spec = SensitivitySpec(("OIL",), (0.0,), subsets=(("OIL",), ("TEST",)))
         with pytest.raises(errors.MalformedSpec, match="^'TEST' is not a chance node$"):
             sweep(wildcatter, spec)
+
+    def test_one_graph_check_per_sweep(self, wildcatter, monkeypatch):
+        # the memo takes the structure the sweep checked: inject_range
+        # changes no arc, so no widened cell's graph is checked again
+        spec = wildcatter_sweep_spec(compare_exact=False)
+        sweep(wildcatter, spec)  # point_solve checks a diagram on its first use
+        checks = []
+        check_graph = model.check_graph
+
+        def counting(diagram):
+            checks.append(diagram)
+            return check_graph(diagram)
+
+        monkeypatch.setattr(model, "check_graph", counting)
+        sweep(wildcatter, spec)
+        assert checks == [wildcatter]
 
     def test_subsets_are_checked_before_the_first_cell(self, wildcatter, monkeypatch):
         solves = []

@@ -845,6 +845,141 @@ class TestTablesMatchTheirNodes:
             assert calls == [], name
 
 
+def _overfull_oil(diagram):
+    """OIL, the first node, with bounds that sum past 1: a table error."""
+    oil = diagram.node("OIL")
+    return Node("OIL", NodeKind.CHANCE, oil.variable, (),
+                chance_table=LowerCPT((), (), ((0.5, 0.4, 0.3),)))
+
+
+def _cyclic_seismic(diagram):
+    seismic = diagram.node("SEISMIC")
+    return replace(seismic, parents=("OIL", "RESULT"))  # RESULT sees SEISMIC
+
+
+def _cost_as_decision(diagram):
+    return Node("COST", NodeKind.DECISION, diagram.node("COST").variable, ())
+
+
+def _three_costs(diagram):
+    cost = diagram.node("COST")
+    return replace(cost, variable=Variable("COST", ("low", "mid", "high")))
+
+
+def _cost_named_apart(diagram):
+    return replace(diagram.node("COST"), name="PRICE")
+
+
+class TestNodeAdmission:
+    """A memo admits the checked ``Node`` objects that cannot change. A warm
+    solve whose nodes it all admitted reads no structure key and checks no
+    table. A node new to it is compared with the served structure, every
+    new node before any table, so a diagram that differs fails, or solves,
+    exactly as a plain solve does."""
+
+    def test_warm_solves_read_no_structure_key(self, monkeypatch, compiles, runs):
+        keys, row_checks = [], []
+        structure_key, check_rows = solver.structure_key, model.check_rows
+
+        def counting_key(diagram):
+            keys.append(diagram)
+            return structure_key(diagram)
+
+        def counting_rows(rows, k, where):
+            row_checks.append(where)
+            check_rows(rows, k, where)
+
+        monkeypatch.setattr(solver, "structure_key", counting_key)
+        monkeypatch.setattr(model, "check_rows", counting_rows)
+        for name, diagram in _golden_diagrams():
+            memo = solver.StepMemo()
+            solve(diagram, memo=memo)
+            assert keys == [diagram], name  # the cold solve's
+            widened = inject_range(diagram, diagram.names(NodeKind.CHANCE), 0.05)
+            for d in (widened, widened, diagram):
+                assert repr(solve(d, memo=memo)) == repr(solve(d)), name
+            row_checks.clear()
+            runs.clear()
+            solve(widened, memo=memo)
+            assert (row_checks, runs) == ([], []), name  # every node and step known
+            assert keys == [diagram], name
+            keys.clear()
+
+    def test_parents_that_can_change_are_compared_every_call(self, minimal):
+        # a hand-built decision whose parents are a list is never admitted,
+        # and its kept entry is a copy: a memo sees the list change
+        parents = []
+        d = Node("D", NodeKind.DECISION, minimal.node("D").variable, parents)
+        hand_built = minimal.replace_nodes({"D": d})
+        memo = solver.StepMemo()
+        assert repr(solve(hand_built, memo=memo)) == repr(solve(hand_built))
+        parents.append("C")  # D now observes C
+        observing = solve(hand_built, memo=memo)
+        assert observing.policies["D"].info_parents == ("C",)
+        assert repr(observing) == repr(solve(hand_built))
+
+    def test_a_table_that_can_change_is_read_every_call(self, minimal):
+        # a hand-built table of another type can have its rows swapped: a
+        # node holding one is never admitted, so a memo sees the new rows
+        class Table:
+            def __init__(self, table):
+                self.parents, self.cards, self.rows = table.parents, table.cards, table.rows
+
+        c = minimal.node("C")
+        table = Table(c.chance_table)
+        hand_built = minimal.replace_nodes(
+            {"C": Node("C", NodeKind.CHANCE, c.variable, (), chance_table=table)}
+        )
+        memo = solver.StepMemo()
+        assert _outcome(hand_built, memo) == _outcome(hand_built)
+        table.rows = ((0.7, 0.6),)
+        assert _outcome(hand_built, memo) == _outcome(hand_built)
+        assert _outcome(hand_built)[0] == "RowSumExceedsOne"
+
+    MUTATIONS = {
+        "parents": ("SEISMIC", _cyclic_seismic),
+        "kind": ("COST", _cost_as_decision),
+        "cardinality": ("COST", _three_costs),
+        "Node.name": ("COST", _cost_named_apart),
+    }
+
+    @pytest.mark.parametrize("overfull", [False, True], ids=["", "overfull OIL"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_new_node_fails_as_a_plain_solve(self, wildcatter, mutation, overfull):
+        name, mutate = self.MUTATIONS[mutation]
+        updates = {name: mutate(wildcatter)}
+        if overfull:  # an earlier new node whose table fails
+            updates["OIL"] = _overfull_oil(wildcatter)
+        mutant = wildcatter.replace_nodes(updates)
+        if mutation == "kind":
+            assert mutant.decision_order == wildcatter.decision_order
+        cold = _outcome(mutant)
+        assert isinstance(cold, tuple), mutation  # every mutation fails
+        if mutation != "cardinality":  # the graph check fails before any table
+            assert cold[0] != "RowSumExceedsOne", cold
+        memo = solver.StepMemo()
+        solve(wildcatter, memo=memo)
+        assert _outcome(mutant, memo) == cold
+        assert _outcome(wildcatter, memo) == repr(solve(wildcatter))
+
+    @pytest.mark.parametrize("overfull", [False, True], ids=["", "overfull OIL"])
+    def test_reordered_nodes(self, wildcatter, overfull, compiles):
+        base = wildcatter
+        if overfull:
+            base = wildcatter.replace_nodes({"OIL": _overfull_oil(wildcatter)})
+        nodes = dict(base.nodes)
+        reordered = InfluenceDiagram(
+            {"COST": nodes.pop("COST"), **nodes}, decision_order=base.decision_order
+        )
+        memo = solver.StepMemo()
+        solve(wildcatter, memo=memo)
+        compiles.clear()
+        assert _outcome(reordered, memo) == _outcome(reordered)
+        # a new structure: the memo's solve and the plain one compile it,
+        # or both fail at the check before
+        assert len(compiles) == (0 if overfull else 2)
+
+
 class TestWarmSolveReuse:
     """With a :class:`~iidiag.solver.StepMemo`, a step whose input rows and
     decision ``Variable`` are the very objects of a run the memo recorded
