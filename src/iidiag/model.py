@@ -251,25 +251,17 @@ class InfluenceDiagram:
         """New diagram with some nodes swapped out and/or dropped; declaration
         order of the survivors is preserved. An update whose key names no
         node is ignored."""
-        if not remove and (not updates or self.nodes.keys() >= updates.keys()):
-            # every key is already in place, so the merge keeps the order
-            nodes = dict(self.nodes)
-            nodes.update(updates)
-            return InfluenceDiagram(
-                nodes, tuple(self.decision_order), self.added_information_arcs
-            )
         dropped = set(remove)
-        updates = dict(updates)
-        nodes = {
-            name: updates.get(name, node)
-            for name, node in self.nodes.items()
-            if name not in dropped
-        }
-        return InfluenceDiagram(
-            nodes=nodes,
-            decision_order=tuple(d for d in self.decision_order if d not in dropped),
-            added_information_arcs=self.added_information_arcs,
-        )
+        nodes = dict(self.nodes)
+        for name, node in dict(updates).items():
+            if name in nodes:
+                nodes[name] = node
+        order = tuple(self.decision_order)
+        if dropped:
+            for name in dropped:
+                nodes.pop(name, None)
+            order = tuple(d for d in order if d not in dropped)
+        return InfluenceDiagram(nodes, order, self.added_information_arcs)
 
 
 class _Graph:

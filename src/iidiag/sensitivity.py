@@ -255,16 +255,16 @@ def sweep(
     shared = None
     memo = StepMemo()
     if subsets and spec.ranges:
-        # inject_range changes no arc: every cell has the input's structure,
-        # checked above, so the memo takes it and checks no cell's graph
-        memo._serve(diagram, graph)
+        memo.serve(diagram, graph)
     widened: dict[tuple[str, float], Node] = {}
     for subset in subsets:
         for r in spec.ranges:
             if r == 0.0 and shared is not None:
-                cells.append(SweepCell(subset, r, shared.interval, shared.policies,
-                                       shared.envelope, shared.exact_skipped,
-                                       shared.solve_seconds))
+                cells.append(SweepCell(
+                    subset=subset, range_=r, interval=shared.interval,
+                    policies=shared.policies, envelope=shared.envelope,
+                    exact_skipped=shared.exact_skipped, solve_seconds=shared.solve_seconds,
+                ))
                 continue
             cell = _run_cell(diagram, subset, r, spec.compare_exact, spec.exact_cap,
                              memo=memo, widened=widened)

@@ -189,10 +189,9 @@ class StepMemo:
     the length of a call. It serves one structure at a time: that
     structure's node keys, decision order, plan, value node name and
     decision count, and per node its :func:`structure_key` entry and table
-    spec. Per node, every ``Node`` object it admitted, with its rows, and
-    per chance and value node every rows object it admitted: checked, and
-    unable to change (rows a tuple of tuples; a ``Node`` with tuple parents
-    and outcomes and a table of the model's frozen types). Per step, one
+    spec. Per node, every ``Node`` object it admitted, with its rows:
+    checked, and unable to change (tuple parents and outcomes, a table of
+    the model's frozen types, rows a tuple of tuples). Per step, one
     record for every distinct input it ran on: the rows of its node and
     target and the decision ``Variable``, with the rows it produced and the
     step it completed.
@@ -209,9 +208,9 @@ class StepMemo:
         self._plan: tuple[StepShape, ...] = ()
         self._value = ""
         self._decisions = 0
-        # per node: admitted Nodes by id, the structure_key entry, the
-        # table spec and admitted rows by id
-        self._slots: tuple[tuple[dict, tuple, tuple | None, dict], ...] = ()
+        # per node: admitted Nodes by id, the structure_key entry and the
+        # table spec
+        self._slots: tuple[tuple[dict, tuple, tuple | None], ...] = ()
         self._records: list[dict] = []
 
     def _tables(self, diagram: InfluenceDiagram) -> tuple[dict, list[dict] | None]:
@@ -222,12 +221,11 @@ class StepMemo:
         the memo all admitted has the served structure and checked tables,
         so it is not checked again. A node new to the memo is compared with
         its entry of the served structure; when every new node matches, each
-        new node's table is checked against its spec, and its rows unless
-        the memo admitted that very object. Otherwise the structure is
-        another one: the diagram is checked in full and the plan is made on
-        the graph its check returns. A table whose rows can change is
-        checked on every call and never admitted; while one is read, no step
-        is reused or recorded."""
+        new node's table and rows are checked against its spec. Otherwise
+        the structure is another one: the diagram is checked in full and the
+        plan is made on the graph its check returns. A node that can change
+        is checked on every call and never admitted; while rows that can
+        change are read, no step is reused or recorded."""
         nodes = diagram.nodes
         if tuple(nodes) == self._names and diagram.decision_order == self._order:
             tables, fresh = {}, []
@@ -245,6 +243,20 @@ class StepMemo:
                 return self._admit(tables, fresh, checked=False)
         return self._serve(diagram, check_structure(diagram))
 
+    def serve(self, diagram: InfluenceDiagram, graph: _Graph) -> None:
+        """Serve the structure of ``diagram``, which the caller checked:
+        ``graph`` must be what :func:`~iidiag.model.check_structure`
+        returned for this very diagram, as nothing is checked here. The
+        memo compiles the plan on ``graph`` and admits the diagram's nodes.
+
+        The saving needs the later diagrams to keep the structure of
+        ``diagram``: its node keys and decision order and, per node, the
+        name, kind, parents and cardinality. A solve given this memo then
+        checks no graph. :func:`~iidiag.sensitivity.inject_range` keeps it,
+        as it swaps only chance tables. A diagram of another structure is
+        checked in full, as after any solve of ``diagram``."""
+        self._serve(diagram, graph)
+
     def _serve(self, diagram: InfluenceDiagram, graph: _Graph) -> tuple[dict, list[dict] | None]:
         """Serve the structure of ``diagram``, which
         :func:`~iidiag.model.check_structure` passed and returned ``graph``
@@ -256,7 +268,7 @@ class StepMemo:
         self._plan = _compile(graph)
         key = structure_key(diagram)
         self._slots = tuple(
-            ({}, entry, spec, {}) for entry, spec in zip(key[0], _table_specs(key))
+            ({}, entry, spec) for entry, spec in zip(key[0], _table_specs(key))
         )
         self._records = [{} for _ in self._plan]
         self._value, self._decisions = value, decisions
@@ -270,23 +282,21 @@ class StepMemo:
     def _admit(self, tables: dict, fresh: list, *, checked: bool) -> tuple[dict, list[dict] | None]:
         """Add the rows of every node in ``fresh`` (its key, node and slot,
         in declaration order) to ``tables``; check its table against its
-        spec, and its rows unless ``checked`` or admitted; admit the rows
-        and the node when they cannot change. Returns ``tables`` and the
-        step records, or None for them when rows can change."""
+        spec, and its rows unless ``checked``; admit the node when it
+        cannot change. Returns ``tables`` and the step records, or None for
+        them when rows can change."""
         records = self._records
-        for name, node, (nodes_seen, _, spec, rows_seen) in fresh:
+        for name, node, (nodes_seen, _, spec) in fresh:
             table = rows = None
             if spec is not None:
                 cards, k = spec
                 table = matched_table(node, cards)
                 rows = tables[name] = table.rows
-                if rows_seen.get(id(rows)) is not rows:
-                    if not checked:
-                        check_table_rows(node.name, rows, cards, k)
-                    if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
-                        records = None
-                        continue
-                    rows_seen[id(rows)] = rows
+                if not checked:
+                    check_table_rows(node.name, rows, cards, k)
+                if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
+                    records = None
+                    continue
             # frozen types only: a node read off its admission is not read again
             if type(node) is Node and type(node.parents) is tuple and (
                 node.variable is None or type(node.variable.outcomes) is tuple
@@ -313,12 +323,12 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
 
     A ``memo`` (a :class:`StepMemo`) keeps the plan of the structure it
     serves, so a run of solves over one structure checks the graph and
-    compiles once. It checks a node once per ``Node`` object and a table's
-    rows once per rows object it admitted (every call for rows that can
-    change), and a step whose input rows and decision ``Variable`` are the
-    very objects of a run the memo recorded takes that run's checked output
-    and completed step instead of running again: kernels are pure, so the
-    report is the same.
+    compiles once. It checks a node and its table's rows once per ``Node``
+    object it admitted (every call for a node that can change), and a step
+    whose input rows and decision ``Variable`` are the very objects of a
+    run the memo recorded takes that run's checked output and completed
+    step instead of running again: kernels are pure, so the report is the
+    same.
     """
     if memo is None:
         plan = _compile(check_structure(diagram))

@@ -630,3 +630,14 @@ class TestDiagramHelpers:
             assert out.decision_order == minimal.decision_order
         assert minimal.node("C") is c
         assert minimal.replace_nodes({"X": moved}).nodes == minimal.nodes
+
+    def test_replace_nodes_with_removals(self, minimal):
+        # a removal wins over an update of the same node, and drops a
+        # decision from the decision order
+        c = minimal.node("C")
+        moved = Node("C", NodeKind.CHANCE, c.variable, (),
+                     chance_table=LowerCPT((), (), ((0.5, 0.5),)))
+        out = minimal.replace_nodes({"C": moved}, remove=["D", "X"])
+        assert list(out.nodes) == ["C", "V"] and out.node("C") is moved
+        assert out.decision_order == ()
+        assert list(minimal.replace_nodes({"C": moved}, remove=["C"]).nodes) == ["D", "V"]

@@ -979,6 +979,27 @@ class TestNodeAdmission:
         # or both fail at the check before
         assert len(compiles) == (0 if overfull else 2)
 
+    def test_serve_takes_the_callers_check(self, monkeypatch, compiles):
+        # a memo served a checked structure compiles it then, and a solve of
+        # a diagram of that structure checks no graph and compiles nothing
+        checks = []
+        check_graph = model.check_graph
+
+        def counting(diagram):
+            checks.append(diagram)
+            return check_graph(diagram)
+
+        monkeypatch.setattr(model, "check_graph", counting)
+        for name, diagram in _golden_diagrams():
+            widened = inject_range(diagram, diagram.names(NodeKind.CHANCE), 0.05)
+            plain = repr(solve(widened))
+            memo = solver.StepMemo()
+            memo.serve(diagram, model.check_structure(diagram))
+            checks.clear()
+            compiles.clear()
+            assert repr(solve(widened, memo=memo)) == plain, name
+            assert (checks, compiles) == ([], []), name
+
 
 class TestWarmSolveReuse:
     """With a :class:`~iidiag.solver.StepMemo`, a step whose input rows and
