@@ -7,6 +7,12 @@ always recomputed as 1 minus the other outcomes' lower bounds, so the two can
 never disagree. The single value node stores a [low, high] interval per
 parent configuration. ``build_diagram`` validates everything up front and
 returns an immutable diagram; it never returns a partially valid one.
+
+Model objects are immutable by construction: a list given for a variable's
+outcomes, a node's or table's parents, a table's cards, rows or a row, or a
+diagram's decision order is stored as a tuple. A value of any other type is
+kept as given, for the checks to judge. A diagram's ``nodes`` dict must not
+be edited in place.
 """
 
 from __future__ import annotations
@@ -41,6 +47,14 @@ if TYPE_CHECKING:  # transforms imports this module
 TOL = 1e-12
 
 
+def _freeze(obj: Any, field: str) -> None:
+    """Store a list held in ``field`` of the frozen dataclass ``obj`` as a
+    tuple; a value of any other type stays as it is."""
+    value = getattr(obj, field)
+    if isinstance(value, list):
+        object.__setattr__(obj, field, tuple(value))
+
+
 class NodeKind(Enum):
     CHANCE = "chance"
     DECISION = "decision"
@@ -55,6 +69,8 @@ class Variable:
     outcomes: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if type(self.outcomes) is not tuple:
+            _freeze(self, "outcomes")
         if len(self.outcomes) < 2:
             raise MalformedSpec(f"variable {self.name!r} needs >= 2 outcomes")
         if len(set(self.outcomes)) != len(self.outcomes):
@@ -145,11 +161,6 @@ def running_sum(values: Iterable[float]) -> float:
     return total
 
 
-def implied_upper(row: Sequence[float], outcome: int) -> float:
-    """Upper bound implied by the other outcomes' lower bounds."""
-    return 1.0 - (running_sum(row) - row[outcome])
-
-
 def is_point_row(row: Sequence[float]) -> bool:
     return abs(running_sum(row) - 1.0) <= TOL
 
@@ -158,26 +169,45 @@ def is_point_row(row: Sequence[float]) -> bool:
 # Tables
 # ---------------------------------------------------------------------------
 
+_JUST_TUPLE = frozenset({tuple})
+
+
 @dataclass(frozen=True)
-class LowerCPT:
+class _Table:
+    """The fields of a table: its parents, their cards and one row per
+    parent configuration. A list given for any of them, or for a row, is
+    stored as a tuple."""
+
+    parents: tuple[str, ...]
+    cards: tuple[int, ...]
+    rows: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        if type(self.parents) is not tuple:
+            _freeze(self, "parents")
+        if type(self.cards) is not tuple:
+            _freeze(self, "cards")
+        if type(self.rows) is not tuple:
+            _freeze(self, "rows")
+        rows = self.rows
+        # one scan in C for the common case, rows that are all tuples
+        if type(rows) is tuple and set(map(type, rows)) != _JUST_TUPLE:
+            rows = tuple([tuple(row) if isinstance(row, list) else row for row in rows])
+            object.__setattr__(self, "rows", rows)
+
+
+@dataclass(frozen=True)
+class LowerCPT(_Table):
     """Per parent-configuration lower bounds for a chance node's distribution.
 
     ``rows[i]`` is the vector of lower bounds over the node's outcomes for
     the parent configuration with mixed-radix index ``i``.
     """
 
-    parents: tuple[str, ...]
-    cards: tuple[int, ...]
-    rows: tuple[tuple[float, ...], ...]
-
 
 @dataclass(frozen=True)
-class IntervalValueTable:
+class IntervalValueTable(_Table):
     """Per parent-configuration [low, high] value intervals for the value node."""
-
-    parents: tuple[str, ...]
-    cards: tuple[int, ...]
-    rows: tuple[tuple[float, float], ...]
 
     def interval_for(self, assignment: Mapping[str, int]) -> tuple[float, float]:
         idx = config_index([assignment[p] for p in self.parents], self.cards)
@@ -196,6 +226,10 @@ class Node:
     chance_table: LowerCPT | None = None
     value_table: IntervalValueTable | None = None
 
+    def __post_init__(self) -> None:
+        if type(self.parents) is not tuple:
+            _freeze(self, "parents")
+
     @property
     def cardinality(self) -> int:
         if self.variable is None:
@@ -208,12 +242,17 @@ class InfluenceDiagram:
     """An immutable, validated influence diagram.
 
     ``nodes`` preserves declaration order, which fixes all deterministic
-    tie-breaking downstream. Mutation happens only by building a new diagram.
+    tie-breaking downstream. Mutation happens only by building a new diagram:
+    the ``nodes`` dict must not be edited in place.
     """
 
     nodes: dict[str, Node]
     decision_order: tuple[str, ...]
     added_information_arcs: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.decision_order) is not tuple:
+            _freeze(self, "decision_order")
 
     # -- lookups ------------------------------------------------------------
 
@@ -256,7 +295,7 @@ class InfluenceDiagram:
         for name, node in dict(updates).items():
             if name in nodes:
                 nodes[name] = node
-        order = tuple(self.decision_order)
+        order = self.decision_order
         if dropped:
             for name in dropped:
                 nodes.pop(name, None)
@@ -753,9 +792,18 @@ def check_table(node: Node, parent_cards: tuple[int, ...]) -> None:
 
 
 def matched_table(node: Node, parent_cards: tuple[int, ...]) -> LowerCPT | IntervalValueTable:
-    """The table of chance or value node ``node``, once its parents match
-    the node's arcs and its cards ``parent_cards``; its rows are not read."""
-    table = node.chance_table if node.kind is NodeKind.CHANCE else node.value_table
+    """The table of chance or value node ``node``, once it is of the
+    model's type for the node's kind (a ``LowerCPT`` or an
+    ``IntervalValueTable``) and its parents match the node's arcs and its
+    cards ``parent_cards``; its rows are not read."""
+    if node.kind is NodeKind.CHANCE:
+        table, kind = node.chance_table, LowerCPT
+    else:
+        table, kind = node.value_table, IntervalValueTable
+    if type(table) is not kind and table is not None:
+        raise MalformedSpec(
+            f"{node.name}: table of type {type(table).__name__}, expected {kind.__name__}"
+        )
     if table is None or table.parents != node.parents:
         raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
     if table.cards != parent_cards:

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from .errors import Unsolvable
 from .model import (
     InfluenceDiagram,
-    IntervalValueTable,
-    LowerCPT,
     Node,
     NodeKind,
     _Graph,
@@ -134,10 +132,8 @@ def structure_key(diagram: InfluenceDiagram) -> tuple:
 
 
 def _node_entry(name: str, node: Node) -> tuple:
-    """The entry of :func:`structure_key` for ``node``, kept under ``name``;
-    parents a hand-built node holds in a list are copied, so a kept entry
-    cannot change with them."""
-    return (name, node.name, node.kind, tuple(node.parents),
+    """The entry of :func:`structure_key` for ``node``, kept under ``name``."""
+    return (name, node.name, node.kind, node.parents,
             None if node.variable is None else len(node.variable.outcomes))
 
 
@@ -180,21 +176,18 @@ def _table_specs(key: tuple) -> tuple:
     )
 
 
-_FROZEN_TABLES = (type(None), LowerCPT, IntervalValueTable)  # a decision has no table
-
-
 class StepMemo:
     """What the solves given one memo remember of each other, for as long
     as the caller holds it; :func:`~iidiag.sensitivity.sweep` holds one for
     the length of a call. It serves one structure at a time: that
     structure's node keys, decision order, plan, value node name and
     decision count, and per node its :func:`structure_key` entry and table
-    spec. Per node, every ``Node`` object it admitted, with its rows:
-    checked, and unable to change (tuple parents and outcomes, a table of
-    the model's frozen types, rows a tuple of tuples). Per step, one
-    record for every distinct input it ran on: the rows of its node and
-    target and the decision ``Variable``, with the rows it produced and the
-    step it completed.
+    spec. Per node, every ``Node`` object it checked, with its rows. Per
+    step, one record for every distinct input it ran on: the rows of its
+    node and target and the decision ``Variable``, with the rows it
+    produced and the step it completed. All of them are model objects,
+    which are immutable, so nothing the memo keeps can change; the caller
+    must not edit a diagram's ``nodes`` dict in place.
 
     Admitted objects and records are looked up by the ids of their inputs
     and hold the objects themselves, so no id is reused while the memo
@@ -213,9 +206,8 @@ class StepMemo:
         self._slots: tuple[tuple[dict, tuple, tuple | None], ...] = ()
         self._records: list[dict] = []
 
-    def _tables(self, diagram: InfluenceDiagram) -> tuple[dict, list[dict] | None]:
-        """Check ``diagram``; return its rows by node name and, when its
-        steps may be reused and recorded, the step records.
+    def _tables(self, diagram: InfluenceDiagram) -> dict:
+        """Check ``diagram``; return its rows by node name.
 
         A diagram with the served node keys and decision order whose nodes
         the memo all admitted has the served structure and checked tables,
@@ -223,9 +215,7 @@ class StepMemo:
         its entry of the served structure; when every new node matches, each
         new node's table and rows are checked against its spec. Otherwise
         the structure is another one: the diagram is checked in full and the
-        plan is made on the graph its check returns. A node that can change
-        is checked on every call and never admitted; while rows that can
-        change are read, no step is reused or recorded."""
+        plan is made on the graph its check returns."""
         nodes = diagram.nodes
         if tuple(nodes) == self._names and diagram.decision_order == self._order:
             tables, fresh = {}, []
@@ -236,7 +226,7 @@ class StepMemo:
                 elif admitted[1] is not None:
                     tables[name] = admitted[1]
             if not fresh:
-                return tables, self._records
+                return tables
             # the structure of every new node before any table, in the
             # order check_structure checks them
             if all(_node_entry(name, node) == slot[1] for name, node, slot in fresh):
@@ -257,12 +247,11 @@ class StepMemo:
         checked in full, as after any solve of ``diagram``."""
         self._serve(diagram, graph)
 
-    def _serve(self, diagram: InfluenceDiagram, graph: _Graph) -> tuple[dict, list[dict] | None]:
+    def _serve(self, diagram: InfluenceDiagram, graph: _Graph) -> dict:
         """Serve the structure of ``diagram``, which
         :func:`~iidiag.model.check_structure` passed and returned ``graph``
-        for: compile the plan on ``graph`` and admit every node and rows
-        object of ``diagram`` that cannot change. Returns what
-        :meth:`_tables` returns."""
+        for: compile the plan on ``graph`` and admit every node of
+        ``diagram``. Returns what :meth:`_tables` returns."""
         self._names = None  # serves no structure until the compile succeeds
         value, decisions = graph.value, len(graph.decisions)
         self._plan = _compile(graph)
@@ -272,37 +261,25 @@ class StepMemo:
         )
         self._records = [{} for _ in self._plan]
         self._value, self._decisions = value, decisions
-        # a tuple: a decision order held in a list, which can change, never
-        # equals it, so such a diagram is checked in full on every call
-        self._order = tuple(key[1])
+        self._order = key[1]
         self._names = tuple(diagram.nodes)
         fresh = [(name, node, slot) for (name, node), slot in zip(diagram.nodes.items(), self._slots)]
         return self._admit({}, fresh, checked=True)
 
-    def _admit(self, tables: dict, fresh: list, *, checked: bool) -> tuple[dict, list[dict] | None]:
+    def _admit(self, tables: dict, fresh: list, *, checked: bool) -> dict:
         """Add the rows of every node in ``fresh`` (its key, node and slot,
         in declaration order) to ``tables``; check its table against its
-        spec, and its rows unless ``checked``; admit the node when it
-        cannot change. Returns ``tables`` and the step records, or None for
-        them when rows can change."""
-        records = self._records
+        spec, and its rows unless ``checked``; admit the node. Returns
+        ``tables``."""
         for name, node, (nodes_seen, _, spec) in fresh:
-            table = rows = None
+            rows = None
             if spec is not None:
                 cards, k = spec
-                table = matched_table(node, cards)
-                rows = tables[name] = table.rows
+                rows = tables[name] = matched_table(node, cards).rows
                 if not checked:
                     check_table_rows(node.name, rows, cards, k)
-                if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
-                    records = None
-                    continue
-            # frozen types only: a node read off its admission is not read again
-            if type(node) is Node and type(node.parents) is tuple and (
-                node.variable is None or type(node.variable.outcomes) is tuple
-            ) and type(table) in _FROZEN_TABLES:
-                nodes_seen[id(node)] = (node, rows)
-        return tables, records
+            nodes_seen[id(node)] = (node, rows)
+        return tables
 
 
 def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveReport:
@@ -324,19 +301,19 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
     A ``memo`` (a :class:`StepMemo`) keeps the plan of the structure it
     serves, so a run of solves over one structure checks the graph and
     compiles once. It checks a node and its table's rows once per ``Node``
-    object it admitted (every call for a node that can change), and a step
-    whose input rows and decision ``Variable`` are the very objects of a
-    run the memo recorded takes that run's checked output and completed
-    step instead of running again: kernels are pure, so the report is the
-    same.
+    object, and a step whose input rows and decision ``Variable`` are the
+    very objects of a run the memo recorded takes that run's checked output
+    and completed step instead of running again: kernels are pure, and
+    model objects are immutable, so the report is the same. The diagram's
+    ``nodes`` dict must not be edited in place.
     """
     if memo is None:
         plan = _compile(check_structure(diagram))
         value, decisions = diagram.value_node.name, len(diagram.names(NodeKind.DECISION))
         tables, records = table_rows(diagram), None
     else:
-        tables, records = memo._tables(diagram)
-        plan, value, decisions = memo._plan, memo._value, memo._decisions
+        tables = memo._tables(diagram)
+        plan, value, decisions, records = memo._plan, memo._value, memo._decisions, memo._records
     nodes = diagram.nodes
     steps: list[TransformStep] = []
     policies: dict[str, AdmissibleSet] = {}

@@ -21,9 +21,9 @@ from iidiag.exact import (
     vertex_realizations,
 )
 from iidiag.generate import _Doc, random_chain_diagram, random_diagram
-from iidiag.model import LowerCPT, Node, NodeKind, build_diagram
+from iidiag.model import InfluenceDiagram, LowerCPT, Node, NodeKind, build_diagram
 from iidiag.sensitivity import SensitivitySpec, inject_range, sweep
-from iidiag.solver import solve
+from iidiag.solver import StepMemo, solve
 from conftest import all_fixture_paths, chain_data, hidden_cause_diagram, perfbench_corpus
 from oracles import halfspace_vertices, recursive_point_solve, table_lookup
 
@@ -764,3 +764,27 @@ class TestHandBuiltDiagramsAreChecked:
         exact_envelope(diagram, ["OIL"])
         soundness_check(diagram, 4, report=solve(diagram))
         assert calls == [diagram]
+
+
+class TestEditedListsChangeNoOutput:
+    """A model object stores a list it is given as a tuple, so a list edited
+    after construction changes neither the object nor any output, kept or
+    computed afresh. ``point_solve``'s per-diagram plan once kept the
+    unedited parents while ``solve`` read the edited ones."""
+
+    def test_decision_parents_edited_after_construction(self, minimal):
+        parents = []
+        d = Node("D", NodeKind.DECISION, minimal.node("D").variable, parents)
+        hand_built = minimal.replace_nodes({"D": d})
+        member = sample_member(hand_built, 0)
+        memo = StepMemo()
+        expected = (repr(solve(minimal)), point_solve(minimal, member))
+        assert round(expected[1].expected_value, 4) == 6.1348
+        # the memo and the exact layer's plan both keep the unedited diagram
+        assert (repr(solve(hand_built, memo=memo)), point_solve(hand_built, member)) == expected
+        parents.append("C")  # would have D observe C
+        assert d.parents == () and hand_built.node("D").parents == ()
+        fresh = InfluenceDiagram(hand_built.nodes, hand_built.decision_order)
+        for diagram in (hand_built, fresh):
+            assert repr(solve(diagram)) == repr(solve(diagram, memo=memo)) == expected[0]
+            assert point_solve(diagram, member) == expected[1]

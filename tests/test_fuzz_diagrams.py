@@ -12,9 +12,13 @@ has just solved the unmutated diagram (so the warm checks run) ends as a
 plain solve does. A second, separately seeded loop edits each base's
 ``decision_order`` instead (an entry repeated or dropped, the order
 reversed, an unknown name added): every entry point refuses an order that
-is not the base's, the one order its arcs allow. Seeds and counts are
-fixed, so a run takes a few seconds and a failure names the seed and the
-edits that caused it.
+is not the base's, the one order its arcs allow. A third loop, seeded on
+its own, builds each base anew from lists (every outcome, parent and card
+list, every row, the decision order), runs every entry point, then edits
+those lists in place with the same kinds of edit: model objects store a
+list as a tuple, so every outcome, kept or computed afresh, stays the
+base's. Seeds and counts are fixed, so a run takes a few seconds and a
+failure names the seed and the edits that caused it.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from iidiag.diagram_io import fixture_path, load_diagram
 from iidiag.exact import exact_envelope, point_solve, sample_member, soundness_check
 from iidiag.generate import random_chain_diagram, random_diagram
 from iidiag.model import InfluenceDiagram, NodeKind, Variable
-from iidiag.sensitivity import SensitivitySpec, sweep
+from iidiag.sensitivity import SensitivitySpec, report_to_dict, sweep
 from iidiag.solver import apply_step, next_step, solve
 
 MUTANTS_PER_BASE = 150
 ORDER_EDITS_PER_BASE = 40
+LIST_EDITS_PER_BASE = 50
 
 
 def _bases():
@@ -234,3 +239,104 @@ def test_every_decision_order_but_the_arcs_is_refused(base_name):
             assert isinstance(outcome, tuple), f"{what} returned on {where}"
     if len(base.decision_order) > 1:
         assert kept == 0
+
+
+def _as_lists(base):
+    """``base`` built anew with a list wherever a model object takes a
+    tuple: each variable's outcomes, each node's and table's parents, each
+    table's cards, rows and every row, and the decision order. Returns the
+    diagram and those lists as (kind, node, list)."""
+    held = []
+
+    def listed(kind, name, values):
+        held.append((kind, name, list(values)))
+        return held[-1][2]
+
+    nodes = {}
+    for name, node in base.nodes.items():
+        variable = node.variable
+        if variable is not None:
+            variable = Variable(variable.name, listed("outcomes", name, variable.outcomes))
+        table = _table(node)
+        if table is not None:
+            rows = listed("rows", name, [listed("row", name, row) for row in table.rows])
+            table = type(table)(listed("parents", name, table.parents),
+                                listed("cards", name, table.cards), rows)
+        node = replace(node, variable=variable, parents=listed("parents", name, node.parents))
+        nodes[name] = _with_table(node, table)
+    order = listed("order", None, base.decision_order)
+    return InfluenceDiagram(nodes, order, base.added_information_arcs), held
+
+
+def _edit_in_place(held, names, rng: Random):
+    """One edit of the kinds :func:`_mutate` and :func:`_edit_order` make,
+    to one of ``held``'s lists in place; returns what the edit was."""
+    kind, name, values = rng.choice(held)
+    if kind == "order":
+        order, edit = _edit_order(tuple(values), rng)
+        values[:] = order
+        return f"order: {edit}"
+    if kind == "parents":
+        if len(values) > 1:
+            values.reverse()
+        else:
+            values.append(rng.choice(names))
+    elif kind == "cards":
+        if values and rng.random() < 0.7:
+            values[rng.randrange(len(values))] += rng.choice((-1, 1))
+        else:
+            values.append(2)
+    elif kind == "outcomes":
+        if len(values) > 2:
+            values.pop()
+        else:
+            values.append("extra")
+    elif kind == "rows":  # another table's rows swapped in
+        other = rng.choice([v for k, _, v in held if k == "rows"])
+        values[:], other[:] = other[:], values[:]
+    elif rng.random() < 0.5:
+        kind = "row length"
+        if rng.random() < 0.5:
+            values.append(0.0)
+        else:
+            values.pop()
+    else:
+        kind = "number"
+        values[rng.randrange(len(values))] = rng.choice(
+            (float("nan"), float("inf"), -0.5, 2.0, 1e308))
+    return f"{kind} {name}"
+
+
+@pytest.mark.parametrize("base_name", list(BASES))
+def test_lists_edited_after_construction_change_no_outcome(base_name):
+    base = BASES[base_name]
+    varied = base.names(NodeKind.CHANCE)[:2]
+    spec = SensitivitySpec(varied, (0.0, 0.05))
+    member = sample_member(base, 0)
+    shape = next_step(base)
+
+    def calls(diagram, memo):
+        return {
+            "solve": lambda: repr(solve(diagram)),
+            "warm solve": lambda: repr(solve(diagram, memo=memo)),
+            "point_solve": lambda: repr(point_solve(diagram, member)),
+            "exact_envelope": lambda: repr(exact_envelope(diagram, varied, cap=500)),
+            "soundness_check": lambda: repr(soundness_check(diagram, 3, seed=0)),
+            "sweep": lambda: report_to_dict(sweep(diagram, spec)),
+            "apply_step": lambda: repr(apply_step(diagram, shape)),
+            "next_step": lambda: repr(next_step(diagram)),
+        }
+
+    expected = _outcomes(calls(base, solver.StepMemo()), f"base {base_name}")
+    assert isinstance(expected["solve"], str)  # every base solves
+    for seed in range(LIST_EDITS_PER_BASE):
+        rng = Random(f"lists {base_name}:{seed}")
+        listed, held = _as_lists(base)
+        memo = solver.StepMemo()
+        # the memo and the exact layer's plan keep what these calls read
+        assert _outcomes(calls(listed, memo), base_name) == expected, base_name
+        edits = [_edit_in_place(held, list(base.nodes), rng) for _ in range(rng.randint(1, 3))]
+        where = f"base {base_name}, seed {seed}, edits {edits}"
+        got = _outcomes(calls(listed, memo), where)
+        for what, outcome in got.items():
+            assert outcome == expected[what], f"{what} on {where}"

@@ -3,6 +3,7 @@
 import copy
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -26,13 +27,12 @@ from iidiag.model import (
     config_assignment,
     config_count,
     config_index,
-    implied_upper,
     row_map,
     Variable,
     strides,
 )
-from iidiag.sensitivity import inject_range
-from iidiag.solver import compile_plan, solve
+from iidiag.sensitivity import SensitivitySpec, inject_range, sweep
+from iidiag.solver import StepMemo, apply_step, compile_plan, next_step, solve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -275,26 +275,8 @@ class TestNoForgetting:
 
 
 class TestImpliedUpper:
-    @pytest.mark.parametrize(
-        "row, outcome, expected",
-        [
-            ((0.5, 0.3), 0, 0.7),
-            ((0.6, 0.4), 1, 0.4),
-            ((0.2, 0.3, 0.1), 2, 0.5),
-        ],
-    )
-    def test_examples(self, row, outcome, expected):
-        assert implied_upper(row, outcome) == pytest.approx(expected, abs=1e-12)
-
-    @given(
-        st.lists(st.floats(0, 1), min_size=2, max_size=4).filter(
-            lambda r: sum(r) <= 1
-        ),
-        st.data(),
-    )
-    def test_upper_dominates_lower(self, row, data):
-        i = data.draw(st.integers(0, len(row) - 1))
-        assert implied_upper(row, i) >= row[i] - 1e-12
+    """The upper bounds a chance row implies, 1 minus the other outcomes'
+    lower bounds, always admit a distribution."""
 
     @given(
         st.lists(st.floats(0, 1), min_size=2, max_size=4).filter(
@@ -426,6 +408,78 @@ class TestCheckStructure:
                                                node.chance_table, node.value_table)})
         with pytest.raises(errors.MalformedSpec, match=f"^node '{key}' is named 'ghost'$"):
             check_structure(odd)
+
+
+class _ForeignTable:
+    """A table of no model type, with every field a model table has."""
+
+    def __init__(self, parents, cards, rows):
+        self.parents, self.cards, self.rows = parents, cards, rows
+
+
+class TestModelObjectsAreImmutable:
+    """A list given to a model object is stored as a tuple; a value of any
+    other type is kept as given, for the checks to judge."""
+
+    def test_lists_are_stored_as_tuples(self, minimal):
+        variable = Variable("C", ["c1", "c2"])
+        table = LowerCPT(["D"], [2], [[0.5, 0.3], (0.2, 0.2)])
+        node = Node("C", NodeKind.CHANCE, variable, ["D"], chance_table=table)
+        value = IntervalValueTable([], [], ([1.0, 2.0],))
+        diagram = InfluenceDiagram(dict(minimal.nodes), ["D"])
+        assert variable.outcomes == ("c1", "c2") and node.parents == ("D",)
+        assert (table.parents, table.cards, table.rows) == (("D",), (2,), ((0.5, 0.3), (0.2, 0.2)))
+        assert value.rows == ((1.0, 2.0),)
+        assert diagram.decision_order == ("D",)
+        for held in (variable.outcomes, node.parents, table.parents, table.cards,
+                     table.rows, *table.rows, value.rows, diagram.decision_order):
+            assert type(held) is tuple
+
+    def test_other_types_are_kept_as_given(self, minimal):
+        rows = minimal.node("V").value_table.rows
+        assert IntervalValueTable(("D", "C"), (2, 2), rows).rows is rows
+        odd = IntervalValueTable(("D", "C"), (2, 2), (range(2),) * 4)
+        assert type(odd.rows[0]) is range
+        stringy = LowerCPT((), (), "ab")
+        assert stringy.rows == "ab"
+        c = minimal.node("C")
+        with pytest.raises(errors.ParentMismatch, match="^C: wrong row count$"):
+            check_structure(minimal.replace_nodes({"C": replace(c, chance_table=stringy)}))
+
+    CALLS = {
+        "solve": lambda d, base: solve(d),
+        "warm solve": lambda d, base: solve(d, memo=_served(base)),
+        "point_solve": lambda d, base: point_solve(d, sample_member(base, 0)),
+        "exact_envelope": lambda d, base: exact_envelope(d, ["C"]),
+        "sweep": lambda d, base: sweep(d, SensitivitySpec(("C",), (0.0, 0.1))),
+        "apply_step": lambda d, base: apply_step(d, next_step(base)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("node, other", [
+        ("C", _ForeignTable), ("C", IntervalValueTable),
+        ("V", _ForeignTable), ("V", LowerCPT),
+    ])
+    def test_a_foreign_table_is_refused(self, minimal, node, other, call):
+        # the first step folds C into V, so apply_step reads both tables
+        old = minimal.node(node)
+        field, kind = (("chance_table", LowerCPT) if node == "C"
+                       else ("value_table", IntervalValueTable))
+        table = getattr(old, field)
+        foreign = minimal.replace_nodes({node: replace(
+            old, **{field: other(table.parents, table.cards, table.rows)})})
+        assert repr(next_step(foreign)) == repr(next_step(minimal))  # the graph alone
+        with pytest.raises(errors.MalformedSpec) as caught:
+            self.CALLS[call](foreign, minimal)
+        assert str(caught.value) == (
+            f"{node}: table of type {other.__name__}, expected {kind.__name__}")
+
+
+def _served(diagram):
+    """A memo that has solved ``diagram``."""
+    memo = StepMemo()
+    solve(diagram, memo=memo)
+    return memo
 
 
 class TestDecisionOrderFollowsTheArcs:

@@ -1,6 +1,8 @@
-"""The README's library example runs, and the package root exports exactly
-the names the README's Library and Sensitivity sections use."""
+"""The README's library example runs, the package root exports exactly the
+names the README's Library and Sensitivity sections use, and every test the
+README cites as ``tests/<file>.py::<name>`` exists."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -50,3 +52,25 @@ def test_root_exports_the_names_the_readme_uses():
         "point_solve", "exact_envelope", "sweep", "widen",
     }
     assert exported == used
+
+
+def _defined(path: Path) -> set[str]:
+    """The ``name`` and ``Class::name`` of every function and class defined
+    at the top of ``path`` or in a top-level class."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}::{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+    return names
+
+
+def test_test_references_name_existing_tests():
+    root = Path(__file__).resolve().parent.parent
+    refs = re.findall(r"\b(tests/\w+\.py)::(\w+(?:::\w+)?)", README)
+    assert refs  # the README does cite tests
+    for path, name in refs:
+        assert (root / path).is_file(), path
+        assert name in _defined(root / path), f"{path}::{name}"
