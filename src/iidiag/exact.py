@@ -324,10 +324,9 @@ _ELIMINATIONS: dict[int, _Elimination] = {}
 
 def _elimination_of(diagram: InfluenceDiagram) -> _Elimination:
     """The diagram's plan, compiled on first use and dropped with the
-    diagram. Model objects are immutable, so a plan never goes stale as
-    long as the diagram's ``nodes`` dict is not edited in place, which no
-    caller may do. Compiling checks the diagram, so every diagram is
-    checked once, before any row is read."""
+    diagram. Model objects are immutable, so a plan never goes stale.
+    Compiling checks the diagram, so every diagram is checked once, before
+    any row is read."""
     key = id(diagram)
     plan = _ELIMINATIONS.get(key)
     if plan is None:

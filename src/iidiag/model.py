@@ -8,22 +8,23 @@ never disagree. The single value node stores a [low, high] interval per
 parent configuration. ``build_diagram`` validates everything up front and
 returns an immutable diagram; it never returns a partially valid one.
 
-Model objects are immutable by construction: a list given for a variable's
-outcomes, a node's or table's parents, a table's cards, rows or a row, or a
-diagram's decision order is stored as a tuple. A value of any other type is
-kept as given, for the checks to judge. A diagram's ``nodes`` dict must not
-be edited in place.
+Model objects are immutable by construction: a mutable sequence given for a
+variable's outcomes, a node's or table's parents, a table's cards, rows or a
+row, or a diagram's decision order is stored as a tuple, and a diagram's
+``nodes`` mapping as a read-only view of its own copy. A value of any other
+type is kept as given, for the checks to judge.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from math import isfinite
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from .errors import (
@@ -48,10 +49,11 @@ TOL = 1e-12
 
 
 def _freeze(obj: Any, field: str) -> None:
-    """Store a list held in ``field`` of the frozen dataclass ``obj`` as a
-    tuple; a value of any other type stays as it is."""
+    """Store a mutable sequence (a list, an array, a deque, ...) held in
+    ``field`` of the frozen dataclass ``obj`` as a tuple; a value of any
+    other type stays as it is."""
     value = getattr(obj, field)
-    if isinstance(value, list):
+    if isinstance(value, MutableSequence):
         object.__setattr__(obj, field, tuple(value))
 
 
@@ -175,8 +177,8 @@ _JUST_TUPLE = frozenset({tuple})
 @dataclass(frozen=True)
 class _Table:
     """The fields of a table: its parents, their cards and one row per
-    parent configuration. A list given for any of them, or for a row, is
-    stored as a tuple."""
+    parent configuration. A mutable sequence given for any of them, or for
+    a row, is stored as a tuple."""
 
     parents: tuple[str, ...]
     cards: tuple[int, ...]
@@ -192,7 +194,9 @@ class _Table:
         rows = self.rows
         # one scan in C for the common case, rows that are all tuples
         if type(rows) is tuple and set(map(type, rows)) != _JUST_TUPLE:
-            rows = tuple([tuple(row) if isinstance(row, list) else row for row in rows])
+            rows = tuple([
+                tuple(row) if isinstance(row, MutableSequence) else row for row in rows
+            ])
             object.__setattr__(self, "rows", rows)
 
 
@@ -242,15 +246,19 @@ class InfluenceDiagram:
     """An immutable, validated influence diagram.
 
     ``nodes`` preserves declaration order, which fixes all deterministic
-    tie-breaking downstream. Mutation happens only by building a new diagram:
-    the ``nodes`` dict must not be edited in place.
+    tie-breaking downstream. A mapping given for it is stored as a read-only
+    view of the diagram's own copy, so the diagram never changes; a changed
+    diagram is a new one.
     """
 
-    nodes: dict[str, Node]
+    nodes: Mapping[str, Node]
     decision_order: tuple[str, ...]
     added_information_arcs: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        nodes = self.nodes
+        if type(nodes) is dict or isinstance(nodes, Mapping):  # a dict skips the ABC check
+            object.__setattr__(self, "nodes", MappingProxyType(dict(nodes)))
         if type(self.decision_order) is not tuple:
             _freeze(self, "decision_order")
 
@@ -291,7 +299,7 @@ class InfluenceDiagram:
         order of the survivors is preserved. An update whose key names no
         node is ignored."""
         dropped = set(remove)
-        nodes = dict(self.nodes)
+        nodes = self.nodes.copy()  # dict() reads a read-only view item by item
         for name, node in dict(updates).items():
             if name in nodes:
                 nodes[name] = node
@@ -760,42 +768,32 @@ def check_table_rows(
     check_rows(rows, k, f"{name}.table")
 
 
-def check_structure(diagram: InfluenceDiagram) -> _Graph:
-    """Full invariant sweep: :func:`check_graph`, then :func:`check_tables`;
-    returns the graph :func:`check_graph` built. Run on every diagram a
-    solve compiles a plan for."""
+def check_structure(
+    diagram: InfluenceDiagram,
+) -> tuple[_Graph, dict[str, tuple[tuple[float, ...], ...]]]:
+    """Full invariant sweep: :func:`check_graph`, then :func:`checked_rows`
+    on every chance and value node in declaration order. Returns the graph
+    :func:`check_graph` built and the checked rows by node name. Run on
+    every diagram a solve compiles a plan for."""
     graph = check_graph(diagram)
-    check_tables(diagram)
-    return graph
-
-
-def check_tables(diagram: InfluenceDiagram) -> None:
-    """:func:`check_table` on every chance and value node. Run on every
-    diagram a solve starts from, always after :func:`check_graph` has
-    passed on its structure, so every parent has outcomes."""
-    cards = {
-        name: node.variable.cardinality
+    cards = graph.cards
+    rows = {
+        name: checked_rows(node, cards)
         for name, node in diagram.nodes.items()
-        if node.variable is not None
+        if node.kind is not NodeKind.DECISION
     }
-    for node in diagram.nodes.values():
-        if node.kind is not NodeKind.DECISION:
-            check_table(node, tuple([cards[p] for p in node.parents]))
+    return graph, rows
 
 
-def check_table(node: Node, parent_cards: tuple[int, ...]) -> None:
-    """A chance or value node's table matches its arcs and its parents'
-    cardinalities ``parent_cards`` and passes :func:`check_table_rows`."""
-    table = matched_table(node, parent_cards)
-    k = node.cardinality if node.kind is NodeKind.CHANCE else None
-    check_table_rows(node.name, table.rows, table.cards, k)
-
-
-def matched_table(node: Node, parent_cards: tuple[int, ...]) -> LowerCPT | IntervalValueTable:
-    """The table of chance or value node ``node``, once it is of the
-    model's type for the node's kind (a ``LowerCPT`` or an
-    ``IntervalValueTable``) and its parents match the node's arcs and its
-    cards ``parent_cards``; its rows are not read."""
+def checked_rows(
+    node: Node, cards: Mapping[str, int | None]
+) -> tuple[tuple[float, ...], ...]:
+    """The rows of chance or value node ``node``'s table, once the table is
+    of the model's type for the node's kind (a ``LowerCPT`` or an
+    ``IntervalValueTable``), its parents match the node's arcs, its cards
+    match its parents' cardinalities (``cards``, by name) and it passes
+    :func:`check_table_rows`. Run only on a node whose graph passed
+    :func:`check_graph`, so every parent has outcomes."""
     if node.kind is NodeKind.CHANCE:
         table, kind = node.chance_table, LowerCPT
     else:
@@ -806,6 +804,8 @@ def matched_table(node: Node, parent_cards: tuple[int, ...]) -> LowerCPT | Inter
         )
     if table is None or table.parents != node.parents:
         raise ParentMismatch(f"{node.name}: table parents disagree with arcs")
-    if table.cards != parent_cards:
+    if table.cards != tuple([cards[p] for p in node.parents]):
         raise ParentMismatch(f"{node.name}: table cards disagree with parents")
-    return table
+    k = node.cardinality if kind is LowerCPT else None
+    check_table_rows(node.name, table.rows, table.cards, k)
+    return table.rows

@@ -236,7 +236,7 @@ def sweep(
     input. Both are dropped when the call returns."""
     if jobs != 1:  # the keyword stays only for callers that pass jobs=1
         raise MalformedSpec(f"jobs={jobs}: sweep runs its cells in order, jobs must be 1")
-    graph = check_structure(diagram)
+    checked = check_structure(diagram)
     _require_point(diagram)
     subsets = spec.effective_subsets()
     for name in (*spec.target_nodes, *(name for subset in subsets for name in subset)):
@@ -255,7 +255,7 @@ def sweep(
     shared = None
     memo = StepMemo()
     if subsets and spec.ranges:
-        memo.serve(diagram, graph)
+        memo.serve(diagram, checked)
     widened: dict[tuple[str, float], Node] = {}
     for subset in subsets:
         for r in spec.ranges:

@@ -35,8 +35,7 @@ from .model import (
     _Graph,
     check_graph,
     check_structure,
-    check_table_rows,
-    matched_table,
+    checked_rows,
 )
 from .transforms import (  # apply_step is re-exported for step-by-step callers
     AdmissibleSet,
@@ -50,7 +49,6 @@ from .transforms import (  # apply_step is re-exported for step-by-step callers
     _reversal_shape,
     apply_step,
     fmt,
-    table_rows,
 )
 
 
@@ -163,31 +161,17 @@ def _compile(graph: _Graph) -> tuple[StepShape, ...]:
     return tuple(shapes)
 
 
-def _table_specs(key: tuple) -> tuple:
-    """Per node of the structure ``key``, in declaration order: None for a
-    decision, else its parents' cardinalities and its outcome count (None
-    for the value node)."""
-    nodes, _ = key
-    cards = {name: card for name, _, _, _, card in nodes}
-    return tuple(
-        None if kind is NodeKind.DECISION
-        else (tuple([cards[p] for p in parents]), None if kind is NodeKind.VALUE else card)
-        for _, _, kind, parents, card in nodes
-    )
-
-
 class StepMemo:
     """What the solves given one memo remember of each other, for as long
     as the caller holds it; :func:`~iidiag.sensitivity.sweep` holds one for
     the length of a call. It serves one structure at a time: that
-    structure's node keys, decision order, plan, value node name and
-    decision count, and per node its :func:`structure_key` entry and table
-    spec. Per node, every ``Node`` object it checked, with its rows. Per
-    step, one record for every distinct input it ran on: the rows of its
-    node and target and the decision ``Variable``, with the rows it
-    produced and the step it completed. All of them are model objects,
-    which are immutable, so nothing the memo keeps can change; the caller
-    must not edit a diagram's ``nodes`` dict in place.
+    structure's node keys, decision order, plan, value node name, decision
+    count and cardinality of each node by name, and per node its
+    :func:`structure_key` entry. Per node, every ``Node`` object it checked,
+    with its rows. Per step, one record for every distinct input it ran on:
+    the rows of its node and target and the decision ``Variable``, with the
+    rows it produced and the step it completed. All of them are model
+    objects, which are immutable, so nothing the memo keeps can change.
 
     Admitted objects and records are looked up by the ids of their inputs
     and hold the objects themselves, so no id is reused while the memo
@@ -201,9 +185,10 @@ class StepMemo:
         self._plan: tuple[StepShape, ...] = ()
         self._value = ""
         self._decisions = 0
-        # per node: admitted Nodes by id, the structure_key entry and the
-        # table spec
-        self._slots: tuple[tuple[dict, tuple, tuple | None], ...] = ()
+        self._cards: dict[str, int | None] = {}
+        # per node: admitted Nodes by id, with their rows, and the
+        # structure_key entry
+        self._slots: tuple[tuple[dict, tuple], ...] = ()
         self._records: list[dict] = []
 
     def _tables(self, diagram: InfluenceDiagram) -> dict:
@@ -213,9 +198,9 @@ class StepMemo:
         the memo all admitted has the served structure and checked tables,
         so it is not checked again. A node new to the memo is compared with
         its entry of the served structure; when every new node matches, each
-        new node's table and rows are checked against its spec. Otherwise
-        the structure is another one: the diagram is checked in full and the
-        plan is made on the graph its check returns."""
+        new node's table goes through :func:`~iidiag.model.checked_rows`.
+        Otherwise the structure is another one: the diagram is checked in
+        full and the memo serves it."""
         nodes = diagram.nodes
         if tuple(nodes) == self._names and diagram.decision_order == self._order:
             tables, fresh = {}, []
@@ -230,14 +215,23 @@ class StepMemo:
             # the structure of every new node before any table, in the
             # order check_structure checks them
             if all(_node_entry(name, node) == slot[1] for name, node, slot in fresh):
-                return self._admit(tables, fresh, checked=False)
-        return self._serve(diagram, check_structure(diagram))
+                cards, decision = self._cards, NodeKind.DECISION
+                for name, node, (admitted, _) in fresh:
+                    rows = None
+                    if node.kind is not decision:
+                        rows = tables[name] = checked_rows(node, cards)
+                    admitted[id(node)] = (node, rows)
+                return tables
+        checked = check_structure(diagram)
+        self.serve(diagram, checked)
+        return checked[1]
 
-    def serve(self, diagram: InfluenceDiagram, graph: _Graph) -> None:
+    def serve(self, diagram: InfluenceDiagram, checked: tuple[_Graph, dict]) -> None:
         """Serve the structure of ``diagram``, which the caller checked:
-        ``graph`` must be what :func:`~iidiag.model.check_structure`
+        ``checked`` must be what :func:`~iidiag.model.check_structure`
         returned for this very diagram, as nothing is checked here. The
-        memo compiles the plan on ``graph`` and admits the diagram's nodes.
+        memo compiles the plan on its graph and admits every node of the
+        diagram with its checked rows.
 
         The saving needs the later diagrams to keep the structure of
         ``diagram``: its node keys and decision order and, per node, the
@@ -245,41 +239,20 @@ class StepMemo:
         checks no graph. :func:`~iidiag.sensitivity.inject_range` keeps it,
         as it swaps only chance tables. A diagram of another structure is
         checked in full, as after any solve of ``diagram``."""
-        self._serve(diagram, graph)
-
-    def _serve(self, diagram: InfluenceDiagram, graph: _Graph) -> dict:
-        """Serve the structure of ``diagram``, which
-        :func:`~iidiag.model.check_structure` passed and returned ``graph``
-        for: compile the plan on ``graph`` and admit every node of
-        ``diagram``. Returns what :meth:`_tables` returns."""
+        graph, rows = checked
         self._names = None  # serves no structure until the compile succeeds
-        value, decisions = graph.value, len(graph.decisions)
+        # read before _compile edits the graph
+        cards, value, decisions = dict(graph.cards), graph.value, len(graph.decisions)
         self._plan = _compile(graph)
         key = structure_key(diagram)
         self._slots = tuple(
-            ({}, entry, spec) for entry, spec in zip(key[0], _table_specs(key))
+            ({id(node): (node, rows.get(name))}, entry)
+            for (name, node), entry in zip(diagram.nodes.items(), key[0])
         )
         self._records = [{} for _ in self._plan]
-        self._value, self._decisions = value, decisions
+        self._cards, self._value, self._decisions = cards, value, decisions
         self._order = key[1]
         self._names = tuple(diagram.nodes)
-        fresh = [(name, node, slot) for (name, node), slot in zip(diagram.nodes.items(), self._slots)]
-        return self._admit({}, fresh, checked=True)
-
-    def _admit(self, tables: dict, fresh: list, *, checked: bool) -> dict:
-        """Add the rows of every node in ``fresh`` (its key, node and slot,
-        in declaration order) to ``tables``; check its table against its
-        spec, and its rows unless ``checked``; admit the node. Returns
-        ``tables``."""
-        for name, node, (nodes_seen, _, spec) in fresh:
-            rows = None
-            if spec is not None:
-                cards, k = spec
-                rows = tables[name] = matched_table(node, cards).rows
-                if not checked:
-                    check_table_rows(node.name, rows, cards, k)
-            nodes_seen[id(node)] = (node, rows)
-        return tables
 
 
 def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveReport:
@@ -296,7 +269,7 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
     into a plan (:func:`compile_plan`) and replayed over the input's tables,
     checking every table a step produces. Without a ``memo`` the call checks
     the whole diagram, compiles a plan on the graph its check returns,
-    replays, and keeps nothing.
+    replays it on the rows the check returns, and keeps nothing.
 
     A ``memo`` (a :class:`StepMemo`) keeps the plan of the structure it
     serves, so a run of solves over one structure checks the graph and
@@ -304,13 +277,12 @@ def solve(diagram: InfluenceDiagram, *, memo: StepMemo | None = None) -> SolveRe
     object, and a step whose input rows and decision ``Variable`` are the
     very objects of a run the memo recorded takes that run's checked output
     and completed step instead of running again: kernels are pure, and
-    model objects are immutable, so the report is the same. The diagram's
-    ``nodes`` dict must not be edited in place.
+    model objects are immutable, so the report is the same.
     """
     if memo is None:
-        plan = _compile(check_structure(diagram))
-        value, decisions = diagram.value_node.name, len(diagram.names(NodeKind.DECISION))
-        tables, records = table_rows(diagram), None
+        graph, tables = check_structure(diagram)
+        value, decisions = graph.value, len(graph.decisions)
+        plan, records = _compile(graph), None
     else:
         tables = memo._tables(diagram)
         plan, value, decisions, records = memo._plan, memo._value, memo._decisions, memo._records

@@ -27,8 +27,8 @@ from .model import (
     TOL,
     _Graph,
     check_graph,
-    check_table,
     check_table_rows,
+    checked_rows,
     row_map,
 )
 
@@ -238,16 +238,6 @@ def _merge_parents(primary: Sequence[str], drop: str, extra: Sequence[str]) -> t
     return tuple(kept + [p for p in extra if p not in kept])
 
 
-def table_rows(diagram: InfluenceDiagram) -> dict[str, Rows]:
-    """The rows of every chance and value table, by node name."""
-    out = {}
-    for name, node in diagram.nodes.items():
-        table = node.chance_table or node.value_table
-        if table is not None:
-            out[name] = table.rows
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Step shapes. Which step runs, and every index it reads, depends on the
 # graph and the cardinalities alone; the numbers only enter in ``run``. A
@@ -294,18 +284,14 @@ class StepShape:
             check_table_rows(table.name, rows, table.cards, table.outcomes)
         return produced, step
 
-    def successor(
-        self, diagram: InfluenceDiagram, produced: Sequence[Rows] | None = None
-    ) -> InfluenceDiagram:
-        """``diagram`` after this step: removed nodes dropped, produced nodes
-        given their new parents and, when ``produced`` holds their rows,
-        their new tables (without, the result has structure only)."""
+    def successor(self, diagram: InfluenceDiagram, produced: Sequence[Rows]) -> InfluenceDiagram:
+        """``diagram`` after this step: removed nodes dropped, and produced
+        nodes given their new parents and their new tables, whose rows are
+        ``produced``."""
         updates = {}
         for i, table in enumerate(self.produced):
             old = diagram.nodes[table.name]
-            if produced is None:
-                new = Node(table.name, old.kind, old.variable, table.parents)
-            elif table.outcomes is None:
+            if table.outcomes is None:
                 new = Node(table.name, old.kind, old.variable, table.parents,
                            value_table=IntervalValueTable(table.parents, table.cards, produced[i]))
             else:
@@ -590,19 +576,21 @@ def apply_step(
     The input's graph is checked, and the tables of the step's nodes; every
     other table is carried over unread. A step keeps a valid graph valid,
     so the output's graph is not checked again; its produced tables are."""
-    check_graph(diagram)
-    return _run_step(diagram, shape)
+    return _run_step(diagram, shape, check_graph(diagram))
 
 
 def _run_step(
-    diagram: InfluenceDiagram, shape: StepShape
+    diagram: InfluenceDiagram, shape: StepShape, graph: _Graph
 ) -> tuple[InfluenceDiagram, TransformStep]:
-    """:func:`apply_step` on a diagram whose graph is checked."""
+    """:func:`apply_step` on a diagram whose graph check returned ``graph``:
+    the kernel gets the checked rows of the step's node and target, all it
+    reads."""
+    tables = {}
     for name in (shape.node, shape.into):
         node = diagram.nodes.get(name)
         if node is not None and node.kind is not NodeKind.DECISION:
-            check_table(node, diagram.cards_of(node.parents))
-    produced, step = shape.run_checked(table_rows(diagram), diagram)
+            tables[name] = checked_rows(node, graph.cards)
+    produced, step = shape.run_checked(tables, diagram)
     return shape.successor(diagram, produced), step
 
 
@@ -621,7 +609,8 @@ def remove_chance_into_value(
     envelope of the conditional expectation over all admitted distributions
     and value functions.
     """
-    return _run_step(diagram, _fold_shape(check_graph(diagram), name))
+    graph = check_graph(diagram)
+    return _run_step(diagram, _fold_shape(graph, name), graph)
 
 
 def _undominated(
@@ -677,7 +666,8 @@ def remove_decision(
     only successor. The new interval per state is the hull of the admissible
     alternatives' intervals.
     """
-    return _run_step(diagram, _decision_shape(check_graph(diagram), name))
+    graph = check_graph(diagram)
+    return _run_step(diagram, _decision_shape(graph, name), graph)
 
 
 def marginalize_chance(
@@ -685,7 +675,8 @@ def marginalize_chance(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Remove chance node ``name`` by summing it out of its single chance
     successor, which inherits its parents."""
-    return _run_step(diagram, _marginal_shape(check_graph(diagram), name))
+    graph = check_graph(diagram)
+    return _run_step(diagram, _marginal_shape(graph, name), graph)
 
 
 def reverse_arc(
@@ -699,7 +690,8 @@ def reverse_arc(
     distribution. Rows where conditioning is on an event of necessarily zero
     upper probability are stored as zero bounds and flagged on the step.
     """
-    return _run_step(diagram, _reversal_shape(check_graph(diagram), x, y))
+    graph = check_graph(diagram)
+    return _run_step(diagram, _reversal_shape(graph, x, y), graph)
 
 
 def remove_barren(
@@ -707,4 +699,5 @@ def remove_barren(
 ) -> tuple[InfluenceDiagram, TransformStep]:
     """Drop a chance or decision node with no successors; every other table
     is untouched."""
-    return _run_step(diagram, _barren_shape(check_graph(diagram), name))
+    graph = check_graph(diagram)
+    return _run_step(diagram, _barren_shape(graph, name), graph)

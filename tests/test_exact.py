@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from array import array
+from collections import deque
 from pathlib import Path
 from random import Random
 
@@ -767,24 +769,61 @@ class TestHandBuiltDiagramsAreChecked:
 
 
 class TestEditedListsChangeNoOutput:
-    """A model object stores a list it is given as a tuple, so a list edited
-    after construction changes neither the object nor any output, kept or
-    computed afresh. ``point_solve``'s per-diagram plan once kept the
-    unedited parents while ``solve`` read the edited ones."""
+    """A model object stores a mutable sequence it is given as a tuple, and a
+    diagram its ``nodes`` mapping as a read-only view of its own copy, so an
+    input edited after construction changes neither the object nor any
+    output, kept or computed afresh. ``point_solve``'s per-diagram plan once
+    kept the unedited parents while ``solve`` read the edited ones, and a
+    memo once kept an array row's unedited numbers while a plain solve read
+    the edited ones."""
+
+    @staticmethod
+    def _outputs_stay(minimal, hand_built, edit):
+        """Plain ``solve``, a memo's ``solve`` and ``point_solve`` give
+        ``minimal``'s outputs on ``hand_built``, before and after ``edit()``,
+        and so does a diagram built afresh from its nodes."""
+        member = sample_member(hand_built, 0)
+        memo = StepMemo()
+        expected = (repr(solve(minimal)), point_solve(minimal, member))
+        # the memo and the exact layer's plan both keep the unedited diagram
+        assert (repr(solve(hand_built, memo=memo)), point_solve(hand_built, member)) == expected
+        edit()
+        fresh = InfluenceDiagram(hand_built.nodes, hand_built.decision_order)
+        for diagram in (hand_built, fresh):
+            assert repr(solve(diagram)) == repr(solve(diagram, memo=memo)) == expected[0]
+            assert point_solve(diagram, member) == expected[1]
+        return expected
 
     def test_decision_parents_edited_after_construction(self, minimal):
         parents = []
         d = Node("D", NodeKind.DECISION, minimal.node("D").variable, parents)
         hand_built = minimal.replace_nodes({"D": d})
-        member = sample_member(hand_built, 0)
-        memo = StepMemo()
-        expected = (repr(solve(minimal)), point_solve(minimal, member))
+        # appending C would have D observe C
+        expected = self._outputs_stay(minimal, hand_built, lambda: parents.append("C"))
         assert round(expected[1].expected_value, 4) == 6.1348
-        # the memo and the exact layer's plan both keep the unedited diagram
-        assert (repr(solve(hand_built, memo=memo)), point_solve(hand_built, member)) == expected
-        parents.append("C")  # would have D observe C
         assert d.parents == () and hand_built.node("D").parents == ()
-        fresh = InfluenceDiagram(hand_built.nodes, hand_built.decision_order)
-        for diagram in (hand_built, fresh):
-            assert repr(solve(diagram)) == repr(solve(diagram, memo=memo)) == expected[0]
-            assert point_solve(diagram, member) == expected[1]
+
+    def test_deque_parents_appended_to(self, minimal):
+        parents = deque()
+        d = Node("D", NodeKind.DECISION, minimal.node("D").variable, parents)
+        hand_built = minimal.replace_nodes({"D": d})
+        self._outputs_stay(minimal, hand_built, lambda: parents.append("C"))
+        assert d.parents == () and type(d.parents) is tuple
+
+    def test_array_row_edited_in_place(self, minimal):
+        # the edited row (0.1, 0.3) would solve to (1.0, 7.0), not (5.0, 7.0)
+        row = array("d", minimal.node("C").chance_table.rows[0])
+        c = dataclasses.replace(minimal.node("C"), chance_table=LowerCPT((), (), (row,)))
+        hand_built = minimal.replace_nodes({"C": c})
+        self._outputs_stay(minimal, hand_built, lambda: row.__setitem__(0, 0.1))
+        assert c.chance_table.rows == ((0.5, 0.3),) and type(c.chance_table.rows[0]) is tuple
+
+    def test_nodes_dict_edited_after_construction(self, minimal):
+        nodes = dict(minimal.nodes)
+        hand_built = InfluenceDiagram(nodes, minimal.decision_order)
+        c = minimal.node("C")
+        other = dataclasses.replace(c, chance_table=LowerCPT((), (), ((0.1, 0.3),)))
+        self._outputs_stay(minimal, hand_built, lambda: nodes.update(C=other))
+        assert hand_built.node("C") is c
+        with pytest.raises(TypeError):
+            hand_built.nodes["C"] = other

@@ -1,8 +1,10 @@
 """The README's library example runs, the package root exports exactly the
-names the README's Library and Sensitivity sections use, and every test the
-README cites as ``tests/<file>.py::<name>`` exists."""
+names the README's Library and Sensitivity sections use, every test the
+README cites as ``tests/<file>.py::<name>`` exists, and every package name
+it quotes as ``module.name`` (or ``module.name.attr``) exists."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -74,3 +76,19 @@ def test_test_references_name_existing_tests():
     for path, name in refs:
         assert (root / path).is_file(), path
         assert name in _defined(root / path), f"{path}::{name}"
+
+
+MODULES = ("model", "solver", "transforms", "exact", "sensitivity", "generate", "diagram_io", "cli")
+
+
+def test_module_references_name_existing_attributes():
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    reference = re.compile(rf"({'|'.join(MODULES)})\.(\w+)(?:\.(\w+))?")
+    refs = [m.groups() for quoted in re.findall(r"`([^`]+)`", prose)
+            if (m := reference.match(quoted))]
+    assert len(refs) >= 10  # the README does quote them
+    for module, name, attr in refs:
+        where = ".".join(filter(None, (module, name, attr)))
+        value = getattr(importlib.import_module(f"iidiag.{module}"), name, None)
+        assert value is not None, where
+        assert attr is None or hasattr(value, attr), where

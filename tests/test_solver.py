@@ -48,7 +48,8 @@ class TestSolveValidatesItsInput:
         )
         with pytest.raises(errors.NegativeBound, match=r"B\.table\[0\]"):
             solve(hand_built)
-        monkeypatch.setattr(model, "check_tables", lambda diagram: None)
+        monkeypatch.setattr(model, "checked_rows",
+                            lambda node, cards: (node.chance_table or node.value_table).rows)
         assert solve(hand_built).final_interval == solve(minimal).final_interval
 
 
@@ -709,7 +710,9 @@ class TestStepsKeepTheGraphValid:
     nodes, acyclic arcs, a decision order covering the decisions), which
     this checks on every intermediate structure of the corpus. The plan is
     made on one graph updated in place; each of its steps is the step
-    ``next_step`` picks on a graph built afresh from that structure."""
+    ``next_step`` picks on a graph built afresh from that structure. The
+    walk takes each step with ``apply_step``, so every intermediate diagram
+    carries the checked tables the step produced."""
 
     @staticmethod
     def _corpus():
@@ -726,7 +729,7 @@ class TestStepsKeepTheGraphValid:
             model.check_graph(diagram)
             for shape in solver.compile_plan(diagram):
                 assert solver.next_step(diagram) == shape, name
-                diagram = shape.successor(diagram)
+                diagram, _ = apply_step(diagram, shape)
                 model.check_graph(diagram)
                 kinds.add(shape.kind)
             assert list(diagram.nodes) == [diagram.value_node.name], name
@@ -804,7 +807,7 @@ def _wrong_v_cards(minimal):
 
 
 class TestTablesMatchTheirNodes:
-    """``check_tables`` refuses a hand-built table whose parents or cards
+    """``checked_rows`` refuses a hand-built table whose parents or cards
     differ from its node's: a warm solve after the well-formed twin fails as
     a plain one does. It reads the cards from one lookup per call."""
 
@@ -843,6 +846,72 @@ class TestTablesMatchTheirNodes:
             calls.clear()
             solve(diagram, memo=memo)
             assert calls == [], name
+
+
+@pytest.fixture
+def table_checks(monkeypatch):
+    """A list that grows by one node name per table ``checked_rows`` checks,
+    wherever it is called from."""
+    names = []
+    checked_rows = model.checked_rows
+
+    def counting(node, cards):
+        names.append(node.name)
+        return checked_rows(node, cards)
+
+    for module in (model, solver, transforms):
+        monkeypatch.setattr(module, "checked_rows", counting)
+    return names
+
+
+class TestOneCheckPerTable:
+    """Every chance and value table a call reads is checked once, by
+    ``model.checked_rows``, and the rows the call reads are the ones that
+    check returned."""
+
+    def test_solves(self, table_checks):
+        for name, diagram in _golden_diagrams():
+            tables = [n for n, node in diagram.nodes.items() if node.kind is not NodeKind.DECISION]
+            solve(diagram)
+            assert table_checks == tables, name
+            table_checks.clear()
+            memo = solver.StepMemo()
+            solve(diagram, memo=memo)  # a memo's first solve
+            assert table_checks == tables, name
+            table_checks.clear()
+            solve(diagram, memo=memo)  # every node admitted
+            assert table_checks == [], name
+            chance = diagram.names(NodeKind.CHANCE)
+            if chance:  # a warm solve checks only the node it has not seen
+                solve(inject_range(diagram, chance[-1:], 0.05), memo=memo)
+                assert table_checks == [chance[-1]], name
+                table_checks.clear()
+
+    def test_apply_step_checks_only_its_tables(self, minimal, monkeypatch, table_checks):
+        # B has no successors and an invalid table that no step but its own
+        # drop reads
+        barren = Node("B", NodeKind.CHANCE, minimal.node("C").variable, (),
+                      chance_table=LowerCPT((), (), ((-0.5, 0.2),)))
+        hand_built = InfluenceDiagram({"B": barren, **minimal.nodes}, minimal.decision_order)
+        read = []
+        run_checked = transforms.StepShape.run_checked
+
+        def reading(shape, tables, diagram):
+            read.append(sorted(tables))
+            return run_checked(shape, tables, diagram)
+
+        monkeypatch.setattr(transforms.StepShape, "run_checked", reading)
+        fold, decision = solver.compile_plan(minimal)  # C into V, then D into V
+        folded, _ = apply_step(hand_built, fold)
+        assert table_checks == ["C", "V"] and read == [["C", "V"]]
+        assert folded.node("B") is barren
+        table_checks.clear()
+        apply_step(folded, decision)
+        assert table_checks == ["V"] and read[1:] == [["V"]]
+        table_checks.clear()
+        with pytest.raises(errors.NegativeBound, match=r"B\.table\[0\]"):
+            apply_step(hand_built, next_step(hand_built))  # drops B
+        assert table_checks == ["B"]
 
 
 def _overfull_oil(diagram):
